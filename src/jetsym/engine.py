@@ -33,6 +33,7 @@ from .linalg import (
     poly_matrix_pivots,
     rank_modulo,
     rational_roots,
+    rref,
     squarefree_factors,
 )
 
@@ -313,8 +314,7 @@ def solve_symmetries(ansatz: AnsatzSpace, eq: EvolutionEquation) -> SymmetryBasi
     if ansatz.symbolic:
         raise ValueError("solve_symmetries requires fixed exponential weights")
     system = determining_system(ansatz, eq)
-    matrix = system.matrix
-    kernel = nullspace(matrix)
+    kernel = nullspace(system.matrix)
     elements = []
     for vec in kernel:
         e = ExpPolyExpr.zero()
@@ -322,18 +322,17 @@ def solve_symmetries(ansatz: AnsatzSpace, eq: EvolutionEquation) -> SymmetryBasi
             if c:
                 e = e + g.scale(c)
         elements.append(e)
+    # with columns taken by ascending order, the order-<=q generators are a
+    # leading block whose rank is the number of pivots inside it
     gen_orders = [g.order() for g in ansatz.generators]
+    by_order = sorted(range(len(gen_orders)), key=gen_orders.__getitem__)
+    _, pivots = rref(
+        RatMatrix([[row[j] for j in by_order] for row in system.rows], cols=len(by_order))
+    )
     dims = []
     for q in range(ansatz.q_max + 1):
-        cols = [j for j, o in enumerate(gen_orders) if o <= q]
-        if not cols:
-            dims.append(0)
-            continue
-        if matrix.rows == 0:
-            dims.append(len(cols))
-            continue
-        sub = RatMatrix([[row[j] for j in cols] for row in system.rows])
-        dims.append(len(nullspace(sub)))
+        count = sum(1 for o in gen_orders if o <= q)
+        dims.append(count - sum(1 for p in pivots if p < count))
     return SymmetryBasis(eq, ansatz, tuple(elements), tuple(dims))
 
 

@@ -5,6 +5,9 @@ Everything here works over arbitrary-precision rationals
 Matrices are immutable, operations are pure, and every basis returned
 follows a fixed normalization rule (first nonzero entry equals one) so
 downstream output is deterministic.
+
+The one exact rational elimination is the sparse :func:`rref`; kernels,
+ranks, solves, span tests and Jordan chain tops are each read off one call.
 """
 
 from __future__ import annotations
@@ -132,28 +135,35 @@ def rref(m: RatMatrix) -> tuple:
     """Reduced row echelon form.
 
     Returns ``(R, pivots)`` where pivots is the strictly increasing tuple
-    of pivot column indices.
+    of pivot column indices.  Rows are ``{column: entry}`` dicts and each
+    step touches only rows containing the pivot column.  The reduced form is
+    unique, so pivoting on the shortest row (less fill-in) cannot change it.
     """
-    data = m.tolists()
-    nrows, ncols = m.rows, m.cols
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pr = next((i for i in range(r, nrows) if data[i][c] != 0), None)
-        if pr is None:
+    rows = ({j: x for j, x in enumerate(m.row(i)) if x} for i in range(m.rows))
+    pending = [row for row in rows if row]
+    reduced, pivots = [], []
+    for c in range(m.cols):
+        hits = [k for k, row in enumerate(pending) if c in row]
+        if not hits:
             continue
-        data[r], data[pr] = data[pr], data[r]
-        inv = ONE / data[r][c]
-        data[r] = [x * inv for x in data[r]]
-        for i in range(nrows):
-            if i != r and data[i][c] != 0:
-                f = data[i][c]
-                data[i] = [a - f * b for a, b in zip(data[i], data[r])]
+        prow = pending.pop(min(hits, key=lambda k: len(pending[k])))
+        inv = ONE / prow[c]
+        prow = {j: x * inv for j, x in prow.items()}
+        for row in pending + reduced:
+            f = row.get(c)
+            if f is None:
+                continue
+            for j, x in prow.items():
+                v = row.get(j, ZERO) - f * x
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
+        reduced.append(prow)
         pivots.append(c)
-        r += 1
-    return RatMatrix(data), tuple(pivots)
+    data = [[row.get(j, ZERO) for j in range(m.cols)] for row in reduced]
+    data += [[ZERO] * m.cols for _ in range(m.rows - len(reduced))]
+    return RatMatrix(data, cols=m.cols), tuple(pivots)
 
 
 def rank(m: RatMatrix) -> int:
@@ -189,23 +199,36 @@ def normalize_vector(v: Sequence[Fraction]) -> tuple:
     return tuple(x * inv for x in v)
 
 
+def solve_columns(m: RatMatrix, rhs: Sequence[Sequence[Fraction]]) -> list:
+    """Solutions of ``m x = b`` for the leading consistent columns ``b`` of ``rhs``.
+
+    One elimination of ``[m | rhs]``; the first inconsistent right-hand
+    side is the first pivot past ``m.cols``, and the list stops before it.
+    Free unknowns are set to zero.
+    """
+    n = m.cols
+    aug = RatMatrix(
+        [list(m.row(i)) + [b[i] for b in rhs] for i in range(m.rows)],
+        cols=n + len(rhs),
+    )
+    red, pivots = rref(aug)
+    row_of = {pc: r for r, pc in enumerate(pivots) if pc < n}
+    stop = next((pc for pc in pivots if pc >= n), n + len(rhs))
+    return [
+        tuple(red[row_of[j], k] if j in row_of else ZERO for j in range(n))
+        for k in range(n, stop)
+    ]
+
+
 def solve(m: RatMatrix, b: Sequence[Fraction]):
     """One solution of ``m x = b``, or ``None`` if inconsistent."""
-    aug = RatMatrix([list(m.row(i)) + [b[i]] for i in range(m.rows)])
-    red, pivots = rref(aug)
-    if m.cols in pivots:
-        return None
-    x = [ZERO] * m.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r, m.cols]
-    return tuple(x)
+    return next(iter(solve_columns(m, [b])), None)
 
 
 def in_span(columns: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> bool:
     """Whether ``v`` lies in the span of the given column vectors."""
-    if not columns:
-        return all(x == 0 for x in v)
-    return solve(RatMatrix.from_columns(columns), v) is not None
+    m = RatMatrix([[col[i] for col in columns] for i in range(len(v))], cols=len(columns))
+    return bool(solve_columns(m, [v]))
 
 
 # ---------------------------------------------------------------------------
@@ -475,36 +498,6 @@ def generalized_eigenspace(m: RatMatrix, lam) -> list:
     return nullspace(power)
 
 
-class _SpanTracker:
-    """Incremental exact independence test (row-reduced staircase)."""
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.rows = []  # list of (pivot index, normalized vector)
-
-    def reduce(self, v: Sequence[Fraction]) -> tuple:
-        v = list(v)
-        for piv, row in self.rows:
-            if v[piv] != 0:
-                f = v[piv]
-                v = [a - f * b for a, b in zip(v, row)]
-        return tuple(v)
-
-    def add(self, v: Sequence[Fraction]) -> bool:
-        """Insert if independent; returns True when the span grew."""
-        red = self.reduce(v)
-        piv = next((i for i, x in enumerate(red) if x != 0), None)
-        if piv is None:
-            return False
-        inv = ONE / red[piv]
-        self.rows.append((piv, tuple(x * inv for x in red)))
-        self.rows.sort(key=lambda pr: pr[0])
-        return True
-
-    def contains(self, v: Sequence[Fraction]) -> bool:
-        return all(x == 0 for x in self.reduce(v))
-
-
 def jordan_chains(m: RatMatrix, lam) -> list:
     """Jordan chains of ``m`` at the rational eigenvalue ``lam``.
 
@@ -534,15 +527,11 @@ def jordan_chains(m: RatMatrix, lam) -> list:
     chains = []
     carried = []
     for j in range(depth, 0, -1):
-        tracker = _SpanTracker(n)
-        for v in kernels[j - 1]:
-            tracker.add(v)
-        for v in carried:
-            tracker.add(v)
-        tops = []
-        for v in kernels[j]:
-            if tracker.add(v):
-                tops.append(v)
+        # tops: ker_j vectors independent of everything before them
+        spanning = kernels[j - 1] + carried + kernels[j]
+        _, pivots = rref(RatMatrix.from_columns(spanning))
+        offset = len(spanning) - len(kernels[j])
+        tops = [spanning[p] for p in pivots if p >= offset]
         for top in tops:
             chain = [tuple(top)]
             for _ in range(j - 1):

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jetsym.errors import NonSquareError, NotEigenvalueError, ZeroPolynomialError
 from jetsym.linalg import (
@@ -20,6 +21,7 @@ from jetsym.linalg import (
     rational_roots,
     rref,
     solve,
+    solve_columns,
     squarefree_factors,
 )
 
@@ -28,6 +30,98 @@ F = Fraction
 
 def M(rows):
     return RatMatrix(rows)
+
+
+def dense_rref(m):
+    """Reference: textbook dense Gauss-Jordan, first nonzero row as pivot."""
+    data = m.tolists()
+    nrows, ncols = m.rows, m.cols
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if data[i][c] != 0), None)
+        if pr is None:
+            continue
+        data[r], data[pr] = data[pr], data[r]
+        inv = 1 / data[r][c]
+        data[r] = [x * inv for x in data[r]]
+        for i in range(nrows):
+            if i != r and data[i][c] != 0:
+                f = data[i][c]
+                data[i] = [a - f * b for a, b in zip(data[i], data[r])]
+        pivots.append(c)
+        r += 1
+    return RatMatrix(data, cols=ncols), tuple(pivots)
+
+
+def dense_solve(m, b):
+    """Reference: one solution of ``m x = b`` from the dense form, or None."""
+    aug = RatMatrix([list(m.row(i)) + [b[i]] for i in range(m.rows)], cols=m.cols + 1)
+    red, pivots = dense_rref(aug)
+    if m.cols in pivots:
+        return None
+    x = [F(0)] * m.cols
+    for r, pc in enumerate(pivots):
+        x[pc] = red[r, m.cols]
+    return tuple(x)
+
+
+ENTRY = st.one_of(
+    st.just(F(0)), st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+)
+
+
+@st.composite
+def matrices(draw):
+    """Small matrices with forced zero rows and columns; 0 x n shapes included."""
+    nrows = draw(st.integers(0, 5))
+    ncols = draw(st.integers(0, 5))
+    dead_rows = draw(st.sets(st.integers(0, 4), max_size=2))
+    dead_cols = draw(st.sets(st.integers(0, 4), max_size=2))
+    return RatMatrix(
+        [
+            [
+                F(0) if i in dead_rows or j in dead_cols else draw(ENTRY)
+                for j in range(ncols)
+            ]
+            for i in range(nrows)
+        ],
+        cols=ncols,
+    )
+
+
+@st.composite
+def systems(draw):
+    m = draw(matrices())
+    rhs = draw(st.lists(st.lists(ENTRY, min_size=m.rows, max_size=m.rows), max_size=4))
+    return m, [tuple(b) for b in rhs]
+
+
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+class TestSparseAgainstDense:
+    @PROPERTY
+    @given(matrices())
+    def test_rref_matches_dense(self, m):
+        red, pivots = rref(m)
+        ref_red, ref_pivots = dense_rref(m)
+        assert (red, pivots) == (ref_red, ref_pivots)
+        assert (red.rows, red.cols) == (m.rows, m.cols)
+
+    @PROPERTY
+    @given(systems())
+    def test_solve_columns_stops_at_first_inconsistent(self, system):
+        m, rhs = system
+        expected = []
+        for b in rhs:
+            x = dense_solve(m, b)
+            if x is None:
+                break
+            expected.append(x)
+        assert solve_columns(m, rhs) == expected
 
 
 class TestRref:
