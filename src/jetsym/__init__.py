@@ -12,10 +12,8 @@ from .engine import (
     BoundCheck,
     DeterminingSystem,
     EvolutionEquation,
-    GeneralizedVectorField,
     LambdaScan,
     SymmetryBasis,
-    SystemSpec,
     build_ansatz,
     check_dimension_bounds,
     determining_system,
@@ -24,7 +22,6 @@ from .engine import (
     lie_bracket,
     solve_symmetries,
     symmetry_defect,
-    to_characteristic,
 )
 from .errors import (
     ClosureViolationError,
@@ -37,7 +34,6 @@ from .errors import (
     ParseError,
     ScopeError,
     UnresolvedSpectrumError,
-    UnsupportedShapeError,
     ZeroPolynomialError,
 )
 from .expr import (

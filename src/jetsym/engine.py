@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import EmptyAnsatzError, ScopeError, UnsupportedShapeError
+from .errors import EmptyAnsatzError, ScopeError
 from .expr import (
     PARAM,
     T,
@@ -21,7 +21,6 @@ from .expr import (
     ExpPolyExpr,
     Monomial,
     all_jet_monomials,
-    jet,
 )
 from .linalg import (
     ONE,
@@ -36,21 +35,6 @@ from .linalg import (
     rref,
     squarefree_factors,
 )
-
-
-@dataclass(frozen=True)
-class SystemSpec:
-    """Shape of the PDE system: independent/dependent variable and equation counts."""
-
-    m: int = 2
-    n: int = 1
-    f: int = 1
-
-    def require_pipeline(self):
-        if (self.m, self.n, self.f) != (2, 1, 1):
-            raise UnsupportedShapeError(
-                "only scalar evolution equations in one space variable are supported"
-            )
 
 
 class EvolutionEquation:
@@ -76,31 +60,6 @@ class EvolutionEquation:
 
     def __repr__(self):
         return f"EvolutionEquation(u_t = {self.rhs.render()})"
-
-
-@dataclass(frozen=True)
-class GeneralizedVectorField:
-    """Vector field with coefficients xi (independent) and eta (dependent)."""
-
-    xi: tuple
-    eta: tuple
-
-
-def to_characteristic(v: GeneralizedVectorField) -> list:
-    """Evolutionary representative eta - sum_i xi_i u_{,i} of a vector field.
-
-    Only the pipeline shape (two independent variables, one dependent) is
-    accepted, and the t-component of xi must vanish because u_t is not a
-    jet coordinate of this space.
-    """
-    if len(v.xi) != 2 or len(v.eta) != 1:
-        raise UnsupportedShapeError("vector field is not in pipeline shape (m=2, n=1)")
-    xi_t, xi_y = v.xi
-    if not xi_t.is_zero():
-        raise UnsupportedShapeError(
-            "t-component of xi is not expressible in the y-jet coordinates"
-        )
-    return [v.eta[0] - xi_y * ExpPolyExpr.coordinate(jet(1))]
 
 
 def symmetry_defect(eta: ExpPolyExpr, eq: EvolutionEquation) -> ExpPolyExpr:

@@ -54,12 +54,6 @@ class MixedTypeError(JetsymError):
     kind = "internal"
 
 
-class UnsupportedShapeError(JetsymError):
-    """Vector field or system outside the scalar evolution pipeline."""
-
-    kind = "scope"
-
-
 class EmptyAnsatzError(JetsymError):
     """Requested ansatz space has no generators."""
 

@@ -328,15 +328,6 @@ class ExpPolyExpr:
         n = max((l for l in self.jet_orders(include_weights=True)), default=-1)
         return LinearDiffOp([self.partial_derive(jet(l)) for l in range(n + 1)])
 
-    def coefficient_of(self, shape: tuple) -> Fraction:
-        for m in self.terms:
-            if m.shape == shape:
-                return m.coeff
-        return ZERO
-
-    def weights_on(self, c: Coord) -> set:
-        return {m.weight(c) for m in self.terms}
-
     # -- rendering ----------------------------------------------------
 
     def render(self) -> str:

@@ -8,8 +8,6 @@ import pytest
 
 from jetsym.engine import (
     EvolutionEquation,
-    GeneralizedVectorField,
-    SystemSpec,
     build_ansatz,
     check_dimension_bounds,
     determining_system,
@@ -18,9 +16,8 @@ from jetsym.engine import (
     lie_bracket,
     solve_symmetries,
     symmetry_defect,
-    to_characteristic,
 )
-from jetsym.errors import EmptyAnsatzError, ScopeError, UnsupportedShapeError
+from jetsym.errors import EmptyAnsatzError, ScopeError
 from jetsym.expr import ExpPolyExpr, monomial_coordinates
 from jetsym.linalg import RatMatrix, UniPoly, in_span, solve as lin_solve
 from jetsym.parser import parse_equation, parse_expression
@@ -46,40 +43,6 @@ class TestEvolutionEquation:
     def test_rejects_low_order(self):
         with pytest.raises(ScopeError):
             EvolutionEquation(E("u_1 + u"))
-
-
-class TestSystemSpec:
-    def test_pipeline_shape_accepted(self):
-        SystemSpec(2, 1, 1).require_pipeline()
-
-    def test_other_shapes_rejected(self):
-        for shape in ((3, 1, 1), (2, 2, 1), (2, 1, 2)):
-            with pytest.raises(UnsupportedShapeError):
-                SystemSpec(*shape).require_pipeline()
-
-
-class TestCharacteristic:
-    def test_identity_for_evolutionary_fields(self):
-        v = GeneralizedVectorField(xi=(E("0"), E("0")), eta=(E("u_1"),))
-        assert to_characteristic(v) == [E("u_1")]
-
-    def test_space_translation(self):
-        v = GeneralizedVectorField(xi=(E("0"), E("1")), eta=(E("0"),))
-        assert to_characteristic(v) == [E("-u_1")]
-
-    def test_pure_eta(self):
-        v = GeneralizedVectorField(xi=(E("0"), E("0")), eta=(E("y"),))
-        assert to_characteristic(v) == [E("y")]
-
-    def test_t_component_rejected(self):
-        v = GeneralizedVectorField(xi=(E("1"), E("0")), eta=(E("0"),))
-        with pytest.raises(UnsupportedShapeError):
-            to_characteristic(v)
-
-    def test_wrong_shape_rejected(self):
-        v = GeneralizedVectorField(xi=(E("0"),), eta=(E("0"),))
-        with pytest.raises(UnsupportedShapeError):
-            to_characteristic(v)
 
 
 class TestDefect:
