@@ -8,6 +8,14 @@ downstream output is deterministic.
 
 The one exact rational elimination is the sparse :func:`rref`; kernels,
 ranks, solves, span tests and Jordan chain tops are each read off one call.
+
+Over polynomials in the weight unknown, :func:`poly_matrix_pivots` is a
+sparse fraction-free (Bareiss) elimination on ``{column: entry}`` row
+dicts.  A row without the pivot column is not rescaled at that step; it
+is brought up to date by one exact division when it next holds a pivot
+column.  Pivot rule and row swaps are those of the dense elimination, so
+the pivot list is the same, and an inexact division raises as the bug it
+would be.  :func:`rank_modulo` eliminates over the same kind of row dicts.
 """
 
 from __future__ import annotations
@@ -550,7 +558,7 @@ def jordan_chains(m: RatMatrix, lam) -> list:
 
 
 # ---------------------------------------------------------------------------
-# matrices over UniPoly: fraction-free elimination and modular rank
+# sparse matrices over UniPoly: fraction-free elimination and modular rank
 
 
 def _poly_exact_div(num: UniPoly, den: UniPoly) -> UniPoly:
@@ -564,45 +572,59 @@ def poly_matrix_pivots(rows: Sequence[Sequence[UniPoly]]) -> list:
     """Pivot polynomials of a division-free (Bareiss) elimination.
 
     Pivots are selected by lowest degree, ties broken by coefficient
-    tuple then row order, which keeps the run deterministic and the
+    tuple then row position, which keeps the run deterministic and the
     degrees small.  Every parameter value at which the rank drops below
     the generic rank is a root of at least one returned pivot (the last
     pivot is, up to sign, a maximal non-vanishing minor).
+
+    Rows are ``{column: entry}`` dicts and each step touches only the rows
+    holding the pivot column.  A Bareiss step merely multiplies every other
+    row by ``pivot/prev``; those factors telescope, so such a row is left
+    alone and brought up to date with one division when it next holds a
+    pivot column.  The result is exactly that of the dense elimination: the
+    same entries, the same pivot rule and the same row swaps.  Every entry
+    is a minor of the input, so each division is exact (Sylvester's
+    identity); an inexact one raises ``ArithmeticError`` as the bug it
+    would be.
     """
-    mat = [list(r) for r in rows]
-    if not mat:
-        return []
-    nrows, ncols = len(mat), len(mat[0])
-    pivots = []
-    prev = UniPoly.one()
+    mat = [{j: x for j, x in enumerate(row) if not x.is_zero()} for row in rows]
+    ncols = len(rows[0]) if rows else 0
+    order = list(range(len(mat)))  # position -> row, swapped as in the dense form
+    step = [0] * len(mat)  # the step each row's entries are current at
+    prevs = [UniPoly.one()]  # prevs[k]: the pivot of step k, with prevs[0] = 1
+    zero = UniPoly.zero()
     r = 0
     for c in range(ncols):
-        if r == nrows:
+        if r == len(mat):
             break
-        cands = [
-            (mat[i][c].sort_key(), i) for i in range(r, nrows) if not mat[i][c].is_zero()
-        ]
-        if not cands:
+        hits = [k for k in range(r, len(mat)) if c in mat[order[k]]]
+        if not hits:
             continue
-        _, pr = min(cands)
-        mat[r], mat[pr] = mat[pr], mat[r]
-        pivot = mat[r][c]
-        pivots.append(pivot)
-        for i in range(r + 1, nrows):
-            factor = mat[i][c]
-            crossed = [
-                pivot * mat[i][j] - factor * mat[r][j] for j in range(ncols)
-            ]
-            try:
-                # Bareiss guarantees exact division by the previous pivot;
-                # on failure keep the whole undivided row (a row scaling
-                # only adds spurious candidate roots, never loses one)
-                mat[i] = [_poly_exact_div(x, prev) for x in crossed]
-            except ArithmeticError:
-                mat[i] = crossed
-        prev = pivot
+        prev = prevs[r]
+        for k in hits:
+            i = order[k]
+            if step[i] != r:
+                old = prevs[step[i]]
+                mat[i] = {j: _poly_exact_div(x * prev, old) for j, x in mat[i].items()}
+                step[i] = r
+        pr = min(hits, key=lambda k: (mat[order[k]][c].sort_key(), k))
+        hit_rows = [order[k] for k in hits if k != pr]
+        order[r], order[pr] = order[pr], order[r]
+        prow = mat[order[r]]
+        pivot = prow[c]
+        for i in hit_rows:
+            row = mat[i]
+            f = row[c]
+            crossed = {}
+            for j in row.keys() | prow.keys():
+                v = pivot * row.get(j, zero) - f * prow.get(j, zero)
+                if not v.is_zero():
+                    crossed[j] = _poly_exact_div(v, prev)
+            mat[i] = crossed
+            step[i] = r + 1
+        prevs.append(pivot)
         r += 1
-    return pivots
+    return prevs[1:]
 
 
 class _NeedsSplit(Exception):
@@ -630,30 +652,42 @@ def rank_modulo(rows: Sequence[Sequence[UniPoly]], modulus: UniPoly) -> list:
     If a zero divisor turns up during elimination the modulus is split by
     the discovered factor and both halves are processed, so the result is
     a list of ``(factor, rank)`` pairs whose factors multiply to a
-    divisor-closed refinement of ``modulus``.
+    divisor-closed refinement of ``modulus``.  Rows are ``{column: residue}``
+    dicts holding only nonzero residues; the pivot is the first row, in
+    current order, that is nonzero at the column, as in the dense
+    Gauss-Jordan form, so the splits found are the same.
     """
     modulus = modulus.monic()
-    mat = [[e.divmod(modulus)[1] for e in row] for row in rows]
+    zero = UniPoly.zero()
+    mat = []
+    for row in rows:
+        residues = (
+            (j, e.divmod(modulus)[1]) for j, e in enumerate(row) if not e.is_zero()
+        )
+        mat.append({j: x for j, x in residues if not x.is_zero()})
+    ncols = len(rows[0]) if rows else 0
     try:
-        nrows = len(mat)
-        ncols = len(mat[0]) if mat else 0
         r = 0
         for c in range(ncols):
-            if r == nrows:
+            if r == len(mat):
                 break
-            pr = next((i for i in range(r, nrows) if not mat[i][c].is_zero()), None)
+            pr = next((i for i in range(r, len(mat)) if c in mat[i]), None)
             if pr is None:
                 continue
             mat[r], mat[pr] = mat[pr], mat[r]
             inv = _inverse_mod(mat[r][c], modulus)
-            mat[r] = [(inv * e).divmod(modulus)[1] for e in mat[r]]
-            for i in range(nrows):
-                if i != r and not mat[i][c].is_zero():
-                    f = mat[i][c]
-                    mat[i] = [
-                        (a - f * b).divmod(modulus)[1]
-                        for a, b in zip(mat[i], mat[r])
-                    ]
+            # a unit times a nonzero residue is nonzero: no entry drops out
+            prow = mat[r] = {j: (inv * e).divmod(modulus)[1] for j, e in mat[r].items()}
+            for i, row in enumerate(mat):
+                f = row.get(c)
+                if f is None or i == r:
+                    continue
+                for j, b in prow.items():
+                    v = (row.get(j, zero) - f * b).divmod(modulus)[1]
+                    if v.is_zero():
+                        row.pop(j, None)
+                    else:
+                        row[j] = v
             r += 1
         return [(modulus, r)]
     except _NeedsSplit as split:

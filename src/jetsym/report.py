@@ -144,7 +144,7 @@ def run_pipeline(cfg: RunConfig) -> Report:
         verdict = full
         if target == Y:
             direct = structure.dependence_criterion_direct(
-                eq, cfg.order_cap, cfg.jet_degree, target
+                eq, cfg.order_cap, cfg.jet_degree, target, scan=scan
             )
             if direct.exists != full.exists:
                 raise InternalInconsistencyError(

@@ -458,6 +458,7 @@ def dependence_criterion_direct(
     q_max: int,
     jet_degree: int,
     target: Coord = Y,
+    scan: Optional[LambdaScan] = None,
 ) -> CriterionVerdict:
     """Decide y-dependence by searching the two special shapes directly.
 
@@ -466,10 +467,15 @@ def dependence_criterion_direct(
     (b): K0 + y*K1 with y-free K's and K1 nonzero.  Existence of a
     y-dependent symmetry in the ansatz class is equivalent to one of the
     shapes being realizable.
+
+    ``scan`` is the weight scan of ``build_ansatz(q_max, 0, jet_degree,
+    symbolic=True)`` when the caller has already run it; it is computed
+    here only when none is given.
     """
     if target != Y:
         raise ValueError("the direct criterion is implemented for the y coordinate")
-    scan = lambda_candidates(build_ansatz(q_max, 0, jet_degree, symbolic=True), eq)
+    if scan is None:
+        scan = lambda_candidates(build_ansatz(q_max, 0, jet_degree, symbolic=True), eq)
     trial_weights = _preferred_weights(scan.candidates)
     if scan.generic_nullity > 0 and ONE not in trial_weights:
         # solutions exist at every weight; pick a concrete nonzero one

@@ -2,6 +2,9 @@
 
 import json
 
+import pytest
+
+from jetsym import engine, structure
 from jetsym.cli import main
 from jetsym.report import RunConfig, emit_report, run_pipeline
 
@@ -72,6 +75,28 @@ class TestModes:
         out = capsys.readouterr().out
         assert "basis (6 elements):" in out
         assert "bound order-1 cap (q=1): 4 <= 5  pass" in out
+
+
+class TestWeightScanOnce:
+    @pytest.mark.parametrize("lam", ["auto", "none"])
+    def test_one_scan_per_y_criterion_run(self, tmp_path, monkeypatch, lam):
+        # --lambda auto hands its scan to the direct criterion; with --lambda
+        # none the direct criterion is the only one to scan
+        calls = []
+        original = engine.lambda_candidates
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(engine, "lambda_candidates", counting)
+        monkeypatch.setattr(structure, "lambda_candidates", counting)
+        code, data = run_json(
+            tmp_path, ["--eq", "u_t = u_2", "--mode", "criterion", "--lambda", lam]
+        )
+        assert code == 0
+        assert data["criterion"]["witness"] == "y"
+        assert len(calls) == 1
 
 
 class TestDeterminism:

@@ -6,10 +6,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jetsym.engine import build_ansatz, determining_system
 from jetsym.errors import NonSquareError, NotEigenvalueError, ZeroPolynomialError
 from jetsym.linalg import (
     RatMatrix,
     UniPoly,
+    _inverse_mod,
+    _NeedsSplit,
+    _poly_exact_div,
     char_poly,
     generalized_eigenspace,
     in_span,
@@ -24,6 +28,7 @@ from jetsym.linalg import (
     solve_columns,
     squarefree_factors,
 )
+from jetsym.parser import parse_equation
 
 F = Fraction
 
@@ -68,6 +73,76 @@ def dense_solve(m, b):
     return tuple(x)
 
 
+def dense_poly_matrix_pivots(rows):
+    """Reference: dense Bareiss elimination, every cell updated at every step."""
+    mat = [list(r) for r in rows]
+    if not mat:
+        return []
+    nrows, ncols = len(mat), len(mat[0])
+    pivots = []
+    prev = UniPoly.one()
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        cands = [
+            (mat[i][c].sort_key(), i) for i in range(r, nrows) if not mat[i][c].is_zero()
+        ]
+        if not cands:
+            continue
+        _, pr = min(cands)
+        mat[r], mat[pr] = mat[pr], mat[r]
+        pivot = mat[r][c]
+        pivots.append(pivot)
+        for i in range(r + 1, nrows):
+            factor = mat[i][c]
+            crossed = [
+                pivot * mat[i][j] - factor * mat[r][j] for j in range(ncols)
+            ]
+            try:
+                mat[i] = [_poly_exact_div(x, prev) for x in crossed]
+            except ArithmeticError:
+                mat[i] = crossed
+        prev = pivot
+        r += 1
+    return pivots
+
+
+def dense_rank_modulo(rows, modulus):
+    """Reference: dense Gauss-Jordan modulo ``modulus``, first nonzero row pivots."""
+    modulus = modulus.monic()
+    mat = [[e.divmod(modulus)[1] for e in row] for row in rows]
+    try:
+        nrows = len(mat)
+        ncols = len(mat[0]) if mat else 0
+        r = 0
+        for c in range(ncols):
+            if r == nrows:
+                break
+            pr = next((i for i in range(r, nrows) if not mat[i][c].is_zero()), None)
+            if pr is None:
+                continue
+            mat[r], mat[pr] = mat[pr], mat[r]
+            inv = _inverse_mod(mat[r][c], modulus)
+            mat[r] = [(inv * e).divmod(modulus)[1] for e in mat[r]]
+            for i in range(nrows):
+                if i != r and not mat[i][c].is_zero():
+                    f = mat[i][c]
+                    mat[i] = [
+                        (a - f * b).divmod(modulus)[1]
+                        for a, b in zip(mat[i], mat[r])
+                    ]
+            r += 1
+        return [(modulus, r)]
+    except _NeedsSplit as split:
+        g = split.factor
+        other = _poly_exact_div(modulus, g).monic()
+        out = dense_rank_modulo(rows, g)
+        if other.degree > 0:
+            out.extend(dense_rank_modulo(rows, other))
+        return out
+
+
 ENTRY = st.one_of(
     st.just(F(0)), st.builds(F, st.integers(-3, 3), st.integers(1, 3))
 )
@@ -99,6 +174,41 @@ def systems(draw):
     return m, [tuple(b) for b in rhs]
 
 
+# A small pool of entries, so that pivot candidates often tie on sort_key
+# and the row-position tie break decides.
+POLY_POOL = tuple(
+    UniPoly(c)
+    for c in (
+        [1], [-1], [2], [0, 1], [1, 1], [-1, 1], [0, 2], [-1, 0, 1], [1, 0, 1], [0, 0, 1]
+    )
+)
+POLY_ENTRY = st.one_of(
+    st.sampled_from((UniPoly.zero(),) + POLY_POOL),
+    st.builds(UniPoly, st.lists(st.integers(-2, 2), max_size=3)),
+)
+# split, irreducible, linear, three linear factors, a square, irrational roots
+MODULI = tuple(
+    UniPoly(c)
+    for c in ([-1, 0, 1], [1, 0, 1], [0, 1], [0, -1, 0, 1], [1, -2, 1], [-2, 0, 1])
+)
+
+
+@st.composite
+def poly_matrices(draw):
+    """UniPoly matrices of every shape up to 6 x 6, with forced zero rows and columns."""
+    nrows = draw(st.integers(0, 6))
+    ncols = draw(st.integers(0, 6))
+    dead_rows = draw(st.sets(st.integers(0, 5), max_size=2))
+    dead_cols = draw(st.sets(st.integers(0, 5), max_size=2))
+    return [
+        [
+            UniPoly.zero() if i in dead_rows or j in dead_cols else draw(POLY_ENTRY)
+            for j in range(ncols)
+        ]
+        for i in range(nrows)
+    ]
+
+
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
 
@@ -122,6 +232,34 @@ class TestSparseAgainstDense:
                 break
             expected.append(x)
         assert solve_columns(m, rhs) == expected
+
+
+class TestPolySparseAgainstDense:
+    @PROPERTY
+    @given(poly_matrices())
+    def test_pivots_match_dense(self, rows):
+        assert poly_matrix_pivots(rows) == dense_poly_matrix_pivots(rows)
+
+    @PROPERTY
+    @given(poly_matrices(), st.sampled_from(MODULI))
+    def test_rank_modulo_matches_dense(self, rows, modulus):
+        assert rank_modulo(rows, modulus) == dense_rank_modulo(rows, modulus)
+
+    def test_tie_breaks_follow_row_swaps(self):
+        # step 1 swaps rows 0 and 2; rows 1 and 0 then tie at column 1 and
+        # the dense order, [2, 1, 0], makes row 1 the pivot
+        z, one, lam = UniPoly.zero(), UniPoly.one(), UniPoly.variable()
+        rows = [[z, lam, one], [z, lam, z], [lam, z, z]]
+        pivots = poly_matrix_pivots(rows)
+        assert pivots == dense_poly_matrix_pivots(rows)
+        assert pivots == [lam, lam * lam, lam * lam]
+
+    def test_heat_scan_pivots_match_dense(self):
+        ansatz = build_ansatz(4, 0, 3, symbolic=True)
+        rows = determining_system(ansatz, parse_equation("u_t = u_2")).poly_rows()
+        pivots = poly_matrix_pivots(rows)
+        assert len(pivots) == 56
+        assert pivots == dense_poly_matrix_pivots(rows)
 
 
 class TestRref:
