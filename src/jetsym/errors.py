@@ -74,8 +74,10 @@ class ClosureViolationError(JetsymError):
 class UnresolvedSpectrumError(JetsymError):
     """Spectral data does not split over the rationals.
 
-    Carries the offending irreducible (or at least rational-root-free)
-    polynomial factors so reports can surface them.
+    Raised only when a y-criterion would answer "does not exist" while the
+    exponential-weight scan left rational-root-free factors; the shift
+    decomposition reads its spectrum off rational weights and never raises
+    it.  Carries those polynomial factors so reports can surface them.
     """
 
     kind = "spectrum"

@@ -466,10 +466,6 @@ class ExpPolyElement:
             out = out + exp_part * mono * coeff_expr
         return out
 
-    def depends_on_target(self, target: Coord) -> bool:
-        s = self.selected.index(target)
-        return self.lambdas[s] != 0 or self.degrees[s] > 1
-
     def __eq__(self, other):
         return (
             isinstance(other, ExpPolyElement)

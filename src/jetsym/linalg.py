@@ -124,9 +124,6 @@ class RatMatrix:
             raise ValueError("shape mismatch")
         return tuple(sum((a * b for a, b in zip(row, vec)), ZERO) for row in self._data)
 
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix([self.column(j) for j in range(self.cols)])
-
     def is_zero(self) -> bool:
         return all(x == 0 for r in self._data for x in r)
 
@@ -325,12 +322,6 @@ class UniPoly:
     def scale(self, c) -> "UniPoly":
         c = _frac(c)
         return UniPoly((c * a for a in self.coeffs), self.var)
-
-    def shift_up(self, k: int) -> "UniPoly":
-        """Multiply by the k-th power of the variable."""
-        if self.is_zero():
-            return self
-        return UniPoly((ZERO,) * k + self.coeffs, self.var)
 
     def eval(self, x) -> Fraction:
         x = _frac(x)

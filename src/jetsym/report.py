@@ -16,7 +16,12 @@ from typing import Optional
 
 from . import engine, structure
 from .engine import EvolutionEquation, build_ansatz, symmetry_defect
-from .errors import InternalInconsistencyError, JetsymError, UnresolvedSpectrumError
+from .errors import (
+    InternalInconsistencyError,
+    JetsymError,
+    ScopeError,
+    UnresolvedSpectrumError,
+)
 from .expr import Coord, Y, coord_by_name
 from .linalg import ZERO, _frac
 from .parser import parse_characteristic, parse_equation
@@ -52,6 +57,11 @@ class RunConfig:
             raise JetsymError(f"unknown mode {self.mode!r}")
         if min(self.order_cap, self.y_degree, self.jet_degree) < 0:
             raise JetsymError("caps must be non-negative")
+        if self.order_cap > 9:
+            # rendered characteristics must re-parse, and the grammar stops at u_9
+            raise ScopeError(
+                f"order cap {self.order_cap} exceeds 9: jet coordinates end at u_9"
+            )
         if self.mode == "check" and not self.checks:
             raise JetsymError("check mode requires at least one characteristic")
         self.target_coord()

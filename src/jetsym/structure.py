@@ -2,8 +2,11 @@
 
 A finite-dimensional space of characteristics that is closed under the
 partial derivatives with respect to selected 0-jet coordinates carries
-one commuting matrix per coordinate.  Decomposing those matrices into
-joint generalized eigenspaces and chains rewrites the basis in
+one commuting matrix per coordinate.  Their joint spectrum needs no
+characteristic polynomial: it is the set of exponential weight tuples on
+the selected coordinates that occur in the monomials, and each joint
+generalized eigenspace is the part of the span inside one weight class.
+Splitting every weight class into chains rewrites the basis in
 exponential-polynomial form: each element is exp(sum w_s z_s) times a
 polynomial in the selected coordinates whose coefficients do not involve
 them.  Repeatedly applying the lowering operators d/dz_s - w_s then
@@ -28,11 +31,7 @@ from .engine import (
     lambda_candidates,
     solve_symmetries,
 )
-from .errors import (
-    ClosureViolationError,
-    InternalInconsistencyError,
-    UnresolvedSpectrumError,
-)
+from .errors import ClosureViolationError, InternalInconsistencyError
 from .expr import (
     Coord,
     ExpPolyElement,
@@ -46,11 +45,9 @@ from .linalg import (
     ZERO,
     RatMatrix,
     _frac,
-    char_poly,
-    generalized_eigenspace,
     in_span,
     jordan_chains,
-    rational_roots,
+    nullspace,
     rref,  # unused here; perfbench/test_perfbench.py asserts this module binds it
     solve_columns,
 )
@@ -84,7 +81,6 @@ class ShiftAction:
     elements: tuple
     selected: SelectedVariables
     matrices: tuple
-    basis: Optional[SymmetryBasis] = None
 
 
 def _element_list(basis) -> tuple:
@@ -132,12 +128,7 @@ def shift_matrices(basis, selected) -> ShiftAction:
                     "shift matrices fail to commute; partial derivatives always "
                     "commute, so the coordinatization is broken"
                 )
-    return ShiftAction(
-        elements=elements,
-        selected=selected,
-        matrices=tuple(matrices),
-        basis=basis if isinstance(basis, SymmetryBasis) else None,
-    )
+    return ShiftAction(elements=elements, selected=selected, matrices=tuple(matrices))
 
 
 @dataclass(frozen=True)
@@ -165,9 +156,6 @@ class BlockDecomposition:
     def block_count(self) -> int:
         return len(self.blocks)
 
-    def all_elements(self) -> list:
-        return [el for b in self.blocks for el in b.elements]
-
 
 def _restricted_matrix(matrix: RatMatrix, basis_cols: Sequence) -> RatMatrix:
     """Matrix of the action on an invariant subspace, in the given basis."""
@@ -181,15 +169,15 @@ def _restricted_matrix(matrix: RatMatrix, basis_cols: Sequence) -> RatMatrix:
 def decompose_shift_action(action: ShiftAction) -> BlockDecomposition:
     """Split the space into chain blocks of the commuting shift matrices.
 
-    The space is refined coordinate by coordinate into joint generalized
-    eigenspaces (commuting matrices preserve each other's generalized
-    eigenspaces), then each joint eigenspace splits into chains of the
-    first coordinate's nilpotent part.  Every resulting basis element is a
-    single exponential times a polynomial in the selected coordinates.
-
-    Raises :class:`UnresolvedSpectrumError` when a characteristic
-    polynomial fails to split over the rationals; the offending factors
-    are attached instead of being approximated.
+    Every element is a sum of monomials exp(sum w_s z_s) * (polynomial),
+    and each d/dz_s preserves the weight tuple of a monomial, acting on
+    that weight class as w_s plus a nilpotent part.  So the spectrum is
+    the set of weight tuples occurring on the selected coordinates, and the
+    joint generalized eigenspace for a tuple is the part of the span free
+    of monomials of every other tuple: one kernel per weight class, in
+    ascending tuple order.  Each class then splits into chains of the first
+    coordinate's nilpotent part.  Every resulting basis element is a single
+    exponential times a polynomial in the selected coordinates.
     """
     elements = action.elements
     n = len(elements)
@@ -197,27 +185,17 @@ def decompose_shift_action(action: ShiftAction) -> BlockDecomposition:
     if n == 0:
         raise ValueError("empty action")
     identity = [tuple(ONE if i == j else ZERO for i in range(n)) for j in range(n)]
-    spaces = [((), identity)]
-    for s, _ in enumerate(selected.coords):
-        refined = []
-        for eigs, cols in spaces:
-            restricted = _restricted_matrix(action.matrices[s], cols)
-            cp = char_poly(restricted)
-            roots, residual = rational_roots(cp)
-            if residual.degree >= 1:
-                raise UnresolvedSpectrumError(
-                    "shift spectrum does not split over the rationals",
-                    factors=(residual,),
-                )
-            sub = RatMatrix.from_columns(cols)
-            for lam, _mult in roots:
-                local = generalized_eigenspace(restricted, lam)
-                lifted = [sub.apply(v) for v in local]
-                refined.append((eigs + (lam,), lifted))
-        spaces = refined
-    spaces.sort(key=lambda ec: ec[0])
+    weight_of = {
+        m.shape: tuple(m.weight(c) for c in selected.coords)
+        for e in elements
+        for m in e.terms
+    }
+    shapes, vectors = monomial_coordinates(elements)
+    by_shape = RatMatrix.from_columns(vectors)  # one row per monomial shape
     blocks = []
-    for eigs, cols in spaces:
+    for eigs in sorted(set(weight_of.values())):
+        others = [by_shape.row(k) for k, sh in enumerate(shapes) if weight_of[sh] != eigs]
+        cols = nullspace(RatMatrix(others, cols=n))
         restricted = _restricted_matrix(action.matrices[0], cols)
         sub = RatMatrix.from_columns(cols)
         chains = jordan_chains(restricted, eigs[0])

@@ -158,6 +158,16 @@ class TestErrorCodes:
         code, data = run_json(tmp_path, ["--eq", "u_t = u_1"])
         assert code == 3
 
+    def test_scope_error_order_above_nine(self, tmp_path):
+        # u_10 would render in the basis but cannot be parsed back
+        code, data = run_json(
+            tmp_path,
+            ["--eq", "u_t = u_2", "--order", "10", "--jetdeg", "1", "--ydeg", "0"],
+        )
+        assert code == 3
+        assert data["error"]["kind"] == "scope"
+        assert "u_9" in data["error"]["message"]
+
     def test_closure_violation(self, tmp_path):
         code, data = run_json(
             tmp_path,

@@ -10,7 +10,7 @@ from jetsym.engine import build_ansatz, is_symmetry, solve_symmetries
 from jetsym.errors import (
     ClosureViolationError,
     InternalInconsistencyError,
-    UnresolvedSpectrumError,
+    JetsymError,
 )
 from jetsym.expr import (
     ExpPolyElement,
@@ -21,10 +21,19 @@ from jetsym.expr import (
     jet,
     monomial_coordinates,
 )
-from jetsym.linalg import RatMatrix, in_span
+from jetsym.linalg import (
+    RatMatrix,
+    char_poly,
+    generalized_eigenspace,
+    in_span,
+    jordan_chains,
+    rational_roots,
+)
 from jetsym.parser import parse_equation, parse_expression
 from jetsym.structure import (
     SelectedVariables,
+    ShiftAction,
+    _restricted_matrix,
     apply_shift,
     decompose_shift_action,
     dependence_criterion,
@@ -159,19 +168,17 @@ class TestDecomposition:
         zero_blocks = [b for b in decomp.blocks if b.eigenvalues == (F(0), F(0))]
         assert sum(b.size for b in zero_blocks) == 2
 
-    def test_unresolved_spectrum_on_raw_matrices(self):
-        # rotation-like action: irrational/complex spectrum must be reported,
-        # not decomposed; reachable only through hand-built matrix data
-        from jetsym.structure import ShiftAction
-
+    def test_contradictory_raw_action_refused(self):
+        # d/dy kills u and u_1, so this rotation cannot be their shift action;
+        # only hand-built matrix data reaches it, and it is refused as a bug
         fake = ShiftAction(
             elements=(E("u"), E("u_1")),
             selected=SelectedVariables((Y,)),
             matrices=(RatMatrix([[0, 1], [-1, 0]]),),
         )
-        with pytest.raises(UnresolvedSpectrumError) as info:
+        with pytest.raises(JetsymError) as info:
             decompose_shift_action(fake)
-        assert [str(f) for f in info.value.factors] == ["lambda^2 + 1"]
+        assert info.value.kind == "internal"
 
     def test_determinism(self):
         runs = []
@@ -187,6 +194,91 @@ class TestDecomposition:
                 ]
             )
         assert runs[0] == runs[1]
+
+
+def reference_spaces(action):
+    """Joint generalized eigenspaces by coordinate-wise spectral refinement.
+
+    Independent of the monomial weights: per coordinate, the rational roots
+    of a characteristic polynomial, then one generalized eigenspace per root
+    inside each space found so far.
+    """
+    n = len(action.elements)
+    identity = [tuple(F(int(i == j)) for i in range(n)) for j in range(n)]
+    spaces = [((), identity)]
+    for matrix in action.matrices:
+        refined = []
+        for eigs, cols in spaces:
+            restricted = _restricted_matrix(matrix, cols)
+            roots, residual = rational_roots(char_poly(restricted))
+            assert residual.degree < 1
+            sub = RatMatrix.from_columns(cols)
+            for lam, _ in roots:
+                local = generalized_eigenspace(restricted, lam)
+                refined.append((eigs + (lam,), [sub.apply(v) for v in local]))
+        spaces = refined
+    return sorted(spaces, key=lambda ec: ec[0])
+
+
+def reference_blocks(action):
+    """(eigenvalues, size, vectors, rendered elements) per chain block."""
+    blocks = []
+    for eigs, cols in reference_spaces(action):
+        sub = RatMatrix.from_columns(cols)
+        restricted = _restricted_matrix(action.matrices[0], cols)
+        for chain in jordan_chains(restricted, eigs[0]):
+            vecs = [sub.apply(v) for v in reversed(chain)]
+            rendered = []
+            for v in vecs:
+                e = ExpPolyExpr.zero()
+                for coeff, src in zip(v, action.elements):
+                    e = e + src.scale(coeff)
+                rendered.append(e.render())
+            blocks.append((eigs, len(vecs), vecs, rendered))
+    return sorted(blocks, key=lambda b: (b[0], -b[1]))
+
+
+class TestWeightClasses:
+    """The weight-class decomposition against the spectral reference."""
+
+    @pytest.mark.parametrize(
+        "eq, weights, target",
+        [
+            (HEAT, (0,), Y),
+            (LINEAR_DECAY, (-1, 0, 1), Y),
+            (parse_equation("u_t = u_2 - 4*u"), (-2, 0, 1, 2), Y),
+            (parse_equation("u_t = u_2 + u_1^2"), (0,), Y),
+            (HEAT, (0,), U),
+        ],
+    )
+    def test_single_coordinate_matches_reference(self, eq, weights, target):
+        basis = solve_symmetries(build_ansatz(3, 3, 2, weights=weights), eq)
+        action = shift_matrices(basis, (target,))
+        got = [
+            (b.eigenvalues, b.size, list(b.vectors),
+             [el.reconstruct().render() for el in b.elements])
+            for b in decompose_shift_action(action).blocks
+        ]
+        assert got == reference_blocks(action)
+
+    @pytest.mark.parametrize(
+        "elements",
+        [
+            ["1", "y", "u", "y*u"],
+            ["exp(y)", "exp(y)*u", "exp(y)*u^2"],
+            ["exp(y)*exp(2*u)", "exp(-y)*exp(2*u)", "1", "u"],
+            ["1", "y", "y^2", "u", "y*u", "u^2"],
+            ["exp(y) + exp(2*u)", "exp(y)", "y*exp(-u)*u_1", "exp(-u)*u_1"],
+        ],
+    )
+    def test_two_coordinates_match_reference_classes(self, elements):
+        action = shift_matrices([E(t) for t in elements], (Y, U))
+        dims = {}
+        for b in decompose_shift_action(action).blocks:
+            dims[b.eigenvalues] = dims.get(b.eigenvalues, 0) + b.size
+        assert sorted(dims.items()) == [
+            (eigs, len(cols)) for eigs, cols in reference_spaces(action)
+        ]
 
 
 class TestApplyShift:
