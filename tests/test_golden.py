@@ -42,6 +42,11 @@ CASES = {
         ["--eq", "u_t = u_2", "--check", "u_1", "--check", "u_1^2"],
         0,
     ),
+    "check_burgers_potential": (
+        ["--eq", "u_t = u_2 + u_1^2", "--check", "exp(-u)", "--check", "y*exp(-u)",
+         "--check", "exp(y)*u", "--check", "(u + u_1 + u_2 + u_3 + y)^4"],
+        0,
+    ),
     "error_syntax": (["--eq", "u_t = u_2 +"], 2),
     "error_scope": (["--eq", "u_t = y*u_2"], 3),
     "error_closure": (
