@@ -21,6 +21,7 @@ from .expr import (
     ExpPolyExpr,
     Monomial,
     all_jet_monomials,
+    monomial_coordinates,
 )
 from .linalg import (
     ONE,
@@ -208,19 +209,8 @@ def determining_system(ansatz: AnsatzSpace, eq: EvolutionEquation) -> Determinin
         for g in ansatz.generators
     ]
     if not ansatz.symbolic:
-        shape_keys = {}
-        for d in defects:
-            for m in d.terms:
-                shape_keys.setdefault(m.shape, m.sort_key())
-        shapes = tuple(sorted(shape_keys, key=shape_keys.get))
-        index = {s: i for i, s in enumerate(shapes)}
-        rows = [[ZERO] * len(defects) for _ in shapes]
-        for col, d in enumerate(defects):
-            for m in d.terms:
-                rows[index[m.shape]][col] = m.coeff
-        return DeterminingSystem(
-            ansatz.generators, shapes, tuple(tuple(r) for r in rows), False
-        )
+        shapes, columns = monomial_coordinates(defects)
+        return DeterminingSystem(ansatz.generators, shapes, tuple(zip(*columns)), False)
     # symbolic: strip parameter powers out of each monomial shape
     shape_keys = {}
     entries = []
@@ -274,13 +264,10 @@ def solve_symmetries(ansatz: AnsatzSpace, eq: EvolutionEquation) -> SymmetryBasi
         raise ValueError("solve_symmetries requires fixed exponential weights")
     system = determining_system(ansatz, eq)
     kernel = nullspace(system.matrix)
-    elements = []
-    for vec in kernel:
-        e = ExpPolyExpr.zero()
-        for c, g in zip(vec, ansatz.generators):
-            if c:
-                e = e + g.scale(c)
-        elements.append(e)
+    elements = [
+        ExpPolyExpr(t for c, g in zip(vec, ansatz.generators) if c for t in g.scale(c).terms)
+        for vec in kernel
+    ]
     # with columns taken by ascending order, the order-<=q generators are a
     # leading block whose rank is the number of pivots inside it
     gen_orders = [g.order() for g in ansatz.generators]

@@ -173,6 +173,38 @@ class Monomial:
         return f"Monomial({self.coeff}, {self.shape})"
 
 
+def _mono(coeff: Fraction, powers: tuple, expvec: tuple) -> Monomial:
+    """Monomial from a Fraction coefficient and an already canonical shape."""
+    m = object.__new__(Monomial)
+    m.coeff = coeff
+    m.powers = powers
+    m.expvec = expvec
+    return m
+
+
+def _bump(pairs: tuple, c: Coord, delta) -> tuple:
+    """Canonical power (or weight) tuple with the entry of ``c`` raised by ``delta``."""
+    k = c.key()
+    for i, (cc, p) in enumerate(pairs):
+        kk = cc.key()
+        if kk == k:
+            rest = pairs[i + 1 :]
+            return pairs[:i] + (((c, p + delta),) + rest if p + delta else rest)
+        if kk > k:
+            return pairs[:i] + ((c, delta),) + pairs[i:]
+    return pairs + ((c, delta),)
+
+
+def _partial_terms(m: Monomial, c: Coord):
+    """Terms of d m / d c: the power rule, then the exponential rule."""
+    p = m.power(c)
+    if p:
+        yield _mono(m.coeff * p, _bump(m.powers, c, -1), m.expvec)
+    w = m.weight(c)
+    if w:
+        yield _mono(m.coeff * w, m.powers, m.expvec)
+
+
 class ExpPolyExpr:
     """Canonical sum of :class:`Monomial`; the empty sum is zero."""
 
@@ -181,18 +213,10 @@ class ExpPolyExpr:
     def __init__(self, terms: Iterable[Monomial] = ()):
         acc = {}
         for m in terms:
-            if m.coeff == 0:
-                continue
             key = m.shape
-            if key in acc:
-                acc[key] = (acc[key][0] + m.coeff, m)
-            else:
-                acc[key] = (m.coeff, m)
-        merged = [
-            Monomial(c, dict(m.powers), dict(m.expvec))
-            for c, m in acc.values()
-            if c != 0
-        ]
+            prev = acc.get(key)
+            acc[key] = m if prev is None else _mono(prev.coeff + m.coeff, *key)
+        merged = [m for m in acc.values() if m.coeff]
         self.terms = tuple(sorted(merged, key=Monomial.sort_key))
 
     # -- constructors -------------------------------------------------
@@ -246,9 +270,7 @@ class ExpPolyExpr:
         c = _frac(c)
         if c == 0:
             return ExpPolyExpr()
-        return ExpPolyExpr(
-            [Monomial(c * m.coeff, dict(m.powers), dict(m.expvec)) for m in self.terms]
-        )
+        return ExpPolyExpr(_mono(c * m.coeff, m.powers, m.expvec) for m in self.terms)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -256,13 +278,12 @@ class ExpPolyExpr:
         out = []
         for a in self.terms:
             for b in other.terms:
-                powers = dict(a.powers)
+                powers, expvec = a.powers, a.expvec
                 for c, p in b.powers:
-                    powers[c] = powers.get(c, 0) + p
-                expvec = dict(a.expvec)
+                    powers = _bump(powers, c, p)
                 for c, w in b.expvec:
-                    expvec[c] = expvec.get(c, ZERO) + w
-                out.append(Monomial(a.coeff * b.coeff, powers, expvec))
+                    expvec = _bump(expvec, c, w)
+                out.append(_mono(a.coeff * b.coeff, powers, expvec))
         return ExpPolyExpr(out)
 
     __rmul__ = __mul__
@@ -275,46 +296,30 @@ class ExpPolyExpr:
         Both the power rule and the exponential rule apply:
         d/dz (exp(w z) z^k M) = w exp(w z) z^k M + k exp(w z) z^(k-1) M.
         """
-        out = []
-        for m in self.terms:
-            p = m.power(c)
-            if p:
-                powers = dict(m.powers)
-                powers[c] = p - 1
-                out.append(Monomial(m.coeff * p, powers, dict(m.expvec)))
-            w = m.weight(c)
-            if w:
-                out.append(Monomial(m.coeff * w, dict(m.powers), dict(m.expvec)))
-        return ExpPolyExpr(out)
+        return ExpPolyExpr(t for m in self.terms for t in _partial_terms(m, c))
 
     def total_derive_y(self) -> "ExpPolyExpr":
-        """Total y-derivative: D_y = d/dy + sum_l u_(l+1) d/d u_(l)."""
-        out = self.partial_derive(Y)
-        for l in self.jet_orders(include_weights=True):
-            contrib = self.partial_derive(jet(l)) * ExpPolyExpr.coordinate(jet(l + 1))
-            out = out + contrib
-        return out
-
-    def jet_orders(self, include_weights: bool = False) -> list:
-        """Sorted jet orders occurring in powers (optionally also exp weights)."""
-        seen = set()
+        """Total y-derivative: D_y = d/dy + sum_l u_(l+1) d/d u_(l), merged once."""
+        out = []
         for m in self.terms:
-            for c, _ in m.powers:
-                if c.kind == KIND_JET:
-                    seen.add(c.index)
-            if include_weights:
-                for c, _ in m.expvec:
-                    if c.kind == KIND_JET:
-                        seen.add(c.index)
-        return sorted(seen)
+            out.extend(_partial_terms(m, Y))
+            for c in dict.fromkeys(c for c, _ in m.powers + m.expvec if c.kind == KIND_JET):
+                up = jet(c.index + 1)
+                out.extend(
+                    _mono(d.coeff, _bump(d.powers, up, 1), d.expvec)
+                    for d in _partial_terms(m, c)
+                )
+        return ExpPolyExpr(out)
 
     def order(self) -> int:
         """Highest jet order present; -1 for jet-free expressions.
 
         Dependence through an exponential weight on u counts as order 0.
         """
-        orders = self.jet_orders(include_weights=True)
-        return orders[-1] if orders else -1
+        return max(
+            (c.index for m in self.terms for c, _ in m.powers + m.expvec if c.kind == KIND_JET),
+            default=-1,
+        )
 
     def depends_on(self, c: Coord) -> bool:
         """True iff ``c`` occurs with nonzero power or exponential weight."""
@@ -325,8 +330,7 @@ class ExpPolyExpr:
 
     def frechet(self) -> "LinearDiffOp":
         """Linearization: the operator sum_j (d self / d u_(j)) D_y^j."""
-        n = max((l for l in self.jet_orders(include_weights=True)), default=-1)
-        return LinearDiffOp([self.partial_derive(jet(l)) for l in range(n + 1)])
+        return LinearDiffOp([self.partial_derive(jet(l)) for l in range(self.order() + 1)])
 
     # -- rendering ----------------------------------------------------
 
@@ -387,23 +391,17 @@ class LinearDiffOp:
         return not self.coefficients
 
     def apply(self, theta: ExpPolyExpr) -> ExpPolyExpr:
-        out = ExpPolyExpr.zero()
-        current = theta
-        for a in self.coefficients:
-            if not a.is_zero():
-                out = out + a * current
-            current = current.total_derive_y()
-        return out
+        return self.apply_shifted(theta, ExpPolyExpr.zero())
 
     def apply_shifted(self, theta: ExpPolyExpr, shift: ExpPolyExpr) -> ExpPolyExpr:
         """Apply with D_y replaced by (D_y + shift), shift a constant expression."""
-        out = ExpPolyExpr.zero()
+        terms = []
         current = theta
-        for a in self.coefficients:
-            if not a.is_zero():
-                out = out + a * current
-            current = current.total_derive_y() + shift * current
-        return out
+        for j, a in enumerate(self.coefficients):
+            if j:
+                current = current.total_derive_y() + shift * current
+            terms.extend((a * current).terms)
+        return ExpPolyExpr(terms)
 
     def __eq__(self, other):
         return isinstance(other, LinearDiffOp) and self.coefficients == other.coefficients
@@ -455,16 +453,16 @@ class ExpPolyElement:
         return ExpPolyExpr.zero()
 
     def reconstruct(self) -> ExpPolyExpr:
-        exp_part = ExpPolyExpr.monomial(
-            ONE, {}, {c: w for c, w in zip(self.selected, self.lambdas) if w != 0}
-        )
-        out = ExpPolyExpr.zero()
-        for j, coeff_expr in self.table:
-            mono = ExpPolyExpr.monomial(
-                ONE, {c: p for c, p in zip(self.selected, j) if p}, {}
+        weights = dict(zip(self.selected, self.lambdas))
+        return ExpPolyExpr(
+            Monomial(
+                m.coeff,
+                {**dict(m.powers), **dict(zip(self.selected, j))},
+                {**dict(m.expvec), **weights},
             )
-            out = out + exp_part * mono * coeff_expr
-        return out
+            for j, coeff_expr in self.table
+            for m in coeff_expr.terms
+        )
 
     def __eq__(self, other):
         return (
@@ -475,7 +473,7 @@ class ExpPolyElement:
         )
 
     def __repr__(self):
-        return f"ExpPolyElement({self.reconstruct().render()})"
+        return f"{type(self).__name__}({self.reconstruct().render()})"
 
 
 def canonical_exp_poly(e: ExpPolyExpr, selected: Sequence[Coord]) -> ExpPolyElement:

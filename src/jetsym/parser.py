@@ -104,15 +104,15 @@ class _Parser:
 
     # expr := term (("+"|"-") term)*
     def expr(self) -> ExpPolyExpr:
-        out = self.term()
+        terms = list(self.term().terms)
         while True:
             kind, value, _ = self.peek()
             if kind == "op" and value in "+-":
                 self.advance()
                 rhs = self.term()
-                out = out + rhs if value == "+" else out - rhs
+                terms.extend((rhs if value == "+" else -rhs).terms)
             else:
-                return out
+                return ExpPolyExpr(terms)
 
     # term := factor ("*" factor)*
     def term(self) -> ExpPolyExpr:

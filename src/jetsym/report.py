@@ -17,6 +17,7 @@ from typing import Optional
 from . import engine, structure
 from .engine import EvolutionEquation, build_ansatz, symmetry_defect
 from .errors import (
+    EmptyAnsatzError,
     InternalInconsistencyError,
     JetsymError,
     ScopeError,
@@ -49,14 +50,14 @@ class RunConfig:
     def target_coord(self) -> Coord:
         c = coord_by_name(self.target)
         if c is None or not c.is_zero_jet:
-            raise JetsymError(f"target must be one of t, y, u; got {self.target!r}")
+            raise ScopeError(f"target must be one of t, y, u; got {self.target!r}")
         return c
 
     def validate(self):
         if self.mode not in MODES:
             raise JetsymError(f"unknown mode {self.mode!r}")
         if min(self.order_cap, self.y_degree, self.jet_degree) < 0:
-            raise JetsymError("caps must be non-negative")
+            raise EmptyAnsatzError("caps must be non-negative")
         if self.order_cap > 9:
             # rendered characteristics must re-parse, and the grammar stops at u_9
             raise ScopeError(

@@ -202,14 +202,11 @@ def decompose_shift_action(action: ShiftAction) -> BlockDecomposition:
         for chain in chains:
             # chains arrive top first; store eigen-end first so degrees ascend
             vecs = [sub.apply(v) for v in reversed(chain)]
-            exprs = []
-            for v in vecs:
-                e = ExpPolyExpr.zero()
-                for coeff, src in zip(v, elements):
-                    if coeff:
-                        e = e + src.scale(coeff)
-                exprs.append(e)
-            els = tuple(canonical_exp_poly(e, selected.coords) for e in exprs)
+            sums = [
+                ExpPolyExpr(t for c, e in zip(v, elements) if c for t in e.scale(c).terms)
+                for v in vecs
+            ]
+            els = tuple(canonical_exp_poly(e, selected.coords) for e in sums)
             degs = tuple(
                 max(el.degrees[s] for el in els) for s in range(len(selected.coords))
             )
@@ -248,7 +245,7 @@ def apply_shift(e: ExpPolyExpr, coord: Coord, lam, times: int) -> ExpPolyExpr:
     return out
 
 
-class SpecialFormElement:
+class SpecialFormElement(ExpPolyElement):
     """Exponential-polynomial element with degree at most epsilon_s everywhere.
 
     epsilon_s is 0 for coordinates with nonzero exponential weight and 1
@@ -256,29 +253,17 @@ class SpecialFormElement:
     weight-free coordinates.
     """
 
-    __slots__ = ("selected", "lambdas", "epsilons", "table")
+    __slots__ = ("epsilons",)
 
     def __init__(self, element: ExpPolyElement):
-        self.selected = element.selected
-        self.lambdas = element.lambdas
+        super().__init__(element.selected, element.lambdas, element.table)
         self.epsilons = tuple(0 if w != 0 else 1 for w in self.lambdas)
-        for j, _ in element.table:
+        for j, _ in self.table:
             for js, eps in zip(j, self.epsilons):
                 if js > eps:
                     raise ValueError("degrees exceed the special-form caps")
-        self.table = element.table
 
-    def coefficient(self, j: tuple) -> ExpPolyExpr:
-        for jj, e in self.table:
-            if jj == tuple(j):
-                return e
-        return ExpPolyExpr.zero()
-
-    def expression(self) -> ExpPolyExpr:
-        return self.as_element().reconstruct()
-
-    def as_element(self) -> ExpPolyElement:
-        return ExpPolyElement(self.selected, self.lambdas, dict(self.table))
+    expression = ExpPolyElement.reconstruct
 
     def is_witness_for(self, target: Coord) -> bool:
         """Nonzero weight on the target, or a nonzero linear coefficient."""
@@ -286,9 +271,6 @@ class SpecialFormElement:
         if self.lambdas[s] != 0:
             return True
         return any(j[s] == 1 for j, _ in self.table)
-
-    def __repr__(self):
-        return f"SpecialFormElement({self.expression().render()})"
 
 
 def reduce_to_special(elem: ExpPolyElement, target: Coord) -> SpecialFormElement:

@@ -168,6 +168,19 @@ class TestErrorCodes:
         assert data["error"]["kind"] == "scope"
         assert "u_9" in data["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "extra", [["--order", "-1"], ["--ydeg", "-1"], ["--target", "u_1"]]
+    )
+    def test_scope_error_bad_cap_or_target(self, tmp_path, extra):
+        code, data = run_json(tmp_path, ["--eq", "u_t = u_2"] + extra)
+        assert code == 3
+        assert data["error"]["kind"] == "scope"
+
+    def test_check_mode_without_characteristics_is_usage_error(self, tmp_path):
+        code, data = run_json(tmp_path, ["--eq", "u_t = u_2", "--mode", "check"])
+        assert code == 1
+        assert data["error"]["kind"] == "error"
+
     def test_closure_violation(self, tmp_path):
         code, data = run_json(
             tmp_path,

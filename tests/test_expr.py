@@ -5,12 +5,18 @@ from fractions import Fraction
 
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from jetsym.errors import MixedTypeError
 from jetsym.expr import (
+    KIND_JET,
+    PARAM,
     T,
     U,
     Y,
     ExpPolyExpr,
+    LinearDiffOp,
+    Monomial,
     all_jet_monomials,
     canonical_exp_poly,
     jet,
@@ -234,3 +240,144 @@ class TestHelpers:
 
     def test_coordinate_ordering(self):
         assert T < Y < U < jet(1) < jet(2)
+
+
+# -- reference calculus ------------------------------------------------------
+# The bodies below are the accumulate-and-re-merge versions the library used
+# before sums were built with one merge; the property tests require the
+# library to agree with them exactly.
+
+
+def reference_product(a, b):
+    out = []
+    for x in a.terms:
+        for z in b.terms:
+            powers = dict(x.powers)
+            for c, p in z.powers:
+                powers[c] = powers.get(c, 0) + p
+            expvec = dict(x.expvec)
+            for c, w in z.expvec:
+                expvec[c] = expvec.get(c, F(0)) + w
+            out.append(Monomial(x.coeff * z.coeff, powers, expvec))
+    return ExpPolyExpr(out)
+
+
+def reference_partial(e, c):
+    out = []
+    for m in e.terms:
+        p = m.power(c)
+        if p:
+            powers = dict(m.powers)
+            powers[c] = p - 1
+            out.append(Monomial(m.coeff * p, powers, dict(m.expvec)))
+        w = m.weight(c)
+        if w:
+            out.append(Monomial(m.coeff * w, dict(m.powers), dict(m.expvec)))
+    return ExpPolyExpr(out)
+
+
+def reference_total_derive_y(e):
+    out = reference_partial(e, Y)
+    orders = sorted(
+        {c.index for m in e.terms for c, _ in m.powers + m.expvec if c.kind == KIND_JET}
+    )
+    for l in orders:
+        contrib = reference_product(
+            reference_partial(e, jet(l)), ExpPolyExpr.coordinate(jet(l + 1))
+        )
+        out = out + contrib
+    return out
+
+
+def reference_apply(op, theta):
+    out = ExpPolyExpr.zero()
+    current = theta
+    for a in op.coefficients:
+        if not a.is_zero():
+            out = out + reference_product(a, current)
+        current = reference_total_derive_y(current)
+    return out
+
+
+def reference_apply_shifted(op, theta, shift):
+    out = ExpPolyExpr.zero()
+    current = theta
+    for a in op.coefficients:
+        if not a.is_zero():
+            out = out + reference_product(a, current)
+        current = reference_total_derive_y(current) + reference_product(shift, current)
+    return out
+
+
+RATIONALS = st.sampled_from([F(-2), F(-1), F(-1, 2), F(1, 3), F(1), F(2)])
+
+
+@st.composite
+def monomials(draw):
+    powers = {c: draw(st.integers(0, 2)) for c in (Y, U, jet(1), jet(2), jet(3))}
+    expvec = {c: draw(st.sampled_from([F(0), F(0), F(-1), F(1, 2), F(2)])) for c in (Y, U)}
+    return Monomial(draw(RATIONALS), powers, expvec)
+
+
+@st.composite
+def expressions(draw, max_terms=4):
+    # repeated shapes occur often, so merging and cancellation are exercised
+    return ExpPolyExpr(draw(st.lists(monomials(), max_size=max_terms)))
+
+
+operators = st.lists(expressions(max_terms=2), max_size=4).map(LinearDiffOp)
+
+CALCULUS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+def assert_canonical(e):
+    shapes = [m.shape for m in e.terms]
+    assert len(shapes) == len(set(shapes))
+    assert all(m.coeff != 0 for m in e.terms)
+    assert list(e.terms) == sorted(e.terms, key=Monomial.sort_key)
+
+
+class TestAgainstReferenceCalculus:
+    @CALCULUS
+    @given(expressions(), expressions())
+    def test_product_and_sum(self, a, b):
+        product = a * b
+        assert product == reference_product(a, b)
+        assert_canonical(product)
+        assert_canonical(a + b)
+        assert (a + b) - b == a
+        assert (a - a).is_zero()
+        assert_canonical(a.scale(F(-3, 2)))
+
+    @CALCULUS
+    @given(expressions(), st.sampled_from([Y, U, jet(1), jet(3), T]))
+    def test_partial_derive(self, e, c):
+        assert e.partial_derive(c) == reference_partial(e, c)
+
+    @CALCULUS
+    @given(expressions())
+    def test_total_derive_y(self, e):
+        d = e.total_derive_y()
+        assert d == reference_total_derive_y(e)
+        assert_canonical(d)
+
+    @CALCULUS
+    @given(operators, expressions(max_terms=3))
+    def test_apply(self, op, theta):
+        assert op.apply(theta) == reference_apply(op, theta)
+
+    @CALCULUS
+    @given(operators, expressions(max_terms=3), st.one_of(
+        RATIONALS.map(ExpPolyExpr.constant), st.just(ExpPolyExpr.coordinate(PARAM))
+    ))
+    def test_apply_shifted(self, op, theta, shift):
+        assert op.apply_shifted(theta, shift) == reference_apply_shifted(op, theta, shift)
+
+    @CALCULUS
+    @given(operators, expressions(max_terms=3), RATIONALS)
+    def test_shift_identity(self, op, h, w):
+        # D_y^j (exp(w y) h) = exp(w y) (D_y + w)^j h, the identity behind the
+        # symbolic determining system
+        exp_wy = ExpPolyExpr.exponential(Y, w)
+        lhs = exp_wy * op.apply_shifted(h, ExpPolyExpr.constant(w))
+        assert lhs == op.apply(exp_wy * h)
