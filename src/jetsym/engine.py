@@ -3,15 +3,16 @@
 Given ``u_t = G(u, u_1, ..., u_d)`` and a finite ansatz space of candidate
 characteristics, this module assembles the linear determining system (the
 defect of a generic combination must vanish identically in jet and y
-monomials) and solves it exactly.  A symbolic mode keeps the exponential
-weight as a polynomial unknown so candidate weights can be located by
-rank analysis.
+monomials) and solves it exactly.  The system is assembled once, with the
+exponential weight kept as a polynomial unknown: its pivot polynomials
+locate the candidate weights, and the system at any fixed weight is a
+substitution into it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .errors import EmptyAnsatzError, ScopeError
 from .expr import (
@@ -19,9 +20,10 @@ from .expr import (
     T,
     Y,
     ExpPolyExpr,
-    Monomial,
+    _bump,
+    _mono,
     all_jet_monomials,
-    monomial_coordinates,
+    combine,
 )
 from .linalg import (
     ONE,
@@ -118,25 +120,16 @@ def build_ansatz(
     """
     if min(q_max, y_degree, jet_degree) < 0:
         raise EmptyAnsatzError("ansatz caps must be non-negative")
-    weight_list = (ONE,) if symbolic else tuple(sorted(_frac(w) for w in set(weights)))
+    weight_list = (ZERO,) if symbolic else tuple(sorted(_frac(w) for w in set(weights)))
     if not weight_list:
         raise EmptyAnsatzError("no exponential weights given")
     jets = all_jet_monomials(q_max, jet_degree)
-    gens = []
-    for w in weight_list:
-        exp_part = (
-            ExpPolyExpr.one()
-            if symbolic or w == 0
-            else ExpPolyExpr.exponential(Y, w)
-        )
-        for jm in jets:
-            for a in range(y_degree + 1):
-                y_part = (
-                    ExpPolyExpr.one()
-                    if a == 0
-                    else ExpPolyExpr.monomial(ONE, {Y: a}, {})
-                )
-                gens.append(exp_part * jm * y_part)
+    gens = [
+        ExpPolyExpr.exponential(Y, w) * jm * ExpPolyExpr.monomial(ONE, {Y: a})
+        for w in weight_list
+        for jm in jets
+        for a in range(y_degree + 1)
+    ]
     if not gens:
         raise EmptyAnsatzError("ansatz caps produce no generators")
     return AnsatzSpace(
@@ -155,8 +148,9 @@ class DeterminingSystem:
 
     One row per jet/y monomial occurring in any generator defect; the
     entry in column l is that monomial's coefficient in the defect of
-    generator l.  In symbolic mode entries are polynomials in the
-    exponential weight (the common exp factor is divided out first).
+    generator l.  Symbolic entries are polynomials in the exponential
+    weight (the common exp factor is divided out first); ``substitute``
+    fixes the weight and gives rational entries.
     """
 
     generators: tuple
@@ -172,11 +166,10 @@ class DeterminingSystem:
 
     def row_labels(self) -> list:
         """Readable name of the monomial each row annihilates."""
-        labels = []
-        for powers, expvec in self.row_shapes:
-            mono = ExpPolyExpr.monomial(ONE, dict(powers), dict(expvec))
-            labels.append(mono.render())
-        return labels
+        return [
+            ExpPolyExpr.monomial(ONE, dict(powers), dict(expvec)).render()
+            for powers, expvec in self.row_shapes
+        ]
 
     def poly_rows(self) -> list:
         if not self.symbolic:
@@ -186,8 +179,24 @@ class DeterminingSystem:
     def substitute(self, w) -> "DeterminingSystem":
         """Specialize a symbolic system at a fixed exponential weight."""
         w = _frac(w)
-        rows = tuple(tuple(p.eval(w) for p in row) for row in self.rows)
+        rows = tuple(tuple(p.eval(w) if p.coeffs else ZERO for p in row) for row in self.rows)
         return DeterminingSystem(self.generators, self.row_shapes, rows, False)
+
+    def restrict(self, generators) -> "DeterminingSystem":
+        """The columns of the given generators, in that order, without zero rows.
+
+        A generator's defect does not depend on the other generators, so
+        this is the system the smaller ansatz would assemble.
+        """
+        generators = tuple(generators)
+        if generators == self.generators:
+            return self
+        index = {g: j for j, g in enumerate(self.generators)}
+        cols = [index[g] for g in generators]
+        kept = [(s, tuple(r[j] for j in cols)) for s, r in zip(self.row_shapes, self.rows)]
+        kept = [(s, r) for s, r in kept if any(p.coeffs for p in r)]
+        shapes = tuple(s for s, _ in kept)
+        return DeterminingSystem(generators, shapes, tuple(r for _, r in kept), self.symbolic)
 
 
 def _symbolic_defect(gen: ExpPolyExpr, eq: EvolutionEquation) -> ExpPolyExpr:
@@ -203,46 +212,32 @@ def _symbolic_defect(gen: ExpPolyExpr, eq: EvolutionEquation) -> ExpPolyExpr:
 
 
 def determining_system(ansatz: AnsatzSpace, eq: EvolutionEquation) -> DeterminingSystem:
-    """Assemble the constraint matrix for the given ansatz and equation."""
-    defects = [
-        _symbolic_defect(g, eq) if ansatz.symbolic else symmetry_defect(g, eq)
-        for g in ansatz.generators
-    ]
+    """Assemble the symbolic constraint matrix of a symbolic ansatz.
+
+    This is the only assembly: the system of the same caps at a fixed
+    weight w is ``substitute(w)`` of it, and a smaller ansatz's system is a
+    ``restrict`` of it.
+    """
     if not ansatz.symbolic:
-        shapes, columns = monomial_coordinates(defects)
-        return DeterminingSystem(ansatz.generators, shapes, tuple(zip(*columns)), False)
-    # symbolic: strip parameter powers out of each monomial shape
-    shape_keys = {}
-    entries = []
+        raise ValueError("determining_system needs a symbolic ansatz; see substitute")
+    defects = [_symbolic_defect(g, eq) for g in ansatz.generators]
+    # strip the parameter power out of each monomial shape; within one
+    # defect every (shape, power) pair occurs once
+    shape_keys, cells = {}, {}
     for col, d in enumerate(defects):
         for m in d.terms:
             deg = m.power(PARAM)
-            powers = {c: p for c, p in m.powers if c != PARAM}
-            base = (
-                tuple(sorted(((c, p) for c, p in powers.items()), key=lambda cp: cp[0].key())),
-                m.expvec,
-            )
-            probe = Monomial(ONE, powers, dict(m.expvec))
-            shape_keys.setdefault(base, probe.sort_key())
-            entries.append((base, col, deg, m.coeff))
+            base = (_bump(m.powers, PARAM, -deg) if deg else m.powers, m.expvec)
+            if base not in shape_keys:
+                shape_keys[base] = _mono(ONE, *base).sort_key()
+            cells.setdefault((base, col), {})[deg] = m.coeff
     shapes = tuple(sorted(shape_keys, key=shape_keys.get))
     index = {s: i for i, s in enumerate(shapes)}
-    ncols = len(defects)
-    accum = [[dict() for _ in range(ncols)] for _ in shapes]
-    for base, col, deg, coeff in entries:
-        cell = accum[index[base]][col]
-        cell[deg] = cell.get(deg, ZERO) + coeff
-    rows = []
-    for r in accum:
-        row = []
-        for cell in r:
-            if cell:
-                top = max(cell)
-                row.append(UniPoly([cell.get(k, ZERO) for k in range(top + 1)]))
-            else:
-                row.append(UniPoly.zero())
-        rows.append(tuple(row))
-    return DeterminingSystem(ansatz.generators, shapes, tuple(rows), True)
+    zero = UniPoly.zero()  # immutable, so every empty cell shares it
+    rows = [[zero] * len(defects) for _ in shapes]
+    for (base, col), cell in cells.items():
+        rows[index[base]][col] = UniPoly([cell.get(k, ZERO) for k in range(max(cell) + 1)])
+    return DeterminingSystem(ansatz.generators, shapes, tuple(map(tuple, rows)), True)
 
 
 @dataclass(frozen=True)
@@ -253,33 +248,49 @@ class SymmetryBasis:
     ansatz: AnsatzSpace
     elements: tuple
     dims: tuple  # dims[q] = dimension of the order-<=q subspace, q = 0..q_max
+    system: DeterminingSystem  # the symbolic system the basis was read off
 
     def __len__(self):
         return len(self.elements)
 
 
-def solve_symmetries(ansatz: AnsatzSpace, eq: EvolutionEquation) -> SymmetryBasis:
-    """Exact basis of symmetry characteristics inside the ansatz space."""
+def solve_symmetries(
+    ansatz: AnsatzSpace,
+    eq: EvolutionEquation,
+    system: Optional[DeterminingSystem] = None,
+) -> SymmetryBasis:
+    """Exact basis of symmetry characteristics inside the ansatz space.
+
+    Columns group by weight and no monomial is shared between weights, so
+    the kernel is the concatenation, in weight order, of the kernels of
+    ``system.substitute(w)``.  ``system`` is the symbolic system of the
+    same caps (or of larger ones) when the caller has already assembled
+    it; it is assembled here only when none is given.
+    """
     if ansatz.symbolic:
         raise ValueError("solve_symmetries requires fixed exponential weights")
-    system = determining_system(ansatz, eq)
-    kernel = nullspace(system.matrix)
-    elements = [
-        ExpPolyExpr(t for c, g in zip(vec, ansatz.generators) if c for t in g.scale(c).terms)
-        for vec in kernel
-    ]
+    free = build_ansatz(ansatz.q_max, ansatz.y_degree, ansatz.jet_degree, symbolic=True)
+    if system is None:
+        system = determining_system(free, eq)
+    system = system.restrict(free.generators)
+    n = len(free.generators)
     # with columns taken by ascending order, the order-<=q generators are a
     # leading block whose rank is the number of pivots inside it
-    gen_orders = [g.order() for g in ansatz.generators]
-    by_order = sorted(range(len(gen_orders)), key=gen_orders.__getitem__)
-    _, pivots = rref(
-        RatMatrix([[row[j] for j in by_order] for row in system.rows], cols=len(by_order))
-    )
-    dims = []
-    for q in range(ansatz.q_max + 1):
-        count = sum(1 for o in gen_orders if o <= q)
-        dims.append(count - sum(1 for p in pivots if p < count))
-    return SymmetryBasis(eq, ansatz, tuple(elements), tuple(dims))
+    gen_orders = [g.order() for g in free.generators]
+    by_order = sorted(range(n), key=gen_orders.__getitem__)
+    counts = [sum(1 for o in gen_orders if o <= q) for q in range(ansatz.q_max + 1)]
+    elements, dims = [], [0] * len(counts)
+    for i, w in enumerate(ansatz.weights):
+        fixed = [row for row in system.substitute(w).rows if any(row)]
+        kernel = nullspace(RatMatrix(fixed, cols=n))
+        if not kernel:
+            continue  # full column rank: no order-<=q block has a kernel either
+        gens = ansatz.generators[i * n : (i + 1) * n]
+        elements.extend(combine(vec, gens) for vec in kernel)
+        _, pivots = rref(RatMatrix([[row[j] for j in by_order] for row in fixed], cols=n))
+        for q, count in enumerate(counts):
+            dims[q] += count - sum(1 for p in pivots if p < count)
+    return SymmetryBasis(eq, ansatz, tuple(elements), tuple(dims), system)
 
 
 @dataclass(frozen=True)
@@ -290,6 +301,7 @@ class LambdaScan:
     residual_factors: tuple  # verified rational-root-free factors (UniPoly)
     generic_nullity: int  # kernel dimension at generic weight
     pivots: tuple
+    kernels: tuple  # kernel basis at each candidate, over the scanned generators
 
     def describe(self) -> dict:
         return {
@@ -299,23 +311,30 @@ class LambdaScan:
         }
 
 
-def lambda_candidates(ansatz: AnsatzSpace, eq: EvolutionEquation) -> LambdaScan:
+def lambda_candidates(
+    ansatz: AnsatzSpace,
+    eq: EvolutionEquation,
+    system: Optional[DeterminingSystem] = None,
+) -> LambdaScan:
     """Rational exponential weights at which the determining system gains solutions.
 
     Pivot polynomials of a fraction-free elimination provide a complete
-    candidate set; every rational root is then verified by a fixed-weight
-    solve.  Rational-root-free pivot factors are verified against the
-    matrix rank in the corresponding quotient ring and reported, never
-    silently dropped.
+    candidate set; every rational root is then verified by the kernel of
+    the substituted system, and that kernel is kept on the scan.
+    Rational-root-free pivot factors are verified against the matrix rank
+    in the corresponding quotient ring and reported, never silently
+    dropped.  ``system`` is a symbolic system containing the ansatz's
+    generators when the caller has already assembled one; its columns for
+    this ansatz are the ansatz's own system.
     """
     if not ansatz.symbolic:
         raise ValueError("lambda_candidates requires a symbolic ansatz")
-    system = determining_system(ansatz, eq)
+    if system is None:
+        system = determining_system(ansatz, eq)
+    system = system.restrict(ansatz.generators)
     rows = system.poly_rows()
     ncols = len(ansatz.generators)
     pivots = poly_matrix_pivots(rows)
-    generic_rank = len(pivots)
-    generic_nullity = ncols - generic_rank
     root_cands = set()
     residual_cands = []
     for p in pivots:
@@ -327,11 +346,12 @@ def lambda_candidates(ansatz: AnsatzSpace, eq: EvolutionEquation) -> LambdaScan:
             for f in squarefree_factors(residual):
                 if f not in residual_cands:
                     residual_cands.append(f)
-    candidates = []
+    candidates, kernels = [], []
     for w in sorted(root_cands):
-        fixed = system.substitute(w)
-        if len(nullspace(fixed.matrix)) > 0:
+        kernel = nullspace(system.substitute(w).matrix)
+        if kernel:
             candidates.append(w)
+            kernels.append(tuple(kernel))
     verified_residuals = []
     for f in residual_cands:
         for factor, rank_mod in rank_modulo(rows, f):
@@ -341,8 +361,9 @@ def lambda_candidates(ansatz: AnsatzSpace, eq: EvolutionEquation) -> LambdaScan:
     return LambdaScan(
         candidates=tuple(candidates),
         residual_factors=tuple(verified_residuals),
-        generic_nullity=generic_nullity,
+        generic_nullity=ncols - len(pivots),
         pivots=tuple(pivots),
+        kernels=tuple(kernels),
     )
 
 

@@ -507,6 +507,11 @@ def canonical_exp_poly(e: ExpPolyExpr, selected: Sequence[Coord]) -> ExpPolyElem
     )
 
 
+def combine(coeffs: Sequence, exprs: Sequence[ExpPolyExpr]) -> ExpPolyExpr:
+    """The linear combination sum c_i * e_i, merged once."""
+    return ExpPolyExpr(t for c, e in zip(coeffs, exprs) if c for t in e.scale(c).terms)
+
+
 def monomial_coordinates(exprs: Sequence[ExpPolyExpr]) -> tuple:
     """Common monomial-shape basis and coordinate vectors for expressions.
 

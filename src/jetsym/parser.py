@@ -15,17 +15,26 @@ The argument of ``exp`` must simplify to a rational multiple of a single
 0-jet coordinate (t, y or u).  Equation right-hand sides additionally may
 not contain y, t or exponentials; that restriction is reported as a scope
 error, not a syntax error.
+
+Powers are expanded by repeated multiplication, so two caps refuse a power
+with a scope error before any expansion: an exponent above MAX_EXPONENT,
+and a power whose expansion could exceed MAX_POWER_TERMS terms.  An
+n-term base to the k has at most C(n+k-1, k) terms.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from .engine import EvolutionEquation
 from .errors import ParseError, ScopeError
 from .expr import ExpPolyExpr, T, coord_by_name
 
 _OPS = "+-*^()="
+
+MAX_EXPONENT = 64
+MAX_POWER_TERMS = 5000
 
 
 class _Lexer:
@@ -148,8 +157,17 @@ class _Parser:
                     expected=("integer",),
                 )
             self.advance()
+            k, n = int(v2), len(base.terms)
+            if k > MAX_EXPONENT:
+                raise ScopeError(f"exponent {k} exceeds the cap of {MAX_EXPONENT}")
+            bound = comb(n + k - 1, k) if n else 0
+            if bound > MAX_POWER_TERMS:
+                raise ScopeError(
+                    f"a {n}-term base to the power {k} may expand to {bound} terms, "
+                    f"above the cap of {MAX_POWER_TERMS}"
+                )
             out = ExpPolyExpr.one()
-            for _ in range(int(v2)):
+            for _ in range(k):
                 out = out * base
             return out
         return base

@@ -1,9 +1,10 @@
 """Pipeline orchestration and deterministic report rendering.
 
-A run parses the equation, resolves the exponential weights, solves the
-determining system, optionally decomposes the shift action and decides
-the dependence criterion, and packages everything into a report whose
-JSON rendering is byte-stable for a fixed configuration.  All rationals
+A run parses the equation, assembles one symbolic determining system,
+resolves the exponential weights from it, solves it at those weights,
+optionally decomposes the shift action and decides the dependence
+criterion, and packages everything into a report whose JSON rendering
+is byte-stable for a fixed configuration.  All rationals
 are serialized as strings to avoid any precision loss.
 """
 
@@ -108,6 +109,10 @@ def run_pipeline(cfg: RunConfig) -> Report:
         _stamp(report, started)
         return report
 
+    # the one assembly of the run; every other system is read off it
+    system = engine.determining_system(
+        build_ansatz(cfg.order_cap, cfg.y_degree, cfg.jet_degree, symbolic=True), eq
+    )
     scan = None
     if cfg.lambda_mode == "none":
         weights = (ZERO,)
@@ -115,7 +120,7 @@ def run_pipeline(cfg: RunConfig) -> Report:
         weights = tuple(sorted({_frac(w) for w in cfg.lambda_weights} | {ZERO}))
     elif cfg.lambda_mode == "auto":
         scan = engine.lambda_candidates(
-            build_ansatz(cfg.order_cap, 0, cfg.jet_degree, symbolic=True), eq
+            build_ansatz(cfg.order_cap, 0, cfg.jet_degree, symbolic=True), eq, system
         )
         weights = tuple(sorted(set(scan.candidates) | {ZERO}))
     else:
@@ -124,7 +129,7 @@ def run_pipeline(cfg: RunConfig) -> Report:
     report.resolved_weights = weights
 
     ansatz = build_ansatz(cfg.order_cap, cfg.y_degree, cfg.jet_degree, weights)
-    basis = engine.solve_symmetries(ansatz, eq)
+    basis = engine.solve_symmetries(ansatz, eq, system)
     report.basis = basis
     report.bounds = engine.check_dimension_bounds(basis)
     if scan is not None and scan.residual_factors:
@@ -145,17 +150,15 @@ def run_pipeline(cfg: RunConfig) -> Report:
             )
         else:
             full = structure.CriterionVerdict(
-                target=target,
-                exists=False,
-                witness=None,
-                witness_expression=None,
+                target,
+                False,
+                "decomposition",
                 certificate={"kind": "ansatz-exhaustive", "statement": "empty basis"},
-                method="decomposition",
             )
         verdict = full
         if target == Y:
             direct = structure.dependence_criterion_direct(
-                eq, cfg.order_cap, cfg.jet_degree, target, scan=scan
+                eq, cfg.order_cap, cfg.jet_degree, target, scan=scan, basis=basis
             )
             if direct.exists != full.exists:
                 raise InternalInconsistencyError(

@@ -27,9 +27,9 @@ from .engine import (
     LambdaScan,
     SymmetryBasis,
     build_ansatz,
+    determining_system,
     is_symmetry,
     lambda_candidates,
-    solve_symmetries,
 )
 from .errors import ClosureViolationError, InternalInconsistencyError
 from .expr import (
@@ -38,6 +38,7 @@ from .expr import (
     ExpPolyExpr,
     Y,
     canonical_exp_poly,
+    combine,
     monomial_coordinates,
 )
 from .linalg import (
@@ -202,11 +203,7 @@ def decompose_shift_action(action: ShiftAction) -> BlockDecomposition:
         for chain in chains:
             # chains arrive top first; store eigen-end first so degrees ascend
             vecs = [sub.apply(v) for v in reversed(chain)]
-            sums = [
-                ExpPolyExpr(t for c, e in zip(v, elements) if c for t in e.scale(c).terms)
-                for v in vecs
-            ]
-            els = tuple(canonical_exp_poly(e, selected.coords) for e in sums)
+            els = tuple(canonical_exp_poly(combine(v, elements), selected.coords) for v in vecs)
             degs = tuple(
                 max(el.degrees[s] for el in els) for s in range(len(selected.coords))
             )
@@ -336,10 +333,10 @@ class CriterionVerdict:
 
     target: Coord
     exists: bool
-    witness: Optional[SpecialFormElement]
-    witness_expression: Optional[ExpPolyExpr]
-    certificate: Optional[dict]
     method: str
+    witness: Optional[SpecialFormElement] = None
+    witness_expression: Optional[ExpPolyExpr] = None
+    certificate: Optional[dict] = None
     lambda_scan: Optional[LambdaScan] = None
 
 
@@ -372,14 +369,7 @@ def dependence_criterion(
             witness = reduce_to_special(el, target)
             wexpr = witness.expression()
             _verify_witness(wexpr, elements, basis)
-            return CriterionVerdict(
-                target=target,
-                exists=True,
-                witness=witness,
-                witness_expression=wexpr,
-                certificate=None,
-                method="decomposition",
-            )
+            return CriterionVerdict(target, True, "decomposition", witness, wexpr)
     certificate = {
         "kind": "ansatz-exhaustive",
         "basis_size": len(elements),
@@ -390,14 +380,7 @@ def dependence_criterion(
     }
     if isinstance(basis, SymmetryBasis):
         certificate["ansatz"] = basis.ansatz.describe()
-    return CriterionVerdict(
-        target=target,
-        exists=False,
-        witness=None,
-        witness_expression=None,
-        certificate=certificate,
-        method="decomposition",
-    )
+    return CriterionVerdict(target, False, "decomposition", certificate=certificate)
 
 
 def _verify_witness(wexpr: ExpPolyExpr, elements, basis):
@@ -419,69 +402,63 @@ def dependence_criterion_direct(
     jet_degree: int,
     target: Coord = Y,
     scan: Optional[LambdaScan] = None,
+    basis: Optional[SymmetryBasis] = None,
 ) -> CriterionVerdict:
     """Decide y-dependence by searching the two special shapes directly.
 
-    Shape (a): exp(w*y) K with y-free K and w nonzero, located by the
-    symbolic weight scan and confirmed by a fixed-weight solve.  Shape
-    (b): K0 + y*K1 with y-free K's and K1 nonzero.  Existence of a
-    y-dependent symmetry in the ansatz class is equivalent to one of the
-    shapes being realizable.
+    Shape (a): exp(w*y) K with y-free K and w nonzero, read off the kernel
+    the weight scan verified at w.  Shape (b): K0 + y*K1 with y-free K's
+    and K1 nonzero, from the weight-0, y-degree-<=1 columns.  A y-dependent
+    symmetry exists in an ansatz closed under d/dy exactly when one of the
+    shapes is realizable in it.
 
-    ``scan`` is the weight scan of ``build_ansatz(q_max, 0, jet_degree,
-    symbolic=True)`` when the caller has already run it; it is computed
-    here only when none is given.
+    ``scan`` (of ``build_ansatz(q_max, 0, jet_degree, symbolic=True)``) and
+    ``basis`` (the solved space of a run) hand over what the caller already
+    has.  With a basis the search covers its declared ansatz: its nonzero
+    weights, and shape (b) only at y-degree >= 1, read off its symbolic
+    system.  Without one it covers every rational weight and y-degree 1,
+    and assembles one symbolic system here.  The certificate claims the
+    rationals only when no nonzero candidate of the scan was left out.
     """
     if target != Y:
         raise ValueError("the direct criterion is implemented for the y coordinate")
+    if basis is None:
+        system = determining_system(build_ansatz(q_max, 1, jet_degree, symbolic=True), eq)
+    else:
+        system = basis.system
+    y_free = build_ansatz(q_max, 0, jet_degree, symbolic=True)
     if scan is None:
-        scan = lambda_candidates(build_ansatz(q_max, 0, jet_degree, symbolic=True), eq)
-    trial_weights = _preferred_weights(scan.candidates)
-    if scan.generic_nullity > 0 and ONE not in trial_weights:
-        # solutions exist at every weight; pick a concrete nonzero one
-        trial_weights.append(ONE)
-    for w in trial_weights:
-        fixed = solve_symmetries(build_ansatz(q_max, 0, jet_degree, weights=(w,)), eq)
-        if fixed.elements:
-            element = canonical_exp_poly(fixed.elements[0], (target,))
-            witness = SpecialFormElement(element)
-            return CriterionVerdict(
-                target=target,
-                exists=True,
-                witness=witness,
-                witness_expression=fixed.elements[0],
-                certificate=None,
-                method="direct-exponential",
-                lambda_scan=scan,
-            )
-    linear = solve_symmetries(
-        build_ansatz(q_max, 1, jet_degree, weights=(ZERO,)), eq
-    )
-    for e in linear.elements:
-        if e.depends_on(target):
-            witness = SpecialFormElement(canonical_exp_poly(e, (target,)))
-            return CriterionVerdict(
-                target=target,
-                exists=True,
-                witness=witness,
-                witness_expression=e,
-                certificate=None,
-                method="direct-linear",
-                lambda_scan=scan,
-            )
+        scan = lambda_candidates(y_free, eq, system)
+    if basis is None:
+        weights, y_degree = scan.candidates, 1
+    else:
+        weights, y_degree = basis.ansatz.weights, basis.ansatz.y_degree
+    # The scan's generic nullity is always 0 (the top power of w in the
+    # defect of a kernel vector is -G_{u_d} times its top coefficient), so
+    # its candidates are every weight with a y-free kernel.
+    kernels = dict(zip(scan.candidates, scan.kernels))
+    witness, method = None, "direct-exponential"
+    for w in _preferred_weights(weights):
+        if w in kernels:
+            witness = ExpPolyExpr.exponential(Y, w) * combine(kernels[w][0], y_free.generators)
+            break
+    if witness is None and y_degree >= 1:
+        linear = build_ansatz(q_max, 1, jet_degree, symbolic=True).generators
+        kernel = nullspace(system.restrict(linear).substitute(ZERO).matrix)
+        elements = (combine(vec, linear) for vec in kernel)
+        witness = next((e for e in elements if e.depends_on(target)), None)
+        method = "direct-linear"
+    if witness is not None:
+        special = SpecialFormElement(canonical_exp_poly(witness, (target,)))
+        return CriterionVerdict(target, True, method, special, witness, lambda_scan=scan)
+    within = f"the ansatz (q_max={q_max}, jet_degree={jet_degree}) over the rationals"
+    if y_degree < 1 or not set(scan.candidates) <= {ZERO, *weights}:
+        within = (
+            f"the declared ansatz (q_max={q_max}, jet_degree={jet_degree}, "
+            f"y_degree={y_degree}, weights {', '.join(str(w) for w in weights)})"
+        )
     certificate = {
         "kind": "ansatz-exhaustive",
-        "statement": (
-            "no exponential-shape or linear-shape symmetry exists within "
-            f"the ansatz (q_max={q_max}, jet_degree={jet_degree}) over the rationals"
-        ),
+        "statement": f"no exponential-shape or linear-shape symmetry exists within {within}",
     }
-    return CriterionVerdict(
-        target=target,
-        exists=False,
-        witness=None,
-        witness_expression=None,
-        certificate=certificate,
-        method="direct",
-        lambda_scan=scan,
-    )
+    return CriterionVerdict(target, False, "direct", certificate=certificate, lambda_scan=scan)

@@ -99,6 +99,66 @@ class TestWeightScanOnce:
         assert len(calls) == 1
 
 
+class TestOneAssembly:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--eq", "u_t = u_2 - u", "--mode", "criterion", "--lambda", "auto"],
+            ["--eq", "u_t = u_2", "--mode", "criterion", "--lambda", "none"],
+            ["--eq", "u_t = u_2", "--mode", "solve", "--ydeg", "0"],
+            ["--eq", "u_t = u_2", "--mode", "structure", "--target", "u"],
+        ],
+    )
+    def test_one_determining_system_per_run(self, tmp_path, monkeypatch, args):
+        # the weight scan, the solve and both direct-criterion shapes read
+        # their systems off the one symbolic assembly
+        calls = []
+        original = engine.determining_system
+
+        def counting(*a, **k):
+            calls.append(a)
+            return original(*a, **k)
+
+        monkeypatch.setattr(engine, "determining_system", counting)
+        monkeypatch.setattr(structure, "determining_system", counting, raising=False)
+        code, _ = run_json(tmp_path, args)
+        assert code == 0
+        assert len(calls) == 1
+
+
+class TestDeclaredAnsatzCriterion:
+    """Inside a run the direct criterion searches the declared weights and
+    y cap only, so it agrees with the decomposition of the same space."""
+
+    @pytest.mark.parametrize(
+        "extra, exists, witness",
+        [
+            (["--eq", "u_t = u_2", "--ydeg", "0"], False, None),
+            (["--eq", "u_t = u_2 - u", "--lambda", "none"], False, None),
+            (["--eq", "u_t = u_2 - 4*u", "--lambda", "1"], False, None),
+            (["--eq", "u_t = u_2 - 4*u", "--lambda", "1,-2"], True, "exp(-2*y)"),
+        ],
+    )
+    def test_verdict_within_declared_ansatz(self, tmp_path, extra, exists, witness):
+        from jetsym.expr import Y
+        from jetsym.parser import parse_expression
+
+        code, data = run_json(tmp_path, extra + ["--mode", "criterion"])
+        assert code == 0
+        verdict = data["criterion"]
+        assert verdict["exists"] is exists
+        assert verdict["witness"] == witness
+        basis = [parse_expression(e) for e in data["basis"]["elements"]]
+        assert exists == any(e.depends_on(Y) for e in basis)
+        if not exists:
+            statement = verdict["certificate"]["statement"]
+            assert "declared ansatz" in statement
+            assert "over the rationals" not in statement
+            ydeg = data["config"]["y_degree"]
+            weights = ", ".join(data["resolved_weights"])
+            assert f"y_degree={ydeg}, weights {weights}" in statement
+
+
 class TestDeterminism:
     def test_byte_identical_json(self, tmp_path):
         for eq, mode in [
@@ -175,6 +235,17 @@ class TestErrorCodes:
         code, data = run_json(tmp_path, ["--eq", "u_t = u_2"] + extra)
         assert code == 3
         assert data["error"]["kind"] == "scope"
+
+    @pytest.mark.parametrize(
+        "char, words",
+        [("u^100000000", "exponent"), ("(u + u_1 + u_2 + u_3 + u_4 + y)^40", "terms")],
+    )
+    def test_scope_error_power_too_large(self, tmp_path, char, words):
+        # refused before expanding: the first would take 10^8 products
+        code, data = run_json(tmp_path, ["--eq", "u_t = u_2", "--check", char])
+        assert code == 3
+        assert data["error"]["kind"] == "scope"
+        assert words in data["error"]["message"]
 
     def test_check_mode_without_characteristics_is_usage_error(self, tmp_path):
         code, data = run_json(tmp_path, ["--eq", "u_t = u_2", "--mode", "check"])

@@ -18,8 +18,8 @@ from jetsym.engine import (
     symmetry_defect,
 )
 from jetsym.errors import EmptyAnsatzError, ScopeError
-from jetsym.expr import ExpPolyExpr, monomial_coordinates
-from jetsym.linalg import RatMatrix, UniPoly, in_span, solve as lin_solve
+from jetsym.expr import Y, ExpPolyExpr, combine, monomial_coordinates
+from jetsym.linalg import RatMatrix, UniPoly, in_span, nullspace, rref, solve as lin_solve
 from jetsym.parser import parse_equation, parse_expression
 
 F = Fraction
@@ -104,16 +104,16 @@ class TestBuildAnsatz:
 
 class TestDeterminingSystem:
     def test_translation_only_no_constraints(self):
-        a = build_ansatz(1, 0, 1, weights=(0,))
+        a = build_ansatz(1, 0, 1, symbolic=True)
         gens = [g.render() for g in a.generators]
         assert gens == ["1", "u", "u_1"]
-        system = determining_system(a, HEAT)
+        system = determining_system(a, HEAT).substitute(0)
         col = a.generators.index(E("u_1"))
         assert all(row[col] == 0 for row in system.rows)
 
     def test_single_constraint_from_y_u1(self):
-        a = build_ansatz(1, 1, 1, weights=(0,))
-        system = determining_system(a, HEAT)
+        a = build_ansatz(1, 1, 1, symbolic=True)
+        system = determining_system(a, HEAT).substitute(0)
         col = a.generators.index(E("y*u_1"))
         entries = [row[col] for row in system.rows]
         nonzero = [x for x in entries if x != 0]
@@ -135,6 +135,71 @@ class TestDeterminingSystem:
         system = determining_system(a, LINEAR_DECAY).substitute(1)
         assert not system.symbolic
         assert system.rows[0][0] == 0
+
+
+def reference_system(ansatz, eq):
+    """Reference fixed-weight assembly, straight from the defects: one row per
+    monomial shape of the defects, one column per generator."""
+    _, columns = monomial_coordinates([symmetry_defect(g, eq) for g in ansatz.generators])
+    return RatMatrix(list(zip(*columns)), cols=len(ansatz.generators))
+
+
+def reference_dims(ansatz, matrix):
+    """dims[q] from one rref of the whole matrix with columns sorted by order."""
+    orders = [g.order() for g in ansatz.generators]
+    by_order = sorted(range(len(orders)), key=orders.__getitem__)
+    _, pivots = rref(
+        RatMatrix([[matrix[i, j] for j in by_order] for i in range(matrix.rows)], cols=len(orders))
+    )
+    dims = []
+    for q in range(ansatz.q_max + 1):
+        count = sum(1 for o in orders if o <= q)
+        dims.append(count - sum(1 for p in pivots if p < count))
+    return tuple(dims)
+
+
+SUBSTITUTION_EQUATIONS = [
+    HEAT, LINEAR_DECAY, KDV, parse_equation("u_t = u_2 + u_1^2"),
+    parse_equation("u_t = u_2 - 1/3*u + 2/5*u_1"),
+    # exp(y) is a symmetry and exp(-y) is not, so a sign slip in w shows
+    parse_equation("u_t = u_2 + u_1 - 2*u"),
+]
+SUBSTITUTION_WEIGHTS = [F(0), F(1), F(-1, 2), F(2)]
+
+
+class TestSubstitutionMatchesFixedAssembly:
+    """Every fixed-weight system is read off the symbolic one; the identity
+    D_y^j(exp(w*y)*h) = exp(w*y)*(D_y + w)^j h makes that exact."""
+
+    @pytest.mark.parametrize("ydeg", [0, 1, 2])
+    @pytest.mark.parametrize("eq", SUBSTITUTION_EQUATIONS, ids=repr)
+    def test_kernel_of_substitution(self, eq, ydeg):
+        symbolic = determining_system(build_ansatz(3, ydeg, 2, symbolic=True), eq)
+        for w in SUBSTITUTION_WEIGHTS:
+            reference = reference_system(build_ansatz(3, ydeg, 2, weights=(w,)), eq)
+            assert nullspace(symbolic.substitute(w).matrix) == nullspace(reference)
+
+    @pytest.mark.parametrize("ydeg", [1, 2])
+    @pytest.mark.parametrize("eq", SUBSTITUTION_EQUATIONS, ids=repr)
+    def test_y_free_restriction_is_the_ydeg0_system(self, eq, ydeg):
+        full = determining_system(build_ansatz(3, ydeg, 2, symbolic=True), eq)
+        y_free = build_ansatz(3, 0, 2, symbolic=True)
+        assert full.restrict(y_free.generators) == determining_system(y_free, eq)
+
+    @pytest.mark.parametrize("eq", SUBSTITUTION_EQUATIONS, ids=repr)
+    def test_solve_matches_one_fixed_kernel(self, eq):
+        # the basis is the per-weight kernels concatenated; the reference takes
+        # one kernel of the whole fixed-weight system over all weights
+        ansatz = build_ansatz(3, 1, 2, weights=SUBSTITUTION_WEIGHTS)
+        reference = reference_system(ansatz, eq)
+        expected = [combine(v, ansatz.generators) for v in nullspace(reference)]
+        basis = solve_symmetries(ansatz, eq)
+        assert list(basis.elements) == expected
+        assert basis.dims == reference_dims(ansatz, reference)
+
+    def test_fixed_ansatz_is_not_assembled(self):
+        with pytest.raises(ValueError):
+            determining_system(build_ansatz(1, 0, 1, weights=(0,)), HEAT)
 
 
 class TestSolveSymmetries:
@@ -214,6 +279,28 @@ class TestLambdaCandidates:
         scan = lambda_candidates(build_ansatz(0, 0, 0, symbolic=True), LINEAR_GROWTH)
         assert scan.candidates == ()
         assert [str(f) for f in scan.residual_factors] == ["lambda^2 + 1"]
+
+    @pytest.mark.parametrize(
+        "text",
+        ["u_t = u_3 + u*u_1", "u_t = u_2 + u*u_1", "u_t = u_2 + u^2", "u_t = u_2 + u_1^2"],
+    )
+    def test_generic_nullity_is_zero(self, text):
+        # clearing denominators in a kernel vector K(w) over Q(w), the top
+        # power of w in its defect has coefficient -G_{u_d} * K_top, which is
+        # never zero; so no weight-independent solution exists
+        scan = lambda_candidates(build_ansatz(2, 0, 2, symbolic=True), parse_equation(text))
+        assert scan.generic_nullity == 0
+
+    def test_kernels_kept_per_candidate(self):
+        ansatz = build_ansatz(2, 0, 2, symbolic=True)
+        scan = lambda_candidates(ansatz, LINEAR_DECAY)
+        assert len(scan.kernels) == len(scan.candidates)
+        for w, kernel in zip(scan.candidates, scan.kernels):
+            basis = solve_symmetries(build_ansatz(2, 0, 2, weights=(w,)), LINEAR_DECAY)
+            exp_w = ExpPolyExpr.exponential(Y, w)
+            assert [exp_w * combine(v, ansatz.generators) for v in kernel] == list(
+                basis.elements
+            )
 
     def test_consistency_with_fixed_solves(self):
         for eq in (HEAT, LINEAR_DECAY, LINEAR_GROWTH, KDV):

@@ -6,7 +6,13 @@ import pytest
 
 from jetsym.errors import ParseError, ScopeError
 from jetsym.expr import ExpPolyExpr, U, Y
-from jetsym.parser import parse_characteristic, parse_equation, parse_expression
+from jetsym.parser import (
+    MAX_EXPONENT,
+    MAX_POWER_TERMS,
+    parse_characteristic,
+    parse_equation,
+    parse_expression,
+)
 
 F = Fraction
 
@@ -144,3 +150,31 @@ class TestRoundTrip:
     def test_documented_render_style(self):
         text = "3*exp(2*y)*y^2*u_1"
         assert parse_expression(text).render() == text
+
+
+class TestPowerCaps:
+    def test_largest_power_in_use_is_admitted(self):
+        # the benchmark's heaviest characteristic: C(6+6-1, 6) = 462 terms
+        e = parse_expression("(u + u_1 + u_2 + u_3 + u_4 + y)^6")
+        assert len(e.terms) == 462
+
+    def test_caps_are_inclusive(self):
+        assert parse_expression(f"y^{MAX_EXPONENT}") == ExpPolyExpr.monomial(
+            1, {Y: MAX_EXPONENT}
+        )
+        # a two-term base reaches k + 1 terms; C(2+k-1, k) = k + 1
+        assert len(parse_expression(f"(u + y)^{MAX_EXPONENT}").terms) == MAX_EXPONENT + 1
+
+    @pytest.mark.parametrize(
+        "text",
+        [f"u^{MAX_EXPONENT + 1}", "(u + u_1 + u_2 + u_3)^40", "exp(y)^100000000"],
+    )
+    def test_refused_before_expansion(self, text):
+        with pytest.raises(ScopeError):
+            parse_expression(text)
+
+    def test_term_bound_uses_the_base_size(self):
+        # a ten-term base to the 7th may reach C(10+7-1, 7) = 11440 terms
+        assert MAX_POWER_TERMS < 11440
+        with pytest.raises(ScopeError):
+            parse_expression("(1 + u + u_1 + u_2 + u_3 + u_4 + u_5 + u_6 + u_7 + y)^7")
