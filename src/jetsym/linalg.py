@@ -1,7 +1,8 @@
 """Exact rational linear algebra and univariate polynomials.
 
 Everything here works over arbitrary-precision rationals
-(:class:`fractions.Fraction`); there is no floating point anywhere.
+(:class:`fractions.Fraction`), or over Python integers inside the
+polynomial elimination; there is no floating point anywhere.
 Matrices are immutable, operations are pure, and every basis returned
 follows a fixed normalization rule (first nonzero entry equals one) so
 downstream output is deterministic.
@@ -10,22 +11,31 @@ The one exact rational elimination is the sparse :func:`rref`; kernels,
 ranks, solves, span tests and Jordan chain tops are each read off one call.
 
 Over polynomials in the weight unknown, :func:`poly_matrix_pivots` is a
-sparse fraction-free (Bareiss) elimination on ``{column: entry}`` row
-dicts.  A row without the pivot column is not rescaled at that step; it
-is brought up to date by one exact division when it next holds a pivot
-column.  Pivot rule and row swaps are those of the dense elimination, so
-the pivot list is the same, and an inexact division raises as the bug it
-would be.  :func:`rank_modulo` eliminates over the same kind of row dicts.
+sparse fraction-free (Bareiss) elimination over Z on ``{column: entry}``
+row dicts.  The matrix is first multiplied by ``D``, the lcm of all
+coefficient denominators, and each entry is held as a list of integer
+coefficients; every division is an exact ``divmod`` long division over Z,
+and pivot ``k`` is divided by ``D**k`` on return.  The entries compared at
+step ``k`` are all ``D**k`` times the same minors of the input, so with
+``D > 0`` their (degree, coefficients) order is unchanged.  A row without
+the pivot column is not rescaled at that step; it is brought up to date
+by one exact division when it next holds a pivot column.  Pivot rule and
+row swaps are those of the dense rational elimination, so the pivot list
+is the same, and an inexact division raises as the bug it would be.
+:func:`rank_modulo` eliminates over the same kind of row dicts, with
+rational polynomial entries.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import (
     NonSquareError,
     NotEigenvalueError,
+    ScopeError,
     ZeroPolynomialError,
 )
 
@@ -434,7 +444,9 @@ def rational_roots(p: UniPoly) -> tuple:
 
     Uses the primitive integer form and divisor enumeration of the leading
     and trailing coefficients, so the search is complete for rational roots.
-    The residual is returned monic.
+    The residual is returned monic.  A leading or trailing coefficient
+    above ``10**12`` raises ``ScopeError`` instead of a trial division
+    that would not finish.
     """
     if p.is_zero():
         raise ZeroPolynomialError("root search on zero polynomial")
@@ -458,6 +470,13 @@ def rational_roots(p: UniPoly) -> tuple:
         if g > 1:
             ints = [v // g for v in ints]
         lead, trail = ints[-1], ints[0]
+        big = max(abs(lead), abs(trail))
+        if big > 10**12:  # trial division below it takes at most 10^6 steps
+            raise ScopeError(
+                f"rational root search on {p}: its integer form has a "
+                f"{len(str(big))}-digit leading or trailing coefficient, "
+                "above the 10^12 bound of divisor enumeration"
+            )
         cands = set()
         for pnum in _divisors(trail):
             for qden in _divisors(lead):
@@ -559,6 +578,56 @@ def _poly_exact_div(num: UniPoly, den: UniPoly) -> UniPoly:
     return q
 
 
+def _int_mul(a: list, b: list) -> list:
+    """Product of two integer coefficient lists, ascending by degree."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _int_sub(a: list, b: list) -> list:
+    """``a - b`` on integer coefficient lists, trailing zeros trimmed."""
+    if len(a) < len(b):
+        out = [-y for y in b]
+        for i, x in enumerate(a):
+            out[i] += x
+    else:
+        out = list(a)
+        for i, y in enumerate(b):
+            out[i] -= y
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _int_exact_div(num: list, den: list) -> list:
+    """Quotient of integer coefficient lists that ``den`` divides exactly over Z.
+
+    Long division with ``divmod`` on the leading coefficient; a nonzero
+    coefficient remainder or a nonzero low-degree remainder raises
+    ``ArithmeticError``.
+    """
+    d, lead = len(den) - 1, den[-1]
+    rem = list(num)
+    q = [0] * max(len(rem) - d, 0)
+    for k in range(len(q) - 1, -1, -1):
+        f, m = divmod(rem[k + d], lead)
+        if m:
+            raise ArithmeticError("inexact polynomial division")
+        if f:
+            q[k] = f
+            for i in range(d):
+                rem[k + i] -= f * den[i]
+    if any(rem[:d]):
+        raise ArithmeticError("inexact polynomial division")
+    return q
+
+
 def poly_matrix_pivots(rows: Sequence[Sequence[UniPoly]]) -> list:
     """Pivot polynomials of a division-free (Bareiss) elimination.
 
@@ -568,22 +637,37 @@ def poly_matrix_pivots(rows: Sequence[Sequence[UniPoly]]) -> list:
     the generic rank is a root of at least one returned pivot (the last
     pivot is, up to sign, a maximal non-vanishing minor).
 
+    The elimination runs over Z: the matrix is scaled by ``D``, the lcm of
+    all coefficient denominators, and every entry is held as a list of
+    integer coefficients, ascending by degree.  Each entry compared at step
+    ``k`` (1-based) is a ``k``-minor of ``D*M``, that is ``D**k`` times the
+    same minor of ``M``; as ``D > 0`` the ``(degree, coefficients)`` order,
+    and with it every pivot choice and row swap, is that of ``M``.  Pivot
+    ``k`` is returned divided by ``D**k``.
+
     Rows are ``{column: entry}`` dicts and each step touches only the rows
     holding the pivot column.  A Bareiss step merely multiplies every other
     row by ``pivot/prev``; those factors telescope, so such a row is left
     alone and brought up to date with one division when it next holds a
     pivot column.  The result is exactly that of the dense elimination: the
     same entries, the same pivot rule and the same row swaps.  Every entry
-    is a minor of the input, so each division is exact (Sylvester's
-    identity); an inexact one raises ``ArithmeticError`` as the bug it
-    would be.
+    is an integer minor, so each division is exact over Z (Sylvester's
+    identity); one that leaves a remainder raises ``ArithmeticError`` as
+    the bug it would be.
     """
-    mat = [{j: x for j, x in enumerate(row) if not x.is_zero()} for row in rows]
+    scale = math.lcm(*(c.denominator for row in rows for x in row for c in x.coeffs))
+    mat = [
+        {
+            j: [c.numerator * (scale // c.denominator) for c in x.coeffs]
+            for j, x in enumerate(row)
+            if x.coeffs
+        }
+        for row in rows
+    ]
     ncols = len(rows[0]) if rows else 0
     order = list(range(len(mat)))  # position -> row, swapped as in the dense form
     step = [0] * len(mat)  # the step each row's entries are current at
-    prevs = [UniPoly.one()]  # prevs[k]: the pivot of step k, with prevs[0] = 1
-    zero = UniPoly.zero()
+    prevs = [[1]]  # prevs[k]: the pivot of step k, with prevs[0] = 1
     r = 0
     for c in range(ncols):
         if r == len(mat):
@@ -596,9 +680,11 @@ def poly_matrix_pivots(rows: Sequence[Sequence[UniPoly]]) -> list:
             i = order[k]
             if step[i] != r:
                 old = prevs[step[i]]
-                mat[i] = {j: _poly_exact_div(x * prev, old) for j, x in mat[i].items()}
+                mat[i] = {
+                    j: _int_exact_div(_int_mul(x, prev), old) for j, x in mat[i].items()
+                }
                 step[i] = r
-        pr = min(hits, key=lambda k: (mat[order[k]][c].sort_key(), k))
+        pr = min(hits, key=lambda k: (len(mat[order[k]][c]), mat[order[k]][c], k))
         hit_rows = [order[k] for k in hits if k != pr]
         order[r], order[pr] = order[pr], order[r]
         prow = mat[order[r]]
@@ -608,14 +694,16 @@ def poly_matrix_pivots(rows: Sequence[Sequence[UniPoly]]) -> list:
             f = row[c]
             crossed = {}
             for j in row.keys() | prow.keys():
-                v = pivot * row.get(j, zero) - f * prow.get(j, zero)
-                if not v.is_zero():
-                    crossed[j] = _poly_exact_div(v, prev)
+                v = _int_sub(_int_mul(pivot, row.get(j, [])), _int_mul(f, prow.get(j, [])))
+                if v:
+                    crossed[j] = _int_exact_div(v, prev)
             mat[i] = crossed
             step[i] = r + 1
         prevs.append(pivot)
         r += 1
-    return prevs[1:]
+    return [
+        UniPoly(Fraction(x, scale**k) for x in p) for k, p in enumerate(prevs[1:], 1)
+    ]
 
 
 class _NeedsSplit(Exception):

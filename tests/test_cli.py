@@ -247,6 +247,22 @@ class TestErrorCodes:
         assert data["error"]["kind"] == "scope"
         assert words in data["error"]["message"]
 
+    def test_scope_error_huge_scan_coefficient(self, tmp_path):
+        # pivot 10^20 - lambda^2: refused instead of trial-dividing up to 10^10
+        code, data = run_json(
+            tmp_path, ["--eq", "u_t = u_2 - 100000000000000000000*u", "--mode", "criterion"]
+        )
+        assert code == 3
+        assert data["error"]["kind"] == "scope"
+        assert "21-digit" in data["error"]["message"]
+
+    def test_large_scan_coefficient_below_bound(self, tmp_path):
+        code, data = run_json(
+            tmp_path, ["--eq", "u_t = u_2 - 1000000*u", "--mode", "criterion"]
+        )
+        assert code == 0
+        assert data["lambda_scan"]["candidates"] == ["-1000", "0", "1000"]
+
     def test_check_mode_without_characteristics_is_usage_error(self, tmp_path):
         code, data = run_json(tmp_path, ["--eq", "u_t = u_2", "--mode", "check"])
         assert code == 1

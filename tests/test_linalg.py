@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jetsym.engine import build_ansatz, determining_system
-from jetsym.errors import NonSquareError, NotEigenvalueError, ZeroPolynomialError
+from jetsym.errors import NonSquareError, NotEigenvalueError, ScopeError, ZeroPolynomialError
 from jetsym.linalg import (
     RatMatrix,
     UniPoly,
     _inverse_mod,
     _NeedsSplit,
+    _int_exact_div,
     _poly_exact_div,
     char_poly,
     generalized_eigenspace,
@@ -186,6 +187,18 @@ POLY_ENTRY = st.one_of(
     st.sampled_from((UniPoly.zero(),) + POLY_POOL),
     st.builds(UniPoly, st.lists(st.integers(-2, 2), max_size=3)),
 )
+# Rational coefficients, so that poly_matrix_pivots scales by a common
+# denominator D > 1; the scaled pool entries keep sort_key ties frequent.
+RATIONAL_POLY_ENTRY = st.one_of(
+    st.just(UniPoly.zero()),
+    st.builds(
+        UniPoly.scale, st.sampled_from(POLY_POOL), st.sampled_from((F(1, 2), F(2, 3), F(-3, 5)))
+    ),
+    st.builds(
+        UniPoly,
+        st.lists(st.builds(F, st.integers(-3, 3), st.sampled_from((1, 2, 3, 5, 7))), max_size=3),
+    ),
+)
 # split, irreducible, linear, three linear factors, a square, irrational roots
 MODULI = tuple(
     UniPoly(c)
@@ -194,7 +207,7 @@ MODULI = tuple(
 
 
 @st.composite
-def poly_matrices(draw):
+def poly_matrices(draw, entry=POLY_ENTRY):
     """UniPoly matrices of every shape up to 6 x 6, with forced zero rows and columns."""
     nrows = draw(st.integers(0, 6))
     ncols = draw(st.integers(0, 6))
@@ -202,7 +215,7 @@ def poly_matrices(draw):
     dead_cols = draw(st.sets(st.integers(0, 5), max_size=2))
     return [
         [
-            UniPoly.zero() if i in dead_rows or j in dead_cols else draw(POLY_ENTRY)
+            UniPoly.zero() if i in dead_rows or j in dead_cols else draw(entry)
             for j in range(ncols)
         ]
         for i in range(nrows)
@@ -253,6 +266,21 @@ class TestPolySparseAgainstDense:
         pivots = poly_matrix_pivots(rows)
         assert pivots == dense_poly_matrix_pivots(rows)
         assert pivots == [lam, lam * lam, lam * lam]
+
+    @PROPERTY
+    @given(poly_matrices(RATIONAL_POLY_ENTRY))
+    def test_pivots_match_dense_rational_coefficients(self, rows):
+        assert poly_matrix_pivots(rows) == dense_poly_matrix_pivots(rows)
+
+    def test_rational_scan_pivots_match_dense(self):
+        # coefficients -1/3 and 2/5: the integer elimination scales by D = 15
+        ansatz = build_ansatz(3, 0, 3, symbolic=True)
+        eq = parse_equation("u_t = u_2 - 1/3*u + 2/5*u_1")
+        rows = determining_system(ansatz, eq).poly_rows()
+        assert {c.denominator for row in rows for p in row for c in p.coeffs} >= {3, 5}
+        pivots = poly_matrix_pivots(rows)
+        assert pivots == dense_poly_matrix_pivots(rows)
+        assert any(c.denominator > 1 for p in pivots for c in p.coeffs)
 
     def test_heat_scan_pivots_match_dense(self):
         ansatz = build_ansatz(4, 0, 3, symbolic=True)
@@ -379,6 +407,19 @@ class TestRationalRoots:
         with pytest.raises(ZeroPolynomialError):
             rational_roots(UniPoly.zero())
 
+    def test_huge_coefficient_is_out_of_scope(self):
+        with pytest.raises(ScopeError, match="13-digit"):
+            rational_roots(UniPoly([-(10**12 + 1), 1]))
+        with pytest.raises(ScopeError, match="21-digit"):
+            rational_roots(UniPoly([10**20, 0, 1]))
+        with pytest.raises(ScopeError, match="21-digit"):  # integer form 10^20 x - 1
+            rational_roots(UniPoly([F(-1, 10**20), 1]))
+
+    def test_bound_applies_to_the_primitive_form(self):
+        # 10^12 itself is searched; 10^20 * (x - 1) is primitive x - 1
+        assert rational_roots(UniPoly([-(10**12), 1]))[0] == [(F(10**12), 1)]
+        assert rational_roots(UniPoly([-(10**20), 10**20]))[0] == [(F(1), 1)]
+
 
 class TestGeneralizedEigenspace:
     def test_nilpotent_full(self):
@@ -446,6 +487,27 @@ class TestJordanChains:
             assert rank(RatMatrix.from_columns(flat)) == len(flat)
             lengths = [len(c) for c in chains]
             assert lengths == sorted(lengths, reverse=True)
+
+
+class TestIntExactDiv:
+    def test_exact_quotients(self):
+        assert _int_exact_div([-1, 0, 1], [-1, 1]) == [1, 1]  # (x^2 - 1) / (x - 1)
+        assert _int_exact_div([0, 6, 4], [0, 2]) == [3, 2]
+        assert _int_exact_div([6, -9], [3]) == [2, -3]
+
+    def test_coefficient_remainder_raises(self):
+        # 3x / 2x: the leading coefficient leaves remainder 1 over Z
+        with pytest.raises(ArithmeticError):
+            _int_exact_div([0, 3], [0, 2])
+        with pytest.raises(ArithmeticError):
+            _int_exact_div([4, 5], [2])
+
+    def test_low_degree_remainder_raises(self):
+        # (x^2 + 1) / x has integer quotient x but leaves remainder 1
+        with pytest.raises(ArithmeticError):
+            _int_exact_div([1, 0, 1], [0, 1])
+        with pytest.raises(ArithmeticError):
+            _int_exact_div([1], [1, 1])
 
 
 class TestPolyMatrixPivots:
