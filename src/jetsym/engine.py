@@ -20,8 +20,6 @@ from .expr import (
     T,
     Y,
     ExpPolyExpr,
-    _bump,
-    _mono,
     all_jet_monomials,
     combine,
 )
@@ -43,7 +41,7 @@ from .linalg import (
 class EvolutionEquation:
     """Right-hand side of ``u_t = G(u, u_1, ..., u_d)`` with its order d."""
 
-    __slots__ = ("rhs", "order", "_frechet")
+    __slots__ = ("rhs", "order", "_frechet", "_derivatives")
 
     def __init__(self, rhs: ExpPolyExpr):
         for c in (T, Y, PARAM):
@@ -57,6 +55,19 @@ class EvolutionEquation:
         self.rhs = rhs
         self.order = d
         self._frechet = rhs.frechet()
+        self._derivatives = (rhs,)
+
+    def rhs_derivatives(self, n: int) -> tuple:
+        """D_y^j G for j = 0..n, each computed once per equation."""
+        ders = self._derivatives
+        if len(ders) <= n:
+            # extend a copy and publish it whole, so concurrent callers
+            # never see a partly built tuple
+            grown = list(ders)
+            while len(grown) <= n:
+                grown.append(grown[-1].total_derive_y())
+            self._derivatives = ders = tuple(grown)
+        return ders[: n + 1]
 
     def __eq__(self, other):
         return isinstance(other, EvolutionEquation) and self.rhs == other.rhs
@@ -67,7 +78,13 @@ class EvolutionEquation:
 
 def symmetry_defect(eta: ExpPolyExpr, eq: EvolutionEquation) -> ExpPolyExpr:
     """Linearization defect; zero exactly when eta is a symmetry characteristic."""
-    return eta.frechet().apply(eq.rhs) - eq._frechet.apply(eta)
+    return _linearized_on_rhs(eta, eq) - eq._frechet.apply(eta)
+
+
+def _linearized_on_rhs(eta: ExpPolyExpr, eq: EvolutionEquation) -> ExpPolyExpr:
+    """D_G(eta) = eta'[G], contracted with the equation's cached D_y^j G."""
+    op = eta.frechet()
+    return op.contract(eq.rhs_derivatives(op.order))
 
 
 def is_symmetry(eta: ExpPolyExpr, eq: EvolutionEquation) -> bool:
@@ -208,7 +225,7 @@ def _symbolic_defect(gen: ExpPolyExpr, eq: EvolutionEquation) -> ExpPolyExpr:
     coordinate carries the powers of w.
     """
     shift = ExpPolyExpr.coordinate(PARAM)
-    return gen.frechet().apply(eq.rhs) - eq._frechet.apply_shifted(gen, shift)
+    return _linearized_on_rhs(gen, eq) - eq._frechet.apply_shifted(gen, shift)
 
 
 def determining_system(ansatz: AnsatzSpace, eq: EvolutionEquation) -> DeterminingSystem:
@@ -221,22 +238,25 @@ def determining_system(ansatz: AnsatzSpace, eq: EvolutionEquation) -> Determinin
     if not ansatz.symbolic:
         raise ValueError("determining_system needs a symbolic ansatz; see substitute")
     defects = [_symbolic_defect(g, eq) for g in ansatz.generators]
-    # strip the parameter power out of each monomial shape; within one
-    # defect every (shape, power) pair occurs once
-    shape_keys, cells = {}, {}
+    # strip the parameter power (PARAM has the largest code, so it is the
+    # last power) out of each shape key; within one defect every
+    # (key, power) pair occurs once
+    cells = {}
     for col, d in enumerate(defects):
-        for m in d.terms:
-            deg = m.power(PARAM)
-            base = (_bump(m.powers, PARAM, -deg) if deg else m.powers, m.expvec)
-            if base not in shape_keys:
-                shape_keys[base] = _mono(ONE, *base).sort_key()
-            cells.setdefault((base, col), {})[deg] = m.coeff
-    shapes = tuple(sorted(shape_keys, key=shape_keys.get))
-    index = {s: i for i, s in enumerate(shapes)}
+        for key, coeff in d.terms:
+            jd, powers, expvec = key
+            if powers and powers[-1][0] == PARAM:
+                deg, key = powers[-1][1], (jd, powers[:-1], expvec)
+            else:
+                deg = 0
+            cells.setdefault((key, col), {})[deg] = coeff
+    keys = sorted({key for key, _ in cells})
+    index = {key: i for i, key in enumerate(keys)}
     zero = UniPoly.zero()  # immutable, so every empty cell shares it
-    rows = [[zero] * len(defects) for _ in shapes]
-    for (base, col), cell in cells.items():
-        rows[index[base]][col] = UniPoly([cell.get(k, ZERO) for k in range(max(cell) + 1)])
+    rows = [[zero] * len(defects) for _ in keys]
+    for (key, col), cell in cells.items():
+        rows[index[key]][col] = UniPoly([cell.get(k, ZERO) for k in range(max(cell) + 1)])
+    shapes = tuple(key[1:] for key in keys)
     return DeterminingSystem(ansatz.generators, shapes, tuple(map(tuple, rows)), True)
 
 

@@ -13,12 +13,22 @@ of monomials; each monomial carries
 This ring is closed under partial derivatives and the total y-derivative,
 which is exactly what the symmetry machinery needs.  All values are
 immutable and all operations are pure.
+
+Representation: a coordinate is the integer ``kind * 64 + index``, and a
+monomial is the tuple ``(key, coeff)`` with the shape key
+``(jet_degree, powers, expvec)`` of sparse ``(coord, value)`` pairs sorted
+by coordinate, so terms hash and compare as plain tuples of integers.  The
+key merges like terms and is the term order: every operation emits
+``(key, coeff)`` pairs, then merges them once and sorts once.  The pairs
+stay sparse because a dense exponent vector would sort ``u_1`` before
+``y*u_1`` and change the rendered term order.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import MixedTypeError
@@ -27,64 +37,70 @@ from .linalg import ONE, ZERO, _frac
 KIND_INDEP = 0
 KIND_JET = 1
 KIND_PARAM = 2
+_SPAN = 64  # codes per kind; jet orders stay below it
+
+_BY_KEY = {}  # (kind, index) -> the one Coord
+_NAMES = {}  # Coord -> its rendered name
 
 
-class Coord:
+class Coord(int):
     """A coordinate of the jet space (plus one internal spectral parameter).
 
     ``kind`` is one of independent variable, jet (``u_l`` with ``l >= 0``,
     where ``u_0`` is the dependent variable itself), or the internal
-    parameter used by symbolic eigenvalue scans.  Coordinates are totally
-    ordered: independents first, then jets by order, then the parameter.
+    parameter used by symbolic eigenvalue scans.  Each coordinate exists
+    once and is the integer ``kind * 64 + index``, so coordinates hash,
+    compare and sort as integers, in the order of ``(kind, index)``:
+    independents first, then jets by order, then the parameter.
     """
 
-    __slots__ = ("kind", "index")
+    __slots__ = ()
 
-    def __init__(self, kind: int, index: int):
-        self.kind = kind
-        self.index = index
+    def __new__(cls, kind: int, index: int):
+        c = _BY_KEY.get((kind, index))
+        if c is None:
+            raise ValueError(f"no coordinate of kind {kind} and index {index}")
+        return c
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Coord)
-            and self.kind == other.kind
-            and self.index == other.index
-        )
+    def __reduce__(self):
+        return Coord, (self.kind, self.index)
 
-    def __hash__(self):
-        return hash((self.kind, self.index))
+    def __bool__(self):
+        return True  # t has code 0 but is a coordinate, not a false value
 
-    def __lt__(self, other: "Coord"):
-        return self.key() < other.key()
+    @property
+    def kind(self) -> int:
+        return self // _SPAN
 
-    def key(self) -> tuple:
-        return (self.kind, self.index)
+    @property
+    def index(self) -> int:
+        return self % _SPAN
 
     @property
     def is_zero_jet(self) -> bool:
         """True for coordinates of the 0-jet manifold (t, y, u)."""
-        return self.kind == KIND_INDEP or (self.kind == KIND_JET and self.index == 0)
-
-    @property
-    def jet_order(self):
-        return self.index if self.kind == KIND_JET else None
+        return self <= U  # t and y have the codes below u
 
     @property
     def name(self) -> str:
-        if self.kind == KIND_INDEP:
-            return ("t", "y")[self.index]
-        if self.kind == KIND_JET:
-            return "u" if self.index == 0 else f"u_{self.index}"
-        return "lambda"
+        return _NAMES[self]
 
     def __repr__(self):
         return f"Coord({self.name})"
 
 
-T = Coord(KIND_INDEP, 0)
-Y = Coord(KIND_INDEP, 1)
-U = Coord(KIND_JET, 0)
-PARAM = Coord(KIND_PARAM, 0)
+def _make(kind: int, index: int, name: str) -> Coord:
+    c = _BY_KEY[kind, index] = int.__new__(Coord, kind * _SPAN + index)
+    _NAMES[c] = name
+    return c
+
+
+T = _make(KIND_INDEP, 0, "t")
+Y = _make(KIND_INDEP, 1, "y")
+_JETS = tuple(_make(KIND_JET, l, f"u_{l}" if l else "u") for l in range(_SPAN))
+U = _JETS[0]
+PARAM = _make(KIND_PARAM, 0, "lambda")
+_NEXT_JET = dict(zip(_JETS, _JETS[1:]))  # u_l -> u_(l+1)
 
 
 def jet(l: int) -> Coord:
@@ -103,21 +119,24 @@ def coord_by_name(name: str):
         return U
     if name.startswith("u_"):
         suffix = name[2:]
-        if suffix.isdigit() and int(suffix) >= 1:
+        if suffix.isdigit() and 1 <= int(suffix) < _SPAN:
             return jet(int(suffix))
     return None
 
 
-class Monomial:
-    """One canonical term: coeff * prod(exp(w*z)) * prod(coord^power)."""
+class Monomial(tuple):
+    """One canonical term: coeff * prod(exp(w*z)) * prod(coord^power).
 
-    __slots__ = ("coeff", "powers", "expvec")
+    The pair ``(key, coeff)``, with ``key = (jet_degree, powers, expvec)``
+    the shape key described in the module docstring; monomials hash and
+    compare as tuples.
+    """
 
-    def __init__(self, coeff, powers: Mapping, expvec: Mapping):
-        self.coeff = _frac(coeff)
-        self.powers = tuple(
-            sorted(((c, int(p)) for c, p in powers.items() if p != 0), key=lambda cp: cp[0].key())
-        )
+    __slots__ = ()
+
+    def __new__(cls, coeff, powers: Mapping, expvec: Mapping):
+        coeff = _frac(coeff)
+        pw = tuple(sorted((c, int(p)) for c, p in powers.items() if p != 0))
         ev = []
         for c, w in expvec.items():
             w = _frac(w)
@@ -126,83 +145,124 @@ class Monomial:
             if not c.is_zero_jet:
                 raise ValueError(f"exponential weight on non-0-jet coordinate {c.name}")
             ev.append((c, w))
-        self.expvec = tuple(sorted(ev, key=lambda cw: cw[0].key()))
-        for _, p in self.powers:
-            if p < 0:
-                raise ValueError("negative power")
+        if any(p < 0 for _, p in pw):
+            raise ValueError("negative power")
+        jet_degree = sum(p for c, p in pw if U <= c < PARAM)
+        return tuple.__new__(cls, ((jet_degree, pw, tuple(sorted(ev))), coeff))
 
-    @property
-    def shape(self) -> tuple:
-        """Hashable identity without the coefficient."""
-        return (self.powers, self.expvec)
+    key = property(itemgetter(0))
+    coeff = property(itemgetter(1))
+    powers = property(lambda m: m[0][1])
+    expvec = property(lambda m: m[0][2])
+    shape = property(lambda m: m[0][1:], doc="Hashable identity without the coefficient.")
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Monomial)
-            and self.coeff == other.coeff
-            and self.powers == other.powers
-            and self.expvec == other.expvec
-        )
-
-    def __hash__(self):
-        return hash((self.coeff, self.powers, self.expvec))
+    def __reduce__(self):
+        return Monomial, (self.coeff, dict(self.powers), dict(self.expvec))
 
     def power(self, c: Coord) -> int:
-        for cc, p in self.powers:
-            if cc == c:
-                return p
-        return 0
+        return dict(self.powers).get(c, 0)
 
     def weight(self, c: Coord) -> Fraction:
-        for cc, w in self.expvec:
-            if cc == c:
-                return w
-        return ZERO
-
-    def jet_degree(self) -> int:
-        return sum(p for c, p in self.powers if c.kind == KIND_JET)
-
-    def sort_key(self) -> tuple:
-        return (
-            self.jet_degree(),
-            tuple((c.key(), p) for c, p in self.powers),
-            tuple((c.key(), w) for c, w in self.expvec),
-        )
+        return dict(self.expvec).get(c, ZERO)
 
     def __repr__(self):
         return f"Monomial({self.coeff}, {self.shape})"
 
 
-def _mono(coeff: Fraction, powers: tuple, expvec: tuple) -> Monomial:
-    """Monomial from a Fraction coefficient and an already canonical shape."""
-    m = object.__new__(Monomial)
-    m.coeff = coeff
-    m.powers = powers
-    m.expvec = expvec
-    return m
+_new_monomial = tuple.__new__
+
+
+def _merged(pairs: Iterable) -> "ExpPolyExpr":
+    """The sum of ``(key, coeff)`` pairs: like keys merged once, then sorted once."""
+    acc = {}
+    get = acc.get
+    for key, c in pairs:
+        prev = get(key)
+        acc[key] = c if prev is None else prev + c
+    e = object.__new__(ExpPolyExpr)
+    e.terms = tuple(_new_monomial(Monomial, kc) for kc in sorted(acc.items()) if kc[1])
+    return e
 
 
 def _bump(pairs: tuple, c: Coord, delta) -> tuple:
-    """Canonical power (or weight) tuple with the entry of ``c`` raised by ``delta``."""
-    k = c.key()
+    """Canonical power (or weight) pairs with the entry of ``c`` raised by ``delta``."""
     for i, (cc, p) in enumerate(pairs):
-        kk = cc.key()
-        if kk == k:
+        if cc == c:
             rest = pairs[i + 1 :]
             return pairs[:i] + (((c, p + delta),) + rest if p + delta else rest)
-        if kk > k:
+        if cc > c:
             return pairs[:i] + ((c, delta),) + pairs[i:]
     return pairs + ((c, delta),)
 
 
-def _partial_terms(m: Monomial, c: Coord):
-    """Terms of d m / d c: the power rule, then the exponential rule."""
-    p = m.power(c)
-    if p:
-        yield _mono(m.coeff * p, _bump(m.powers, c, -1), m.expvec)
-    w = m.weight(c)
-    if w:
-        yield _mono(m.coeff * w, m.powers, m.expvec)
+def _add_pairs(x: tuple, y: tuple) -> tuple:
+    """Entrywise sum of two canonical sparse pair tuples, zeros dropped."""
+    if not y:
+        return x
+    if not x:
+        return y
+    if len(y) == 1:
+        c, v = y[0]
+        return _bump(x, c, v)
+    acc = dict(x)
+    for c, v in y:
+        v += acc.get(c, 0)
+        if v:
+            acc[c] = v
+        else:
+            del acc[c]
+    return tuple(sorted(acc.items()))
+
+
+def _lower(pairs: tuple, i: int, up=None) -> tuple:
+    """Pairs with the power at position ``i`` lowered by one and, when given,
+    the power of ``up`` (the next coordinate after it) raised by one."""
+    c, p = pairs[i]
+    rest = pairs[i + 1 :]
+    if up is not None:
+        if rest and rest[0][0] == up:
+            rest = ((up, rest[0][1] + 1),) + rest[1:]
+        else:
+            rest = ((up, 1),) + rest
+    return pairs[:i] + ((c, p - 1),) + rest if p > 1 else pairs[:i] + rest
+
+
+def _product_pairs(xs: tuple, ys: tuple):
+    """``(key, coeff)`` pairs of the product of two term tuples, unmerged."""
+    for (xd, xp, xe), xc in xs:
+        for (yd, yp, ye), yc in ys:
+            yield (xd + yd, _add_pairs(xp, yp), _add_pairs(xe, ye)), xc * yc
+
+
+def _partial_pairs(terms: tuple, c: Coord):
+    """Pairs of d/dc: the power rule, then the exponential rule."""
+    drop = 1 if U <= c < PARAM else 0
+    for key, coeff in terms:
+        jd, powers, expvec = key
+        for i, (cc, p) in enumerate(powers):
+            if cc == c:
+                yield (jd - drop, _lower(powers, i), expvec), coeff * p
+                break
+        for cc, w in expvec:
+            if cc == c:
+                yield key, coeff * w
+                break
+
+
+def _total_derive_y_pairs(terms: tuple):
+    """Pairs of D_y = d/dy + sum_l u_(l+1) d/d u_l, unmerged."""
+    for key, coeff in terms:
+        jd, powers, expvec = key
+        for i, (c, p) in enumerate(powers):
+            if c == Y:
+                yield (jd, _lower(powers, i), expvec), coeff * p
+            elif U <= c < PARAM:
+                yield (jd, _lower(powers, i, _NEXT_JET[c]), expvec), coeff * p
+        for c, w in expvec:
+            if c == Y:
+                yield key, coeff * w
+            elif c == U:
+                yield (jd + 1, _bump(powers, _JETS[1], 1), expvec), coeff * w
 
 
 class ExpPolyExpr:
@@ -211,13 +271,7 @@ class ExpPolyExpr:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Iterable[Monomial] = ()):
-        acc = {}
-        for m in terms:
-            key = m.shape
-            prev = acc.get(key)
-            acc[key] = m if prev is None else _mono(prev.coeff + m.coeff, *key)
-        merged = [m for m in acc.values() if m.coeff]
-        self.terms = tuple(sorted(merged, key=Monomial.sort_key))
+        self.terms = _merged(terms).terms
 
     # -- constructors -------------------------------------------------
 
@@ -258,33 +312,25 @@ class ExpPolyExpr:
         return hash(self.terms)
 
     def __add__(self, other: "ExpPolyExpr") -> "ExpPolyExpr":
-        return ExpPolyExpr(self.terms + other.terms)
+        return _merged(self.terms + other.terms)
 
     def __sub__(self, other: "ExpPolyExpr") -> "ExpPolyExpr":
-        return self + (-other)
+        return _merged(itertools.chain(self.terms, ((k, -c) for k, c in other.terms)))
 
     def __neg__(self) -> "ExpPolyExpr":
         return self.scale(-1)
 
     def scale(self, c) -> "ExpPolyExpr":
+        """c times self; a nonzero factor keeps every key, so nothing is merged."""
         c = _frac(c)
-        if c == 0:
-            return ExpPolyExpr()
-        return ExpPolyExpr(_mono(c * m.coeff, m.powers, m.expvec) for m in self.terms)
+        e = object.__new__(ExpPolyExpr)
+        e.terms = tuple(_new_monomial(Monomial, (k, c * a)) for k, a in self.terms) if c else ()
+        return e
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        out = []
-        for a in self.terms:
-            for b in other.terms:
-                powers, expvec = a.powers, a.expvec
-                for c, p in b.powers:
-                    powers = _bump(powers, c, p)
-                for c, w in b.expvec:
-                    expvec = _bump(expvec, c, w)
-                out.append(_mono(a.coeff * b.coeff, powers, expvec))
-        return ExpPolyExpr(out)
+        return _merged(_product_pairs(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -296,20 +342,11 @@ class ExpPolyExpr:
         Both the power rule and the exponential rule apply:
         d/dz (exp(w z) z^k M) = w exp(w z) z^k M + k exp(w z) z^(k-1) M.
         """
-        return ExpPolyExpr(t for m in self.terms for t in _partial_terms(m, c))
+        return _merged(_partial_pairs(self.terms, c))
 
     def total_derive_y(self) -> "ExpPolyExpr":
         """Total y-derivative: D_y = d/dy + sum_l u_(l+1) d/d u_(l), merged once."""
-        out = []
-        for m in self.terms:
-            out.extend(_partial_terms(m, Y))
-            for c in dict.fromkeys(c for c, _ in m.powers + m.expvec if c.kind == KIND_JET):
-                up = jet(c.index + 1)
-                out.extend(
-                    _mono(d.coeff, _bump(d.powers, up, 1), d.expvec)
-                    for d in _partial_terms(m, c)
-                )
-        return ExpPolyExpr(out)
+        return _merged(_total_derive_y_pairs(self.terms))
 
     def order(self) -> int:
         """Highest jet order present; -1 for jet-free expressions.
@@ -317,7 +354,7 @@ class ExpPolyExpr:
         Dependence through an exponential weight on u counts as order 0.
         """
         return max(
-            (c.index for m in self.terms for c, _ in m.powers + m.expvec if c.kind == KIND_JET),
+            (c.index for m in self.terms for c, _ in m.powers + m.expvec if U <= c < PARAM),
             default=-1,
         )
 
@@ -395,13 +432,29 @@ class LinearDiffOp:
 
     def apply_shifted(self, theta: ExpPolyExpr, shift: ExpPolyExpr) -> ExpPolyExpr:
         """Apply with D_y replaced by (D_y + shift), shift a constant expression."""
-        terms = []
-        current = theta
-        for j, a in enumerate(self.coefficients):
-            if j:
-                current = current.total_derive_y() + shift * current
-            terms.extend((a * current).terms)
-        return ExpPolyExpr(terms)
+        derivatives = [theta]
+        for _ in range(self.order):
+            terms = derivatives[-1].terms
+            pairs = _total_derive_y_pairs(terms)
+            if shift.terms:
+                pairs = itertools.chain(pairs, _product_pairs(shift.terms, terms))
+            derivatives.append(_merged(pairs))
+        return self.contract(derivatives)
+
+    def contract(self, derivatives: Sequence[ExpPolyExpr]) -> ExpPolyExpr:
+        """sum_j a_j * derivatives[j], merged once.
+
+        With ``derivatives[j] = D_y^j theta`` this is the operator applied to
+        theta, so callers that apply many operators to one theta compute its
+        derivatives once.
+        """
+        if len(derivatives) < len(self.coefficients):
+            raise ValueError("contract needs D_y^j theta for j up to the operator order")
+        return _merged(
+            pair
+            for a, d in zip(self.coefficients, derivatives)
+            for pair in _product_pairs(a.terms, d.terms)
+        )
 
     def __eq__(self, other):
         return isinstance(other, LinearDiffOp) and self.coefficients == other.coefficients
@@ -439,18 +492,12 @@ class ExpPolyElement:
         if not items:
             raise ValueError("zero expression has no exponential-polynomial form")
         self.table = tuple(items)
-        g = len(self.selected)
-        degs = [0] * g
-        for j, _ in self.table:
-            for s in range(g):
-                degs[s] = max(degs[s], j[s])
-        self.degrees = tuple(d + 1 for d in degs)
+        self.degrees = tuple(
+            max(j[s] for j, _ in self.table) + 1 for s in range(len(self.selected))
+        )
 
     def coefficient(self, j: tuple) -> ExpPolyExpr:
-        for jj, e in self.table:
-            if jj == tuple(j):
-                return e
-        return ExpPolyExpr.zero()
+        return dict(self.table).get(tuple(j), ExpPolyExpr.zero())
 
     def reconstruct(self) -> ExpPolyExpr:
         weights = dict(zip(self.selected, self.lambdas))
@@ -509,7 +556,9 @@ def canonical_exp_poly(e: ExpPolyExpr, selected: Sequence[Coord]) -> ExpPolyElem
 
 def combine(coeffs: Sequence, exprs: Sequence[ExpPolyExpr]) -> ExpPolyExpr:
     """The linear combination sum c_i * e_i, merged once."""
-    return ExpPolyExpr(t for c, e in zip(coeffs, exprs) if c for t in e.scale(c).terms)
+    return _merged(
+        (key, c * a) for c, e in zip(map(_frac, coeffs), exprs) if c for key, a in e.terms
+    )
 
 
 def monomial_coordinates(exprs: Sequence[ExpPolyExpr]) -> tuple:
@@ -519,19 +568,15 @@ def monomial_coordinates(exprs: Sequence[ExpPolyExpr]) -> tuple:
     monomial shapes occurring in any input and vectors[i][k] is the
     coefficient of shapes[k] in exprs[i].
     """
-    shape_set = {}
-    for e in exprs:
-        for m in e.terms:
-            shape_set.setdefault(m.shape, m.sort_key())
-    shapes = tuple(sorted(shape_set, key=shape_set.get))
-    index = {s: i for i, s in enumerate(shapes)}
+    keys = sorted({key for e in exprs for key, _ in e.terms})
+    index = {key: i for i, key in enumerate(keys)}
     vectors = []
     for e in exprs:
-        v = [ZERO] * len(shapes)
-        for m in e.terms:
-            v[index[m.shape]] = m.coeff
+        v = [ZERO] * len(keys)
+        for key, c in e.terms:
+            v[index[key]] = c
         vectors.append(tuple(v))
-    return shapes, vectors
+    return tuple(key[1:] for key in keys), vectors
 
 
 def all_jet_monomials(q_max: int, total_degree: int) -> list:
@@ -540,19 +585,10 @@ def all_jet_monomials(q_max: int, total_degree: int) -> list:
     Ordered by total degree, then by exponent vector with lower jets first;
     the constant monomial comes first.
     """
-    out = []
-    orders = list(range(q_max + 1))
-    for deg in range(total_degree + 1):
-        combos = set()
-        for combo in itertools.combinations_with_replacement(orders, deg):
-            combos.add(combo)
-        keyed = []
-        for combo in combos:
-            bvec = [0] * (q_max + 1)
-            for l in combo:
-                bvec[l] += 1
-            keyed.append(tuple(bvec))
-        for bvec in sorted(keyed, key=lambda b: tuple(-x for x in b)):
-            powers = {jet(l): b for l, b in enumerate(bvec) if b}
-            out.append(ExpPolyExpr.monomial(ONE, powers, {}))
-    return out
+    # combinations in lexicographic order are exponent vectors in
+    # descending order: more weight on lower jets first
+    return [
+        ExpPolyExpr.monomial(ONE, {jet(l): combo.count(l) for l in combo})
+        for deg in range(total_degree + 1)
+        for combo in itertools.combinations_with_replacement(range(q_max + 1), deg)
+    ]

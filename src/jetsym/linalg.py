@@ -439,14 +439,21 @@ def _divisors(n: int) -> list:
     return small + large[::-1]
 
 
+# Each candidate costs one exact evaluation and its share of one sort:
+# about 30 us at the degrees the weight scan produces (2-core Xeon VM), so
+# one search at the bound takes about 0.3 s.
+MAX_ROOT_CANDIDATES = 10_000
+
+
 def rational_roots(p: UniPoly) -> tuple:
     """All rational roots with multiplicities, plus the rational-root-free residual.
 
     Uses the primitive integer form and divisor enumeration of the leading
     and trailing coefficients, so the search is complete for rational roots.
     The residual is returned monic.  A leading or trailing coefficient
-    above ``10**12`` raises ``ScopeError`` instead of a trial division
-    that would not finish.
+    above ``10**12``, or more than ``MAX_ROOT_CANDIDATES`` candidates
+    ``+-p/q``, raises ``ScopeError`` instead of a search that would not
+    finish.
     """
     if p.is_zero():
         raise ZeroPolynomialError("root search on zero polynomial")
@@ -477,9 +484,16 @@ def rational_roots(p: UniPoly) -> tuple:
                 f"{len(str(big))}-digit leading or trailing coefficient, "
                 "above the 10^12 bound of divisor enumeration"
             )
+        nums, dens = _divisors(trail), _divisors(lead)
+        count = 2 * len(nums) * len(dens)
+        if count > MAX_ROOT_CANDIDATES:
+            raise ScopeError(
+                f"rational root search on {p}: its integer form has {count} "
+                f"candidate roots +-p/q, above the bound of {MAX_ROOT_CANDIDATES}"
+            )
         cands = set()
-        for pnum in _divisors(trail):
-            for qden in _divisors(lead):
+        for pnum in nums:
+            for qden in dens:
                 cands.add(Fraction(pnum, qden))
                 cands.add(Fraction(-pnum, qden))
         for cand in sorted(cands):

@@ -190,14 +190,15 @@ class _Parser:
                 inner = self.expr()
                 self.expect_op(")")
                 return self._exp_factor(inner, at)
+            order = value[2:]
+            if value.startswith("u_") and order.isdigit() and int(order) > 9:
+                raise ParseError(
+                    f"jet order out of range in {value!r}",
+                    position=at,
+                    expected=("u_1 .. u_9",),
+                )
             coord = coord_by_name(value)
             if coord is not None:
-                if coord.jet_order is not None and not (0 <= coord.jet_order <= 9):
-                    raise ParseError(
-                        f"jet order out of range in {value!r}",
-                        position=at,
-                        expected=("u_1 .. u_9",),
-                    )
                 self.advance()
                 return ExpPolyExpr.coordinate(coord)
             raise ParseError(

@@ -173,13 +173,20 @@ def run_pipeline(cfg: RunConfig) -> Report:
             report.lambda_scan.residual_factors if report.lambda_scan else ()
         )
         # the weight scan speaks about y-exponentials, so only a y-verdict
-        # can be contradicted by its unresolved factors
+        # can be contradicted by its unresolved factors, and only when the
+        # run claims every weight; with declared weights the verdict is
+        # relative to them and the factors are reported
         if target == Y and not verdict.exists and residuals:
-            raise UnresolvedSpectrumError(
-                "the criterion is undecided over the rationals: the weight "
-                "scan has non-rational candidate factors "
-                + ", ".join(str(f) for f in residuals),
-                factors=residuals,
+            factors = ", ".join(str(f) for f in residuals)
+            if cfg.lambda_mode == "auto":
+                raise UnresolvedSpectrumError(
+                    "the criterion is undecided over the rationals: the weight "
+                    "scan has non-rational candidate factors " + factors,
+                    factors=residuals,
+                )
+            report.notes.append(
+                "the verdict is relative to the declared weights; the "
+                "exponential-weight scan left rational-root-free factors: " + factors
             )
     _stamp(report, started)
     return report

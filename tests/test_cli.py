@@ -1,9 +1,14 @@
 """Command-line behavior: modes, determinism, and the error-code taxonomy."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import jetsym
 from jetsym import engine, structure
 from jetsym.cli import main
 from jetsym.report import RunConfig, emit_report, run_pipeline
@@ -229,7 +234,8 @@ class TestErrorCodes:
         assert "u_9" in data["error"]["message"]
 
     @pytest.mark.parametrize(
-        "extra", [["--order", "-1"], ["--ydeg", "-1"], ["--target", "u_1"]]
+        "extra",
+        [["--order", "-1"], ["--ydeg", "-1"], ["--target", "u_1"], ["--target", "u_100"]],
     )
     def test_scope_error_bad_cap_or_target(self, tmp_path, extra):
         code, data = run_json(tmp_path, ["--eq", "u_t = u_2"] + extra)
@@ -284,6 +290,35 @@ class TestErrorCodes:
         assert code == 5
         assert data["error"]["kind"] == "spectrum"
         assert data["error"]["factors"] == ["lambda^2 + 1"]
+
+    @pytest.mark.parametrize("weights", ["none", "1"])
+    def test_declared_weights_report_unresolved_factors(self, tmp_path, weights):
+        # the verdict is relative to the declared weights, so the factor the
+        # scan cannot resolve is a note, not an undecided run
+        code, data = run_json(
+            tmp_path, ["--eq", "u_t = u_2 + u", "--mode", "criterion", "--lambda", weights]
+        )
+        assert code == 0
+        assert data["criterion"]["exists"] is False
+        assert any("lambda^2 + 1" in note for note in data["notes"])
+
+    def test_scope_error_too_many_root_candidates(self, tmp_path):
+        # both coefficients are below 10^12, but their divisors give 737280
+        # candidate roots; the search is refused instead of run
+        path = tmp_path / "out.json"
+        env = dict(os.environ)
+        src = str(Path(jetsym.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "jetsym", "--eq",
+             "u_t = u_2 - 435656388001/1816214400*u", "--mode", "criterion",
+             "--json", str(path)],
+            env=env, capture_output=True, timeout=30,
+        )
+        assert proc.returncode == 3
+        data = json.loads(path.read_text(encoding="utf-8"))
+        assert data["error"]["kind"] == "scope"
+        assert "737280 candidate roots" in data["error"]["message"]
 
     def test_bad_lambda_list(self, tmp_path):
         code, data = run_json(tmp_path, ["--eq", "u_t = u_2", "--lambda", "0,x"])

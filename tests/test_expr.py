@@ -1,5 +1,7 @@
 """Expression algebra: canonical form, calculus rules, exponential-polynomial reading."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -22,7 +24,7 @@ from jetsym.expr import (
     jet,
     monomial_coordinates,
 )
-from jetsym.parser import parse_expression
+from jetsym.parser import parse_characteristic, parse_expression
 
 F = Fraction
 E = parse_expression
@@ -241,6 +243,36 @@ class TestHelpers:
     def test_coordinate_ordering(self):
         assert T < Y < U < jet(1) < jet(2)
 
+    def test_term_order(self):
+        # jet degree first, then powers by coordinate: y*u_1 precedes u_1
+        e = parse_characteristic("u_1 + y*u_1 + u*y + y^2")
+        assert e.render() == "y^2 + y*u + y*u_1 + u_1"
+
+
+class TestCoordinates:
+    ALL = (T, Y, PARAM) + tuple(jet(l) for l in range(10))
+
+    def test_one_object_per_coordinate(self):
+        for l in range(10):
+            assert jet(l) is jet(l)
+        assert jet(0) is U
+
+    def test_sorted_like_kind_and_index(self):
+        shuffled = list(self.ALL)
+        random.Random(59).shuffle(shuffled)
+        assert sorted(shuffled) == sorted(shuffled, key=lambda c: (c.kind, c.index))
+
+    def test_copies_are_the_same_object(self):
+        for c in self.ALL:
+            assert copy.copy(c) is c
+            assert copy.deepcopy(c) is c
+            assert pickle.loads(pickle.dumps(c)) is c
+
+    def test_expressions_survive_pickle(self):
+        e = E("3*exp(-1/2*y)*y*u_1^2 - exp(u)*u + 1")
+        assert pickle.loads(pickle.dumps(e)) == e
+        assert copy.deepcopy(e).render() == e.render()
+
 
 # -- reference calculus ------------------------------------------------------
 # The bodies below are the accumulate-and-re-merge versions the library used
@@ -330,11 +362,30 @@ operators = st.lists(expressions(max_terms=2), max_size=4).map(LinearDiffOp)
 CALCULUS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
 
+def reference_order_key(m):
+    """The term order written out: jet degree, then powers, then weights.
+
+    Coordinates are compared as (kind, index), independently of how the
+    library encodes them.
+    """
+    def pairs(entries):
+        return tuple(sorted(((c.kind, c.index), v) for c, v in entries))
+
+    return (
+        sum(p for c, p in m.powers if c.kind == KIND_JET),
+        pairs(m.powers),
+        pairs(m.expvec),
+    )
+
+
 def assert_canonical(e):
     shapes = [m.shape for m in e.terms]
     assert len(shapes) == len(set(shapes))
     assert all(m.coeff != 0 for m in e.terms)
-    assert list(e.terms) == sorted(e.terms, key=Monomial.sort_key)
+    for m in e.terms:
+        for entries in (m.powers, m.expvec):
+            assert list(entries) == sorted(entries, key=lambda cv: (cv[0].kind, cv[0].index))
+    assert list(e.terms) == sorted(e.terms, key=reference_order_key)
 
 
 class TestAgainstReferenceCalculus:

@@ -47,6 +47,10 @@ CASES = {
          "--check", "exp(y)*u", "--check", "(u + u_1 + u_2 + u_3 + y)^4"],
         0,
     ),
+    "criterion_unresolved_declared_weights": (
+        ["--eq", "u_t = u_2 + u", "--mode", "criterion", "--lambda", "none"],
+        0,
+    ),
     "error_syntax": (["--eq", "u_t = u_2 +"], 2),
     "error_scope": (["--eq", "u_t = y*u_2"], 3),
     "error_closure": (

@@ -98,6 +98,9 @@ class TestExpressions:
             parse_expression("u_12")
         with pytest.raises(ParseError):
             parse_expression("u_0")
+        for text in ("u_63", "u_64", "u_100"):
+            with pytest.raises(ParseError, match="jet order out of range"):
+                parse_expression(text)
 
     def test_unknown_name(self):
         with pytest.raises(ParseError) as info:
