@@ -12,6 +12,7 @@ substitution into it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Optional, Sequence
 
 from .errors import EmptyAnsatzError, ScopeError
@@ -96,13 +97,20 @@ def lie_bracket(eta1: ExpPolyExpr, eta2: ExpPolyExpr) -> ExpPolyExpr:
     return eta2.frechet().apply(eta1) - eta1.frechet().apply(eta2)
 
 
+# Generators C(q_max + 1 + jet_degree, jet_degree) * (y_degree + 1) above
+# which build_ansatz refuses the caps.  Assembly and elimination grow
+# faster than linearly: heat and KdV runs with 1,650 to 1,980 generators
+# take 7 to 18 s end to end and 4,004 about 30 s (2-core Xeon VM).
+MAX_ANSATZ_GENERATORS = 2000
+
+
 @dataclass(frozen=True)
 class AnsatzSpace:
-    """Finite space of candidate characteristics.
+    """Finite space of candidate characteristics exp(w*y) * g.
 
-    Generators are monomials exp(w*y) * y^a * (jet monomial); in symbolic
-    mode the exponential weight is left as a formal parameter and the
-    generators listed here are the weight-free parts.
+    ``generators`` are the weight-free monomials g = y^a * (jet monomial)
+    and ``weights`` the sorted exponential weights w; the space is spanned
+    by every product, weights outermost.
     """
 
     generators: tuple
@@ -110,76 +118,63 @@ class AnsatzSpace:
     y_degree: int
     jet_degree: int
     weights: tuple
-    symbolic: bool = False
 
     def describe(self) -> dict:
         return {
             "q_max": self.q_max,
             "y_degree": self.y_degree,
             "jet_degree": self.jet_degree,
-            "weights": "symbolic" if self.symbolic else [str(w) for w in self.weights],
-            "size": len(self.generators),
+            "weights": [str(w) for w in self.weights],
+            "size": len(self.generators) * len(self.weights),
         }
 
 
 def build_ansatz(
-    q_max: int,
-    y_degree: int,
-    jet_degree: int,
-    weights: Sequence = (0,),
-    symbolic: bool = False,
+    q_max: int, y_degree: int, jet_degree: int, weights: Sequence = (0,)
 ) -> AnsatzSpace:
-    """Enumerate generators exp(w*y) y^a m(u, ..., u_{q_max}) within the caps.
+    """Enumerate generators y^a m(u, ..., u_{q_max}) within the caps.
 
-    Enumeration order: weights ascending, then jet monomials by total
-    degree (lower jets first), then the y power; this order is part of the
-    deterministic output contract.
+    Enumeration order: jet monomials by total degree (lower jets first),
+    then the y power; this order, inside ascending weights, is part of the
+    deterministic output contract.  Caps with more than
+    ``MAX_ANSATZ_GENERATORS`` generators raise ``ScopeError`` before any
+    is built.
     """
     if min(q_max, y_degree, jet_degree) < 0:
         raise EmptyAnsatzError("ansatz caps must be non-negative")
-    weight_list = (ZERO,) if symbolic else tuple(sorted(_frac(w) for w in set(weights)))
+    weight_list = tuple(sorted(_frac(w) for w in set(weights)))
     if not weight_list:
         raise EmptyAnsatzError("no exponential weights given")
-    jets = all_jet_monomials(q_max, jet_degree)
+    size = comb(q_max + 1 + jet_degree, jet_degree) * (y_degree + 1)
+    if size > MAX_ANSATZ_GENERATORS:
+        raise ScopeError(
+            f"the ansatz (q_max={q_max}, jet_degree={jet_degree}, y_degree={y_degree}) "
+            f"has {size} generators, above the cap of {MAX_ANSATZ_GENERATORS}"
+        )
     gens = [
-        ExpPolyExpr.exponential(Y, w) * jm * ExpPolyExpr.monomial(ONE, {Y: a})
-        for w in weight_list
-        for jm in jets
+        jm * ExpPolyExpr.monomial(ONE, {Y: a})
+        for jm in all_jet_monomials(q_max, jet_degree)
         for a in range(y_degree + 1)
     ]
-    if not gens:
-        raise EmptyAnsatzError("ansatz caps produce no generators")
-    return AnsatzSpace(
-        generators=tuple(gens),
-        q_max=q_max,
-        y_degree=y_degree,
-        jet_degree=jet_degree,
-        weights=() if symbolic else tuple(weight_list),
-        symbolic=symbolic,
-    )
+    return AnsatzSpace(tuple(gens), q_max, y_degree, jet_degree, weight_list)
 
 
 @dataclass(frozen=True)
 class DeterminingSystem:
-    """Linear constraints on ansatz coefficients.
+    """Linear constraints on the coefficients of exp(w*y) * g over generators g.
 
     One row per jet/y monomial occurring in any generator defect; the
     entry in column l is that monomial's coefficient in the defect of
-    generator l.  Symbolic entries are polynomials in the exponential
-    weight (the common exp factor is divided out first); ``substitute``
-    fixes the weight and gives rational entries.
+    exp(w*y) times generator l, with the common exp factor divided out.
+    Entries are ``UniPoly`` polynomials in the weight w; ``substitute``
+    fixes the weight and gives the rational matrix.
     """
 
     generators: tuple
     row_shapes: tuple
-    rows: tuple
-    symbolic: bool
-
-    @property
-    def matrix(self) -> RatMatrix:
-        if self.symbolic:
-            raise ValueError("symbolic system has polynomial entries")
-        return RatMatrix(self.rows, cols=len(self.generators))
+    rows: tuple  # tuples of UniPoly entries
+    # every system keeps the weight as an unknown; perfbench/tracer.py reads this
+    symbolic = True
 
     def row_labels(self) -> list:
         """Readable name of the monomial each row annihilates."""
@@ -188,16 +183,11 @@ class DeterminingSystem:
             for powers, expvec in self.row_shapes
         ]
 
-    def poly_rows(self) -> list:
-        if not self.symbolic:
-            raise ValueError("fixed-weight system has rational entries")
-        return [list(r) for r in self.rows]
-
-    def substitute(self, w) -> "DeterminingSystem":
-        """Specialize a symbolic system at a fixed exponential weight."""
+    def substitute(self, w) -> RatMatrix:
+        """The rational system at the fixed weight w, without its zero rows."""
         w = _frac(w)
-        rows = tuple(tuple(p.eval(w) if p.coeffs else ZERO for p in row) for row in self.rows)
-        return DeterminingSystem(self.generators, self.row_shapes, rows, False)
+        rows = (tuple(p.eval(w) if p.coeffs else ZERO for p in row) for row in self.rows)
+        return RatMatrix([r for r in rows if any(r)], cols=len(self.generators))
 
     def restrict(self, generators) -> "DeterminingSystem":
         """The columns of the given generators, in that order, without zero rows.
@@ -213,10 +203,10 @@ class DeterminingSystem:
         kept = [(s, tuple(r[j] for j in cols)) for s, r in zip(self.row_shapes, self.rows)]
         kept = [(s, r) for s, r in kept if any(p.coeffs for p in r)]
         shapes = tuple(s for s, _ in kept)
-        return DeterminingSystem(generators, shapes, tuple(r for _, r in kept), self.symbolic)
+        return DeterminingSystem(generators, shapes, tuple(r for _, r in kept))
 
 
-def _symbolic_defect(gen: ExpPolyExpr, eq: EvolutionEquation) -> ExpPolyExpr:
+def _weighted_defect(gen: ExpPolyExpr, eq: EvolutionEquation) -> ExpPolyExpr:
     """Defect of exp(w*y)*gen with the common exp factor removed.
 
     For y-independent G the identity
@@ -229,15 +219,13 @@ def _symbolic_defect(gen: ExpPolyExpr, eq: EvolutionEquation) -> ExpPolyExpr:
 
 
 def determining_system(ansatz: AnsatzSpace, eq: EvolutionEquation) -> DeterminingSystem:
-    """Assemble the symbolic constraint matrix of a symbolic ansatz.
+    """Assemble the constraint matrix of the ansatz's generators, weight unknown.
 
-    This is the only assembly: the system of the same caps at a fixed
-    weight w is ``substitute(w)`` of it, and a smaller ansatz's system is a
+    This is the only assembly: the system at a fixed weight w is
+    ``substitute(w)`` of it, and a smaller ansatz's system is a
     ``restrict`` of it.
     """
-    if not ansatz.symbolic:
-        raise ValueError("determining_system needs a symbolic ansatz; see substitute")
-    defects = [_symbolic_defect(g, eq) for g in ansatz.generators]
+    defects = [_weighted_defect(g, eq) for g in ansatz.generators]
     # strip the parameter power (PARAM has the largest code, so it is the
     # last power) out of each shape key; within one defect every
     # (key, power) pair occurs once
@@ -257,7 +245,7 @@ def determining_system(ansatz: AnsatzSpace, eq: EvolutionEquation) -> Determinin
     for (key, col), cell in cells.items():
         rows[index[key]][col] = UniPoly([cell.get(k, ZERO) for k in range(max(cell) + 1)])
     shapes = tuple(key[1:] for key in keys)
-    return DeterminingSystem(ansatz.generators, shapes, tuple(map(tuple, rows)), True)
+    return DeterminingSystem(ansatz.generators, shapes, tuple(map(tuple, rows)))
 
 
 @dataclass(frozen=True)
@@ -268,7 +256,7 @@ class SymmetryBasis:
     ansatz: AnsatzSpace
     elements: tuple
     dims: tuple  # dims[q] = dimension of the order-<=q subspace, q = 0..q_max
-    system: DeterminingSystem  # the symbolic system the basis was read off
+    system: DeterminingSystem  # the system, weight unknown, the basis was read off
 
     def __len__(self):
         return len(self.elements)
@@ -281,33 +269,32 @@ def solve_symmetries(
 ) -> SymmetryBasis:
     """Exact basis of symmetry characteristics inside the ansatz space.
 
-    Columns group by weight and no monomial is shared between weights, so
-    the kernel is the concatenation, in weight order, of the kernels of
-    ``system.substitute(w)``.  ``system`` is the symbolic system of the
-    same caps (or of larger ones) when the caller has already assembled
-    it; it is assembled here only when none is given.
+    No monomial is shared between weights, so the kernel is the
+    concatenation, in weight order, of exp(w*y) times the kernels of
+    ``system.substitute(w)``.  ``system`` is the system of the same caps
+    (or of larger ones) when the caller has already assembled it; it is
+    assembled here only when none is given.
     """
-    if ansatz.symbolic:
-        raise ValueError("solve_symmetries requires fixed exponential weights")
-    free = build_ansatz(ansatz.q_max, ansatz.y_degree, ansatz.jet_degree, symbolic=True)
     if system is None:
-        system = determining_system(free, eq)
-    system = system.restrict(free.generators)
-    n = len(free.generators)
+        system = determining_system(ansatz, eq)
+    system = system.restrict(ansatz.generators)
+    gens = ansatz.generators
+    n = len(gens)
     # with columns taken by ascending order, the order-<=q generators are a
     # leading block whose rank is the number of pivots inside it
-    gen_orders = [g.order() for g in free.generators]
+    gen_orders = [g.order() for g in gens]
     by_order = sorted(range(n), key=gen_orders.__getitem__)
     counts = [sum(1 for o in gen_orders if o <= q) for q in range(ansatz.q_max + 1)]
     elements, dims = [], [0] * len(counts)
-    for i, w in enumerate(ansatz.weights):
-        fixed = [row for row in system.substitute(w).rows if any(row)]
-        kernel = nullspace(RatMatrix(fixed, cols=n))
+    for w in ansatz.weights:
+        fixed = system.substitute(w)
+        kernel = nullspace(fixed)
         if not kernel:
             continue  # full column rank: no order-<=q block has a kernel either
-        gens = ansatz.generators[i * n : (i + 1) * n]
-        elements.extend(combine(vec, gens) for vec in kernel)
-        _, pivots = rref(RatMatrix([[row[j] for j in by_order] for row in fixed], cols=n))
+        exp_w = ExpPolyExpr.exponential(Y, w)
+        elements.extend(exp_w * combine(vec, gens) for vec in kernel)
+        permuted = [[row[j] for j in by_order] for row in fixed.tolists()]
+        _, pivots = rref(RatMatrix(permuted, cols=n))
         for q, count in enumerate(counts):
             dims[q] += count - sum(1 for p in pivots if p < count)
     return SymmetryBasis(eq, ansatz, tuple(elements), tuple(dims), system)
@@ -339,48 +326,44 @@ def lambda_candidates(
     """Rational exponential weights at which the determining system gains solutions.
 
     Pivot polynomials of a fraction-free elimination provide a complete
-    candidate set; every rational root is then verified by the kernel of
-    the substituted system, and that kernel is kept on the scan.
-    Rational-root-free pivot factors are verified against the matrix rank
-    in the corresponding quotient ring and reported, never silently
-    dropped.  ``system`` is a symbolic system containing the ansatz's
+    candidate set.  Each distinct squarefree factor of the pivots is
+    root-searched once, and every rational root is then verified by the
+    kernel of the substituted system, which is kept on the scan.  The
+    rational-root-free parts of those factors are verified against the
+    matrix rank in the corresponding quotient ring and reported, never
+    silently dropped.  ``system`` is a system containing the ansatz's
     generators when the caller has already assembled one; its columns for
-    this ansatz are the ansatz's own system.
+    this ansatz are the ansatz's own system.  The weights the ansatz
+    declares play no part.
     """
-    if not ansatz.symbolic:
-        raise ValueError("lambda_candidates requires a symbolic ansatz")
     if system is None:
         system = determining_system(ansatz, eq)
     system = system.restrict(ansatz.generators)
-    rows = system.poly_rows()
     ncols = len(ansatz.generators)
-    pivots = poly_matrix_pivots(rows)
-    root_cands = set()
-    residual_cands = []
-    for p in pivots:
-        if p.is_constant():
-            continue
-        roots, residual = rational_roots(p)
+    pivots = poly_matrix_pivots(system.rows)
+    monic = {p.monic() for p in pivots if not p.is_constant()}
+    factors = {f for p in monic for f in squarefree_factors(p)}
+    root_cands, residual_cands = set(), set()
+    for f in sorted(factors, key=UniPoly.sort_key):
+        roots, residual = rational_roots(f)
         root_cands.update(r for r, _ in roots)
         if residual.degree >= 1:
-            for f in squarefree_factors(residual):
-                if f not in residual_cands:
-                    residual_cands.append(f)
+            residual_cands.add(residual)
     candidates, kernels = [], []
     for w in sorted(root_cands):
-        kernel = nullspace(system.substitute(w).matrix)
+        kernel = nullspace(system.substitute(w))
         if kernel:
             candidates.append(w)
             kernels.append(tuple(kernel))
-    verified_residuals = []
-    for f in residual_cands:
-        for factor, rank_mod in rank_modulo(rows, f):
-            if rank_mod < ncols and factor not in verified_residuals:
-                verified_residuals.append(factor)
-    verified_residuals.sort(key=UniPoly.sort_key)
+    verified_residuals = {
+        factor
+        for f in residual_cands
+        for factor, rank_mod in rank_modulo(system.rows, f)
+        if rank_mod < ncols
+    }
     return LambdaScan(
         candidates=tuple(candidates),
-        residual_factors=tuple(verified_residuals),
+        residual_factors=tuple(sorted(verified_residuals, key=UniPoly.sort_key)),
         generic_nullity=ncols - len(pivots),
         pivots=tuple(pivots),
         kernels=tuple(kernels),

@@ -467,16 +467,10 @@ def rational_roots(p: UniPoly) -> tuple:
     if zmult:
         roots.append((ZERO, zmult))
     if work.degree >= 1:
-        den_lcm = 1
-        for c in work.coeffs:
-            den_lcm = den_lcm * c.denominator // _gcd_int(den_lcm, c.denominator)
+        den_lcm = math.lcm(*(c.denominator for c in work.coeffs))
         ints = [int(c * den_lcm) for c in work.coeffs]
-        g = 0
-        for v in ints:
-            g = _gcd_int(g, v)
-        if g > 1:
-            ints = [v // g for v in ints]
-        lead, trail = ints[-1], ints[0]
+        g = math.gcd(*ints)
+        lead, trail = ints[-1] // g, ints[0] // g
         big = max(abs(lead), abs(trail))
         if big > 10**12:  # trial division below it takes at most 10^6 steps
             raise ScopeError(
@@ -508,13 +502,6 @@ def rational_roots(p: UniPoly) -> tuple:
     if residual.degree < 1:
         residual = UniPoly.one(p.var)
     return roots, residual
-
-
-def _gcd_int(a: int, b: int) -> int:
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def generalized_eigenspace(m: RatMatrix, lam) -> list:

@@ -111,7 +111,7 @@ def run_pipeline(cfg: RunConfig) -> Report:
 
     # the one assembly of the run; every other system is read off it
     system = engine.determining_system(
-        build_ansatz(cfg.order_cap, cfg.y_degree, cfg.jet_degree, symbolic=True), eq
+        build_ansatz(cfg.order_cap, cfg.y_degree, cfg.jet_degree), eq
     )
     scan = None
     if cfg.lambda_mode == "none":
@@ -120,7 +120,7 @@ def run_pipeline(cfg: RunConfig) -> Report:
         weights = tuple(sorted({_frac(w) for w in cfg.lambda_weights} | {ZERO}))
     elif cfg.lambda_mode == "auto":
         scan = engine.lambda_candidates(
-            build_ansatz(cfg.order_cap, 0, cfg.jet_degree, symbolic=True), eq, system
+            build_ansatz(cfg.order_cap, 0, cfg.jet_degree), eq, system
         )
         weights = tuple(sorted(set(scan.candidates) | {ZERO}))
     else:

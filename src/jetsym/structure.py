@@ -412,21 +412,21 @@ def dependence_criterion_direct(
     symmetry exists in an ansatz closed under d/dy exactly when one of the
     shapes is realizable in it.
 
-    ``scan`` (of ``build_ansatz(q_max, 0, jet_degree, symbolic=True)``) and
-    ``basis`` (the solved space of a run) hand over what the caller already
-    has.  With a basis the search covers its declared ansatz: its nonzero
-    weights, and shape (b) only at y-degree >= 1, read off its symbolic
-    system.  Without one it covers every rational weight and y-degree 1,
-    and assembles one symbolic system here.  The certificate claims the
-    rationals only when no nonzero candidate of the scan was left out.
+    ``scan`` (of ``build_ansatz(q_max, 0, jet_degree)``) and ``basis`` (the
+    solved space of a run) hand over what the caller already has.  With a
+    basis the search covers its declared ansatz: its nonzero weights, and
+    shape (b) only at y-degree >= 1, read off its system at weight 0.
+    Without one it covers every rational weight and y-degree 1, and
+    assembles one system, weight unknown, here.  The certificate claims
+    the rationals only when no nonzero candidate of the scan was left out.
     """
     if target != Y:
         raise ValueError("the direct criterion is implemented for the y coordinate")
     if basis is None:
-        system = determining_system(build_ansatz(q_max, 1, jet_degree, symbolic=True), eq)
+        system = determining_system(build_ansatz(q_max, 1, jet_degree), eq)
     else:
         system = basis.system
-    y_free = build_ansatz(q_max, 0, jet_degree, symbolic=True)
+    y_free = build_ansatz(q_max, 0, jet_degree)
     if scan is None:
         scan = lambda_candidates(y_free, eq, system)
     if basis is None:
@@ -443,8 +443,8 @@ def dependence_criterion_direct(
             witness = ExpPolyExpr.exponential(Y, w) * combine(kernels[w][0], y_free.generators)
             break
     if witness is None and y_degree >= 1:
-        linear = build_ansatz(q_max, 1, jet_degree, symbolic=True).generators
-        kernel = nullspace(system.restrict(linear).substitute(ZERO).matrix)
+        linear = build_ansatz(q_max, 1, jet_degree).generators
+        kernel = nullspace(system.restrict(linear).substitute(ZERO))
         elements = (combine(vec, linear) for vec in kernel)
         witness = next((e for e in elements if e.depends_on(target)), None)
         method = "direct-linear"

@@ -64,7 +64,7 @@ def test_acceptance_1_heat_first_order_solve():
 
 
 def test_acceptance_2_exponential_weight_scan():
-    scan = lambda_candidates(build_ansatz(0, 0, 0, symbolic=True), DECAY)
+    scan = lambda_candidates(build_ansatz(0, 0, 0), DECAY)
     assert scan.candidates == (F(-1), F(1))
     found = {}
     for w in scan.candidates:
@@ -102,7 +102,7 @@ def test_acceptance_4_biconditional_property():
     equations = [HEAT, DECAY, GROWTH, KDV, BURGERS, parse_equation("u_t = u_2 + u^2")]
     agreements = 0
     for eq in equations:
-        scan = lambda_candidates(build_ansatz(3, 0, 2, symbolic=True), eq)
+        scan = lambda_candidates(build_ansatz(3, 0, 2), eq)
         weights = tuple(sorted(set(scan.candidates) | {F(0)}))
         basis = solve_symmetries(build_ansatz(3, 2, 2, weights=weights), eq)
         if not basis.elements:

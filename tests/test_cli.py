@@ -21,6 +21,19 @@ def run_json(tmp_path, args, name="out.json"):
     return code, payload
 
 
+def run_json_subprocess(tmp_path, args, timeout):
+    """run_json in a fresh interpreter that is killed after ``timeout`` seconds."""
+    path = tmp_path / "out.json"
+    env = dict(os.environ)
+    src = str(Path(jetsym.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "jetsym", *args, "--json", str(path)],
+        env=env, capture_output=True, timeout=timeout,
+    )
+    return proc.returncode, json.loads(path.read_text(encoding="utf-8"))
+
+
 class TestModes:
     def test_solve_mode(self, tmp_path):
         code, data = run_json(
@@ -102,6 +115,27 @@ class TestWeightScanOnce:
         assert code == 0
         assert data["criterion"]["witness"] == "y"
         assert len(calls) == 1
+
+
+class TestRootSearchOnce:
+    def test_one_search_per_distinct_squarefree_factor(self, tmp_path, monkeypatch):
+        # all 15 scan pivots are constants times lambda^k*(lambda^2 - c), so
+        # their distinct squarefree factors are lambda, lambda^2 - c and
+        # lambda^3 - c*lambda
+        calls = []
+        original = engine.rational_roots
+
+        def counting(p):
+            calls.append(p)
+            return original(p)
+
+        monkeypatch.setattr(engine, "rational_roots", counting)
+        code, data = run_json(
+            tmp_path, ["--eq", "u_t = u_2 - 720720/2399627*u", "--mode", "criterion"]
+        )
+        assert code == 5
+        assert data["error"]["factors"] == ["lambda^2 - 720720/2399627"]
+        assert len(calls) <= 3
 
 
 class TestOneAssembly:
@@ -305,20 +339,27 @@ class TestErrorCodes:
     def test_scope_error_too_many_root_candidates(self, tmp_path):
         # both coefficients are below 10^12, but their divisors give 737280
         # candidate roots; the search is refused instead of run
-        path = tmp_path / "out.json"
-        env = dict(os.environ)
-        src = str(Path(jetsym.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "jetsym", "--eq",
-             "u_t = u_2 - 435656388001/1816214400*u", "--mode", "criterion",
-             "--json", str(path)],
-            env=env, capture_output=True, timeout=30,
+        code, data = run_json_subprocess(
+            tmp_path,
+            ["--eq", "u_t = u_2 - 435656388001/1816214400*u", "--mode", "criterion"],
+            timeout=30,
         )
-        assert proc.returncode == 3
-        data = json.loads(path.read_text(encoding="utf-8"))
+        assert code == 3
         assert data["error"]["kind"] == "scope"
         assert "737280 candidate roots" in data["error"]["message"]
+
+    def test_scope_error_ansatz_too_large(self, tmp_path):
+        # C(9+1+6, 6) * 10 = 80080 generators: refused before any is built,
+        # where enumerating and assembling them would run for minutes
+        code, data = run_json_subprocess(
+            tmp_path,
+            ["--eq", "u_t = u_2", "--mode", "solve", "--order", "9", "--jetdeg", "6",
+             "--ydeg", "9", "--lambda", "none"],
+            timeout=20,
+        )
+        assert code == 3
+        assert data["error"]["kind"] == "scope"
+        assert "80080 generators" in data["error"]["message"]
 
     def test_bad_lambda_list(self, tmp_path):
         code, data = run_json(tmp_path, ["--eq", "u_t = u_2", "--lambda", "0,x"])

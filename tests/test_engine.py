@@ -19,7 +19,18 @@ from jetsym.engine import (
 )
 from jetsym.errors import EmptyAnsatzError, ScopeError
 from jetsym.expr import Y, ExpPolyExpr, combine, monomial_coordinates
-from jetsym.linalg import RatMatrix, UniPoly, in_span, nullspace, rref, solve as lin_solve
+from jetsym.linalg import (
+    RatMatrix,
+    UniPoly,
+    in_span,
+    nullspace,
+    poly_matrix_pivots,
+    rank_modulo,
+    rational_roots,
+    rref,
+    solve as lin_solve,
+    squarefree_factors,
+)
 from jetsym.parser import parse_equation, parse_expression
 
 F = Fraction
@@ -91,7 +102,7 @@ class TestBuildAnsatz:
 
     def test_pure_exponential(self):
         a = build_ansatz(0, 0, 0, weights=(2,))
-        assert [g.render() for g in a.generators] == ["exp(2*y)"]
+        assert [g.render() for g in weighted_generators(a)] == ["exp(2*y)"]
 
     def test_empty_weights_rejected(self):
         with pytest.raises(EmptyAnsatzError):
@@ -104,26 +115,28 @@ class TestBuildAnsatz:
 
 class TestDeterminingSystem:
     def test_translation_only_no_constraints(self):
-        a = build_ansatz(1, 0, 1, symbolic=True)
+        a = build_ansatz(1, 0, 1)
         gens = [g.render() for g in a.generators]
         assert gens == ["1", "u", "u_1"]
-        system = determining_system(a, HEAT).substitute(0)
+        matrix = determining_system(a, HEAT).substitute(0)
         col = a.generators.index(E("u_1"))
-        assert all(row[col] == 0 for row in system.rows)
+        assert all(row[col] == 0 for row in matrix.tolists())
 
     def test_single_constraint_from_y_u1(self):
-        a = build_ansatz(1, 1, 1, symbolic=True)
-        system = determining_system(a, HEAT).substitute(0)
+        a = build_ansatz(1, 1, 1)
+        system = determining_system(a, HEAT)
         col = a.generators.index(E("y*u_1"))
-        entries = [row[col] for row in system.rows]
+        entries = [row[col].eval(0) for row in system.rows]
         nonzero = [x for x in entries if x != 0]
         assert nonzero == [F(-2)]
         labels = system.row_labels()
         row = next(i for i, x in enumerate(entries) if x != 0)
         assert labels[row] == "u_2"
+        matrix = system.substitute(0)
+        assert [x for x in matrix.column(col) if x != 0] == [F(-2)]
 
     def test_symbolic_constant_entry(self):
-        a = build_ansatz(0, 0, 0, symbolic=True)
+        a = build_ansatz(0, 0, 0)
         system = determining_system(a, LINEAR_DECAY)
         assert system.symbolic
         assert len(system.rows) == 1
@@ -131,22 +144,30 @@ class TestDeterminingSystem:
         assert system.rows[0][0] == UniPoly([1, 0, -1])
 
     def test_substitute(self):
-        a = build_ansatz(0, 0, 0, symbolic=True)
-        system = determining_system(a, LINEAR_DECAY).substitute(1)
-        assert not system.symbolic
-        assert system.rows[0][0] == 0
+        a = build_ansatz(0, 0, 0)
+        system = determining_system(a, LINEAR_DECAY)
+        # 1 - w^2 vanishes at w = 1, so the one row is zero and dropped
+        at_one = system.substitute(1)
+        assert (at_one.rows, at_one.cols) == (0, 1)
+        assert system.substitute(2) == RatMatrix([[-3]])
+
+
+def weighted_generators(ansatz):
+    """Every exp(w*y) * g of the ansatz, weights outermost."""
+    return [ExpPolyExpr.exponential(Y, w) * g for w in ansatz.weights for g in ansatz.generators]
 
 
 def reference_system(ansatz, eq):
     """Reference fixed-weight assembly, straight from the defects: one row per
-    monomial shape of the defects, one column per generator."""
-    _, columns = monomial_coordinates([symmetry_defect(g, eq) for g in ansatz.generators])
-    return RatMatrix(list(zip(*columns)), cols=len(ansatz.generators))
+    monomial shape of the defects, one column per weighted generator."""
+    gens = weighted_generators(ansatz)
+    _, columns = monomial_coordinates([symmetry_defect(g, eq) for g in gens])
+    return RatMatrix(list(zip(*columns)), cols=len(gens))
 
 
 def reference_dims(ansatz, matrix):
     """dims[q] from one rref of the whole matrix with columns sorted by order."""
-    orders = [g.order() for g in ansatz.generators]
+    orders = [g.order() for g in weighted_generators(ansatz)]
     by_order = sorted(range(len(orders)), key=orders.__getitem__)
     _, pivots = rref(
         RatMatrix([[matrix[i, j] for j in by_order] for i in range(matrix.rows)], cols=len(orders))
@@ -174,16 +195,16 @@ class TestSubstitutionMatchesFixedAssembly:
     @pytest.mark.parametrize("ydeg", [0, 1, 2])
     @pytest.mark.parametrize("eq", SUBSTITUTION_EQUATIONS, ids=repr)
     def test_kernel_of_substitution(self, eq, ydeg):
-        symbolic = determining_system(build_ansatz(3, ydeg, 2, symbolic=True), eq)
+        system = determining_system(build_ansatz(3, ydeg, 2), eq)
         for w in SUBSTITUTION_WEIGHTS:
             reference = reference_system(build_ansatz(3, ydeg, 2, weights=(w,)), eq)
-            assert nullspace(symbolic.substitute(w).matrix) == nullspace(reference)
+            assert nullspace(system.substitute(w)) == nullspace(reference)
 
     @pytest.mark.parametrize("ydeg", [1, 2])
     @pytest.mark.parametrize("eq", SUBSTITUTION_EQUATIONS, ids=repr)
     def test_y_free_restriction_is_the_ydeg0_system(self, eq, ydeg):
-        full = determining_system(build_ansatz(3, ydeg, 2, symbolic=True), eq)
-        y_free = build_ansatz(3, 0, 2, symbolic=True)
+        full = determining_system(build_ansatz(3, ydeg, 2), eq)
+        y_free = build_ansatz(3, 0, 2)
         assert full.restrict(y_free.generators) == determining_system(y_free, eq)
 
     @pytest.mark.parametrize("eq", SUBSTITUTION_EQUATIONS, ids=repr)
@@ -192,14 +213,10 @@ class TestSubstitutionMatchesFixedAssembly:
         # one kernel of the whole fixed-weight system over all weights
         ansatz = build_ansatz(3, 1, 2, weights=SUBSTITUTION_WEIGHTS)
         reference = reference_system(ansatz, eq)
-        expected = [combine(v, ansatz.generators) for v in nullspace(reference)]
+        expected = [combine(v, weighted_generators(ansatz)) for v in nullspace(reference)]
         basis = solve_symmetries(ansatz, eq)
         assert list(basis.elements) == expected
         assert basis.dims == reference_dims(ansatz, reference)
-
-    def test_fixed_ansatz_is_not_assembled(self):
-        with pytest.raises(ValueError):
-            determining_system(build_ansatz(1, 0, 1, weights=(0,)), HEAT)
 
 
 class TestSolveSymmetries:
@@ -225,10 +242,6 @@ class TestSolveSymmetries:
         for eq in (HEAT, KDV, BURGERS):
             basis = solve_symmetries(build_ansatz(3, 2, 2, weights=(0,)), eq)
             assert all(a <= b for a, b in zip(basis.dims, basis.dims[1:]))
-
-    def test_symbolic_ansatz_rejected(self):
-        with pytest.raises(ValueError):
-            solve_symmetries(build_ansatz(1, 0, 1, symbolic=True), HEAT)
 
     def test_completeness_against_brute_force_probe(self):
         """Independent oracle: defect evaluation over a probe grid of
@@ -267,16 +280,16 @@ class TestSolveSymmetries:
 
 class TestLambdaCandidates:
     def test_decay_pair(self):
-        scan = lambda_candidates(build_ansatz(0, 0, 0, symbolic=True), LINEAR_DECAY)
+        scan = lambda_candidates(build_ansatz(0, 0, 0), LINEAR_DECAY)
         assert scan.candidates == (F(-1), F(1))
         assert scan.residual_factors == ()
 
     def test_heat_zero_only(self):
-        scan = lambda_candidates(build_ansatz(0, 0, 0, symbolic=True), HEAT)
+        scan = lambda_candidates(build_ansatz(0, 0, 0), HEAT)
         assert scan.candidates == (F(0),)
 
     def test_growth_residual_reported(self):
-        scan = lambda_candidates(build_ansatz(0, 0, 0, symbolic=True), LINEAR_GROWTH)
+        scan = lambda_candidates(build_ansatz(0, 0, 0), LINEAR_GROWTH)
         assert scan.candidates == ()
         assert [str(f) for f in scan.residual_factors] == ["lambda^2 + 1"]
 
@@ -288,11 +301,11 @@ class TestLambdaCandidates:
         # clearing denominators in a kernel vector K(w) over Q(w), the top
         # power of w in its defect has coefficient -G_{u_d} * K_top, which is
         # never zero; so no weight-independent solution exists
-        scan = lambda_candidates(build_ansatz(2, 0, 2, symbolic=True), parse_equation(text))
+        scan = lambda_candidates(build_ansatz(2, 0, 2), parse_equation(text))
         assert scan.generic_nullity == 0
 
     def test_kernels_kept_per_candidate(self):
-        ansatz = build_ansatz(2, 0, 2, symbolic=True)
+        ansatz = build_ansatz(2, 0, 2)
         scan = lambda_candidates(ansatz, LINEAR_DECAY)
         assert len(scan.kernels) == len(scan.candidates)
         for w, kernel in zip(scan.candidates, scan.kernels):
@@ -304,13 +317,52 @@ class TestLambdaCandidates:
 
     def test_consistency_with_fixed_solves(self):
         for eq in (HEAT, LINEAR_DECAY, LINEAR_GROWTH, KDV):
-            scan = lambda_candidates(build_ansatz(2, 0, 2, symbolic=True), eq)
+            scan = lambda_candidates(build_ansatz(2, 0, 2), eq)
             for w in [F(-2), F(-1), F(0), F(1), F(2), F(1, 2)]:
                 basis = solve_symmetries(build_ansatz(2, 0, 2, weights=(w,)), eq)
                 if w in scan.candidates:
                     assert basis.elements
                 else:
                     assert not basis.elements
+
+
+def reference_lambda_scan(system):
+    """The per-pivot loop: one root search per pivot, and the squarefree
+    factors of each pivot's rational-root-free residual as residual
+    candidates; returns the verified candidates and residual factors."""
+    rows, ncols = system.rows, len(system.generators)
+    root_cands, residual_cands = set(), []
+    for p in poly_matrix_pivots(rows):
+        if p.is_constant():
+            continue
+        roots, residual = rational_roots(p)
+        root_cands.update(r for r, _ in roots)
+        if residual.degree >= 1:
+            residual_cands.extend(f for f in squarefree_factors(residual) if f not in residual_cands)
+    candidates = tuple(w for w in sorted(root_cands) if nullspace(system.substitute(w)))
+    residuals = []
+    for f in residual_cands:
+        for factor, rank_mod in rank_modulo(rows, f):
+            if rank_mod < ncols and factor not in residuals:
+                residuals.append(factor)
+    return candidates, tuple(sorted(residuals, key=UniPoly.sort_key))
+
+
+class TestScanMatchesPerPivotSearch:
+    @pytest.mark.parametrize(
+        "text, caps",
+        [
+            ("u_t = u_2 - 1/3*u + 2/5*u_1", (3, 0, 3)),
+            ("u_t = u_2", (4, 0, 3)),
+            ("u_t = u_2 + u", (3, 0, 2)),
+            ("u_t = u_2 - 720720/2399627*u", (3, 0, 2)),
+        ],
+    )
+    def test_same_candidates_and_residuals(self, text, caps):
+        ansatz, eq = build_ansatz(*caps), parse_equation(text)
+        system = determining_system(ansatz, eq)
+        scan = lambda_candidates(ansatz, eq, system)
+        assert (scan.candidates, scan.residual_factors) == reference_lambda_scan(system)
 
 
 class TestBounds:

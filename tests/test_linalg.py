@@ -274,17 +274,17 @@ class TestPolySparseAgainstDense:
 
     def test_rational_scan_pivots_match_dense(self):
         # coefficients -1/3 and 2/5: the integer elimination scales by D = 15
-        ansatz = build_ansatz(3, 0, 3, symbolic=True)
+        ansatz = build_ansatz(3, 0, 3)
         eq = parse_equation("u_t = u_2 - 1/3*u + 2/5*u_1")
-        rows = determining_system(ansatz, eq).poly_rows()
+        rows = determining_system(ansatz, eq).rows
         assert {c.denominator for row in rows for p in row for c in p.coeffs} >= {3, 5}
         pivots = poly_matrix_pivots(rows)
         assert pivots == dense_poly_matrix_pivots(rows)
         assert any(c.denominator > 1 for p in pivots for c in p.coeffs)
 
     def test_heat_scan_pivots_match_dense(self):
-        ansatz = build_ansatz(4, 0, 3, symbolic=True)
-        rows = determining_system(ansatz, parse_equation("u_t = u_2")).poly_rows()
+        ansatz = build_ansatz(4, 0, 3)
+        rows = determining_system(ansatz, parse_equation("u_t = u_2")).rows
         pivots = poly_matrix_pivots(rows)
         assert len(pivots) == 56
         assert pivots == dense_poly_matrix_pivots(rows)

@@ -437,7 +437,7 @@ class TestCriterion:
         for eq in equations:
             from jetsym.engine import lambda_candidates
 
-            scan = lambda_candidates(build_ansatz(3, 0, 2, symbolic=True), eq)
+            scan = lambda_candidates(build_ansatz(3, 0, 2), eq)
             weights = tuple(sorted(set(scan.candidates) | {F(0)}))
             basis = solve_symmetries(build_ansatz(3, 2, 2, weights=weights), eq)
             if not basis.elements:
