@@ -12,6 +12,7 @@ substitution into it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 from typing import Optional, Sequence
 
@@ -183,11 +184,27 @@ class DeterminingSystem:
             for powers, expvec in self.row_shapes
         ]
 
+    @cached_property
+    def _cells(self) -> tuple:
+        """Per row, the ``(column, entry)`` pairs of its nonzero entries."""
+        return tuple(tuple((j, p) for j, p in enumerate(row) if p.coeffs) for row in self.rows)
+
     def substitute(self, w) -> RatMatrix:
-        """The rational system at the fixed weight w, without its zero rows."""
+        """The rational system at the fixed weight w, without its zero rows.
+
+        Only the nonzero cells are evaluated, straight into sparse rows.
+        """
         w = _frac(w)
-        rows = (tuple(p.eval(w) if p.coeffs else ZERO for p in row) for row in self.rows)
-        return RatMatrix([r for r in rows if any(r)], cols=len(self.generators))
+        rows = []
+        for cells in self._cells:
+            row = {}
+            for j, p in cells:
+                x = p.eval(w)
+                if x:
+                    row[j] = x
+            if row:
+                rows.append(row)
+        return RatMatrix._from_sparse(rows, len(self.generators))
 
     def restrict(self, generators) -> "DeterminingSystem":
         """The columns of the given generators, in that order, without zero rows.
@@ -271,32 +288,37 @@ def solve_symmetries(
 
     No monomial is shared between weights, so the kernel is the
     concatenation, in weight order, of exp(w*y) times the kernels of
-    ``system.substitute(w)``.  ``system`` is the system of the same caps
-    (or of larger ones) when the caller has already assembled it; it is
-    assembled here only when none is given.
+    ``system.substitute(w)``.  ``dims`` is read off those kernels: with
+    ``k`` kernel vectors at a weight, the order-<=q part has dimension
+    ``k - rank`` of the kernel's coordinates on the generators of order
+    above q, one ``rref`` of the ``k x n`` transposed kernel per weight.
+    ``system`` is the system of the same caps (or of larger ones) when the
+    caller has already assembled it; it is assembled here only when none
+    is given.
     """
     if system is None:
         system = determining_system(ansatz, eq)
     system = system.restrict(ansatz.generators)
     gens = ansatz.generators
     n = len(gens)
-    # with columns taken by ascending order, the order-<=q generators are a
-    # leading block whose rank is the number of pivots inside it
+    # a kernel vector lies in the order-<=q subspace when its coordinates on
+    # the higher-order generators vanish; with K^T's columns taken by
+    # descending order those generators are a leading block of n - count_q
+    # columns, whose rank is the number of pivots inside it
     gen_orders = [g.order() for g in gens]
-    by_order = sorted(range(n), key=gen_orders.__getitem__)
+    by_order = sorted(range(n), key=gen_orders.__getitem__, reverse=True)  # stable
     counts = [sum(1 for o in gen_orders if o <= q) for q in range(ansatz.q_max + 1)]
     elements, dims = [], [0] * len(counts)
     for w in ansatz.weights:
-        fixed = system.substitute(w)
-        kernel = nullspace(fixed)
+        kernel = nullspace(system.substitute(w))
         if not kernel:
             continue  # full column rank: no order-<=q block has a kernel either
         exp_w = ExpPolyExpr.exponential(Y, w)
         elements.extend(exp_w * combine(vec, gens) for vec in kernel)
-        permuted = [[row[j] for j in by_order] for row in fixed.tolists()]
-        _, pivots = rref(RatMatrix(permuted, cols=n))
+        kernel_t = [{c: v[j] for c, j in enumerate(by_order) if v[j]} for v in kernel]
+        _, pivots = rref(RatMatrix._from_sparse(kernel_t, n))
         for q, count in enumerate(counts):
-            dims[q] += count - sum(1 for p in pivots if p < count)
+            dims[q] += len(kernel) - sum(1 for p in pivots if p < n - count)
     return SymmetryBasis(eq, ansatz, tuple(elements), tuple(dims), system)
 
 

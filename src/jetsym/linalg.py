@@ -7,8 +7,11 @@ Matrices are immutable, operations are pure, and every basis returned
 follows a fixed normalization rule (first nonzero entry equals one) so
 downstream output is deterministic.
 
-The one exact rational elimination is the sparse :func:`rref`; kernels,
-ranks, solves, span tests and Jordan chain tops are each read off one call.
+A :class:`RatMatrix` holds only sparse rows, ``{column: entry}`` dicts of
+its nonzero entries, from construction through elimination to the kernel.
+The one exact rational elimination is the sparse :func:`rref`, which copies
+those rows in and returns the reduced rows as they are; kernels, ranks,
+solves, span tests and Jordan chain tops are each read off one call.
 
 Over polynomials in the weight unknown, :func:`poly_matrix_pivots` is a
 sparse fraction-free (Bareiss) elimination over Z on ``{column: entry}``
@@ -50,25 +53,42 @@ def _frac(x) -> Fraction:
 
 
 class RatMatrix:
-    """Immutable dense matrix with exact rational entries."""
+    """Immutable matrix with exact rational entries, held as sparse rows.
 
-    __slots__ = ("rows", "cols", "_data")
+    Row ``i`` is a ``{column: entry}`` dict of its nonzero entries; zero
+    entries are not stored.  The constructor takes dense rows and converts
+    each entry once; :meth:`_from_sparse` adopts rows of nonzero
+    ``Fraction``s that this package built itself.  Indexing, ``row``,
+    ``column``, ``tolists``, equality and hashing read as the dense matrix
+    would.
+    """
+
+    __slots__ = ("rows", "cols", "_rows")
 
     def __init__(self, rows: Iterable[Iterable], cols: int = None):
-        data = tuple(tuple(_frac(x) for x in row) for row in rows)
-        self._data = data
-        self.rows = len(data)
-        self.cols = len(data[0]) if data else (cols or 0)
-        if any(len(r) != self.cols for r in data):
+        dense = [tuple(map(_frac, row)) for row in rows]
+        self.rows = len(dense)
+        self.cols = len(dense[0]) if dense else (cols or 0)
+        if any(len(r) != self.cols for r in dense):
             raise ValueError("ragged matrix rows")
+        self._rows = tuple({j: x for j, x in enumerate(r) if x} for r in dense)
+
+    @classmethod
+    def _from_sparse(cls, rows: Sequence[dict], cols: int) -> "RatMatrix":
+        """Adopt ``{column: entry}`` rows of nonzero ``Fraction``s, unchecked."""
+        m = object.__new__(cls)
+        m._rows = tuple(rows)
+        m.rows = len(m._rows)
+        m.cols = cols
+        return m
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        return cls._from_sparse([{i: ONE} for i in range(n)], n)
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "RatMatrix":
-        return cls([[ZERO] * cols for _ in range(rows)], cols=cols)
+        return cls._from_sparse([{} for _ in range(rows)], cols)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[Fraction]]) -> "RatMatrix":
@@ -79,63 +99,85 @@ class RatMatrix:
 
     def __getitem__(self, ij) -> Fraction:
         i, j = ij
-        return self._data[i][j]
+        row = self._rows[i]
+        if not -self.cols <= j < self.cols:
+            raise IndexError("matrix column index out of range")
+        return row.get(j % self.cols, ZERO)
 
     def row(self, i: int) -> tuple:
-        return self._data[i]
+        get = self._rows[i].get
+        return tuple(get(j, ZERO) for j in range(self.cols))
 
     def column(self, j: int) -> tuple:
-        return tuple(r[j] for r in self._data)
+        return tuple(r.get(j, ZERO) for r in self._rows)
 
     def tolists(self) -> list:
-        return [list(r) for r in self._data]
+        return [list(self.row(i)) for i in range(self.rows)]
+
+    def _key(self) -> tuple:
+        # a matrix without rows has no row length, so its width is not compared
+        return (self.rows, self.cols if self.rows else 0)
 
     def __eq__(self, other):
-        return isinstance(other, RatMatrix) and self._data == other._data
+        return (
+            isinstance(other, RatMatrix)
+            and self._key() == other._key()
+            and self._rows == other._rows
+        )
 
     def __hash__(self):
-        return hash(self._data)
+        return hash((self._key(), tuple(frozenset(r.items()) for r in self._rows)))
 
     def __repr__(self):
-        body = "; ".join(" ".join(str(x) for x in r) for r in self._data)
+        body = "; ".join(" ".join(str(x) for x in r) for r in self.tolists())
         return f"RatMatrix[{body}]"
 
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return RatMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self._data, other._data)
-            ]
-        )
+        out = []
+        for ra, rb in zip(self._rows, other._rows):
+            row = dict(ra)
+            for j, x in rb.items():
+                v = row.get(j, ZERO) + x
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
+            out.append(row)
+        return RatMatrix._from_sparse(out, self.cols)
 
     def __sub__(self, other: "RatMatrix") -> "RatMatrix":
         return self + other.scale(-ONE)
 
     def scale(self, c) -> "RatMatrix":
         c = _frac(c)
-        return RatMatrix([[c * x for x in r] for r in self._data])
+        if not c:
+            return RatMatrix.zero(self.rows, self.cols)
+        return RatMatrix._from_sparse(
+            [{j: c * x for j, x in r.items()} for r in self._rows], self.cols
+        )
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        cols = [other.column(j) for j in range(other.cols)]
-        return RatMatrix(
-            [
-                [sum((a * b for a, b in zip(row, col)), ZERO) for col in cols]
-                for row in self._data
-            ]
-        )
+        out = []
+        for ra in self._rows:
+            row = {}
+            for k, a in ra.items():
+                for j, b in other._rows[k].items():
+                    row[j] = row.get(j, ZERO) + a * b
+            out.append({j: x for j, x in row.items() if x})
+        return RatMatrix._from_sparse(out, other.cols)
 
     def apply(self, vec: Sequence[Fraction]) -> tuple:
         """Matrix-vector product."""
         if len(vec) != self.cols:
             raise ValueError("shape mismatch")
-        return tuple(sum((a * b for a, b in zip(row, vec)), ZERO) for row in self._data)
+        return tuple(sum((x * vec[j] for j, x in r.items()), ZERO) for r in self._rows)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for r in self._data for x in r)
+        return not any(self._rows)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -143,19 +185,20 @@ class RatMatrix:
     def trace(self) -> Fraction:
         if not self.is_square():
             raise NonSquareError("trace of non-square matrix")
-        return sum((self._data[i][i] for i in range(self.rows)), ZERO)
+        return sum((r.get(i, ZERO) for i, r in enumerate(self._rows)), ZERO)
 
 
 def rref(m: RatMatrix) -> tuple:
     """Reduced row echelon form.
 
     Returns ``(R, pivots)`` where pivots is the strictly increasing tuple
-    of pivot column indices.  Rows are ``{column: entry}`` dicts and each
-    step touches only rows containing the pivot column.  The reduced form is
-    unique, so pivoting on the shortest row (less fill-in) cannot change it.
+    of pivot column indices.  The sparse rows of ``m`` are copied in and
+    each step touches only rows containing the pivot column; ``R`` holds
+    the reduced rows as they are, then empty rows up to ``m.rows``.  The
+    reduced form is unique, so pivoting on the shortest row (less fill-in)
+    cannot change it.
     """
-    rows = ({j: x for j, x in enumerate(m.row(i)) if x} for i in range(m.rows))
-    pending = [row for row in rows if row]
+    pending = [dict(row) for row in m._rows if row]
     reduced, pivots = [], []
     for c in range(m.cols):
         hits = [k for k, row in enumerate(pending) if c in row]
@@ -176,9 +219,8 @@ def rref(m: RatMatrix) -> tuple:
                     del row[j]
         reduced.append(prow)
         pivots.append(c)
-    data = [[row.get(j, ZERO) for j in range(m.cols)] for row in reduced]
-    data += [[ZERO] * m.cols for _ in range(m.rows - len(reduced))]
-    return RatMatrix(data, cols=m.cols), tuple(pivots)
+    reduced += [{} for _ in range(m.rows - len(reduced))]
+    return RatMatrix._from_sparse(reduced, m.cols), tuple(pivots)
 
 
 def rank(m: RatMatrix) -> int:
@@ -190,19 +232,20 @@ def nullspace(m: RatMatrix) -> list:
 
     Each basis vector is normalized so its first nonzero entry is 1; the
     list is ordered by ascending free column, which makes the result a
-    canonical representative suitable for golden tests.
+    canonical representative suitable for golden tests.  A reduced row
+    holds only its pivot and free columns, so each of its entries is read
+    once, into the vector of its free column.
     """
     red, pivots = rref(m)
     pivset = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivset]
-    basis = []
-    for fc in free:
-        v = [ZERO] * m.cols
-        v[fc] = ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r, fc]
-        basis.append(normalize_vector(tuple(v)))
-    return basis
+    vectors = {c: [ZERO] * m.cols for c in range(m.cols) if c not in pivset}
+    for c, v in vectors.items():
+        v[c] = ONE
+    for row, pc in zip(red._rows, pivots):
+        for j, x in row.items():
+            if j != pc:
+                vectors[j][pc] = -x
+    return [normalize_vector(tuple(v)) for v in vectors.values()]
 
 
 def normalize_vector(v: Sequence[Fraction]) -> tuple:
@@ -217,22 +260,29 @@ def normalize_vector(v: Sequence[Fraction]) -> tuple:
 def solve_columns(m: RatMatrix, rhs: Sequence[Sequence[Fraction]]) -> list:
     """Solutions of ``m x = b`` for the leading consistent columns ``b`` of ``rhs``.
 
-    One elimination of ``[m | rhs]``; the first inconsistent right-hand
-    side is the first pivot past ``m.cols``, and the list stops before it.
-    Free unknowns are set to zero.
+    One elimination of ``[m | rhs]``, built from the sparse rows of ``m``;
+    the first inconsistent right-hand side is the first pivot past
+    ``m.cols``, and the list stops before it.  Free unknowns are set to zero.
     """
     n = m.cols
-    aug = RatMatrix(
-        [list(m.row(i)) + [b[i] for b in rhs] for i in range(m.rows)],
-        cols=n + len(rhs),
-    )
-    red, pivots = rref(aug)
-    row_of = {pc: r for r, pc in enumerate(pivots) if pc < n}
+    aug = []
+    for i, row in enumerate(m._rows):
+        row = dict(row)
+        for k, b in enumerate(rhs):
+            x = _frac(b[i])
+            if x:
+                row[n + k] = x
+        aug.append(row)
+    red, pivots = rref(RatMatrix._from_sparse(aug, n + len(rhs)))
     stop = next((pc for pc in pivots if pc >= n), n + len(rhs))
-    return [
-        tuple(red[row_of[j], k] if j in row_of else ZERO for j in range(n))
-        for k in range(n, stop)
-    ]
+    solutions = [[ZERO] * n for _ in range(n, stop)]
+    for row, pc in zip(red._rows, pivots):
+        if pc >= n:
+            break
+        for j, x in row.items():
+            if n <= j < stop:
+                solutions[j - n][pc] = x
+    return [tuple(x) for x in solutions]
 
 
 def solve(m: RatMatrix, b: Sequence[Fraction]):
@@ -335,6 +385,8 @@ class UniPoly:
 
     def eval(self, x) -> Fraction:
         x = _frac(x)
+        if not x:
+            return self.coeffs[0] if self.coeffs else ZERO
         out = ZERO
         for c in reversed(self.coeffs):
             out = out * x + c

@@ -20,6 +20,13 @@ Powers are expanded by repeated multiplication, so two caps refuse a power
 with a scope error before any expansion: an exponent above MAX_EXPONENT,
 and a power whose expansion could exceed MAX_POWER_TERMS terms.  An
 n-term base to the k has at most C(n+k-1, k) terms.
+
+Numerals and coefficients are capped too, with a scope error: a numeral
+of more than MAX_NUMERAL_DIGITS digits is refused by its text, before it
+is converted, and an expanded power or parsed expression with a
+coefficient or exponential weight whose numerator or denominator has more
+than MAX_COEFFICIENT_BITS bits is refused before it is rendered; so is the
+base of a power, before it is expanded.
 """
 
 from __future__ import annotations
@@ -35,6 +42,43 @@ _OPS = "+-*^()="
 
 MAX_EXPONENT = 64
 MAX_POWER_TERMS = 5000
+# Python converts at most 4300 digits between int and str by default, so a
+# longer numeral could not be read and a larger coefficient not rendered.
+# The bit cap is that of the largest admitted numeral; such an
+# integer is below 2^13288 < 10^4001, so every admitted coefficient renders.
+MAX_NUMERAL_DIGITS = 4000
+MAX_COEFFICIENT_BITS = 13288  # (10**MAX_NUMERAL_DIGITS - 1).bit_length()
+
+
+def _numeral(text: str, start: int, end: int) -> int:
+    """The digits ``text[start:end]`` as an int, refused above MAX_NUMERAL_DIGITS."""
+    if end - start > MAX_NUMERAL_DIGITS:
+        raise ScopeError(
+            f"a {end - start}-digit numeral at position {start} is above the cap "
+            f"of {MAX_NUMERAL_DIGITS} digits"
+        )
+    return int(text[start:end])
+
+
+def _checked_coefficients(e: ExpPolyExpr) -> ExpPolyExpr:
+    """``e``, refused if a coefficient or exponential weight of it has a
+    numerator or denominator of more than MAX_COEFFICIENT_BITS bits."""
+    cap = MAX_COEFFICIENT_BITS
+    for (_, _, expvec), coeff in e.terms:
+        if coeff.numerator.bit_length() > cap or coeff.denominator.bit_length() > cap:
+            _refuse_rational(coeff)
+        for _, w in expvec:
+            if w.numerator.bit_length() > cap or w.denominator.bit_length() > cap:
+                _refuse_rational(w)
+    return e
+
+
+def _refuse_rational(x: Fraction):
+    bits = max(x.numerator.bit_length(), x.denominator.bit_length())
+    raise ScopeError(
+        f"a coefficient or exponential weight with a {bits}-bit numerator "
+        f"or denominator is above the cap of {MAX_COEFFICIENT_BITS} bits"
+    )
 
 
 class _Lexer:
@@ -59,13 +103,13 @@ class _Lexer:
                 j = i
                 while j < n and text[j].isdigit():
                     j += 1
-                num = int(text[i:j])
+                num = _numeral(text, i, j)
                 den = 1
                 if j < n and text[j] == "/" and j + 1 < n and text[j + 1].isdigit():
                     k = j + 1
                     while k < n and text[k].isdigit():
                         k += 1
-                    den = int(text[j + 1 : k])
+                    den = _numeral(text, j + 1, k)
                     if den == 0:
                         raise ParseError("zero denominator", position=j + 1)
                     j = k
@@ -166,10 +210,11 @@ class _Parser:
                     f"a {n}-term base to the power {k} may expand to {bound} terms, "
                     f"above the cap of {MAX_POWER_TERMS}"
                 )
+            _checked_coefficients(base)
             out = ExpPolyExpr.one()
             for _ in range(k):
                 out = out * base
-            return out
+            return _checked_coefficients(out)
         return base
 
     # atom := rational | coordinate | "exp" "(" expr ")" | "(" expr ")"
@@ -237,7 +282,7 @@ def parse_expression(text: str) -> ExpPolyExpr:
     p = _Parser(text)
     out = p.expr()
     p.finish()
-    return out
+    return _checked_coefficients(out)
 
 
 def parse_characteristic(text: str) -> ExpPolyExpr:
@@ -256,7 +301,7 @@ def parse_equation(text: str) -> EvolutionEquation:
         raise ParseError("equation must start with 'u_t'", position=at, expected=("u_t",))
     p.advance()
     p.expect_op("=")
-    rhs = p.expr()
+    rhs = _checked_coefficients(p.expr())
     p.finish()
     if any(m.expvec for m in rhs.terms):
         raise ScopeError("exponential right-hand sides are not supported")

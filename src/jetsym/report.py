@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from . import engine, structure
@@ -109,10 +109,10 @@ def run_pipeline(cfg: RunConfig) -> Report:
         _stamp(report, started)
         return report
 
-    # the one assembly of the run; every other system is read off it
-    system = engine.determining_system(
-        build_ansatz(cfg.order_cap, cfg.y_degree, cfg.jet_degree), eq
-    )
+    # the one enumeration and assembly of the run; every other system is
+    # read off it
+    caps = build_ansatz(cfg.order_cap, cfg.y_degree, cfg.jet_degree)
+    system = engine.determining_system(caps, eq)
     scan = None
     if cfg.lambda_mode == "none":
         weights = (ZERO,)
@@ -128,7 +128,7 @@ def run_pipeline(cfg: RunConfig) -> Report:
     report.lambda_scan = scan
     report.resolved_weights = weights
 
-    ansatz = build_ansatz(cfg.order_cap, cfg.y_degree, cfg.jet_degree, weights)
+    ansatz = replace(caps, weights=weights)  # sorted, distinct and never empty
     basis = engine.solve_symmetries(ansatz, eq, system)
     report.basis = basis
     report.bounds = engine.check_dimension_bounds(basis)

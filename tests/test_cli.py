@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import jetsym
-from jetsym import engine, structure
+from jetsym import engine, report, structure
 from jetsym.cli import main
 from jetsym.report import RunConfig, emit_report, run_pipeline
 
@@ -163,6 +163,29 @@ class TestOneAssembly:
         code, _ = run_json(tmp_path, args)
         assert code == 0
         assert len(calls) == 1
+
+
+class TestOneEnumeration:
+    @pytest.mark.parametrize("lam", ["auto", "none", "1,-1"])
+    def test_one_build_at_the_run_caps(self, tmp_path, monkeypatch, lam):
+        # the solved ansatz is the assembled one with the resolved weights
+        calls = []
+        original = report.build_ansatz
+
+        def counting(*a):
+            calls.append(a[:3])
+            return original(*a)
+
+        monkeypatch.setattr(report, "build_ansatz", counting)
+        code, data = run_json(
+            tmp_path,
+            ["--eq", "u_t = u_2 - u", "--order", "3", "--ydeg", "2", "--jetdeg", "2",
+             "--lambda", lam],
+        )
+        assert code == 0
+        assert calls.count((3, 2, 2)) == 1
+        ansatz = data["basis"]["ansatz"]
+        assert (ansatz["y_degree"], ansatz["weights"]) == (2, data["resolved_weights"])
 
 
 class TestDeclaredAnsatzCriterion:
@@ -360,6 +383,23 @@ class TestErrorCodes:
         assert code == 3
         assert data["error"]["kind"] == "scope"
         assert "80080 generators" in data["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "args, words",
+        [
+            (["--eq", "u_t = u_2 - " + "7" * 5000 + "*u", "--mode", "solve",
+              "--lambda", "none"], "5000-digit numeral"),
+            (["--eq", "u_t = u_2", "--check", "(" + "7" * 3000 + ")^2*u^2"],
+             "19931-bit numerator"),
+        ],
+    )
+    def test_scope_error_numeral_too_large(self, tmp_path, args, words):
+        # Python converts at most 4300 digits between int and str: the first
+        # numeral could not be read, the squared coefficient not rendered
+        code, data = run_json_subprocess(tmp_path, args, timeout=30)
+        assert code == 3
+        assert data["error"]["kind"] == "scope"
+        assert words in data["error"]["message"]
 
     def test_bad_lambda_list(self, tmp_path):
         code, data = run_json(tmp_path, ["--eq", "u_t = u_2", "--lambda", "0,x"])

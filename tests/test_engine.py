@@ -207,11 +207,33 @@ class TestSubstitutionMatchesFixedAssembly:
         y_free = build_ansatz(3, 0, 2)
         assert full.restrict(y_free.generators) == determining_system(y_free, eq)
 
+    @pytest.mark.parametrize("ydeg", [0, 1, 2])
     @pytest.mark.parametrize("eq", SUBSTITUTION_EQUATIONS, ids=repr)
-    def test_solve_matches_one_fixed_kernel(self, eq):
+    def test_substitute_matches_dense_horner(self, eq, ydeg):
+        system = determining_system(build_ansatz(3, ydeg, 2), eq)
+        for w in SUBSTITUTION_WEIGHTS:
+            expected = []
+            for row in system.rows:
+                values = []
+                for p in row:
+                    x = F(0)
+                    for c in reversed(p.coeffs):
+                        x = x * w + c
+                    values.append(x)
+                if any(values):
+                    expected.append(values)
+            fixed = system.substitute(w)
+            assert (fixed.rows, fixed.cols) == (len(expected), len(system.generators))
+            assert fixed.tolists() == expected
+            assert fixed == RatMatrix(expected, cols=fixed.cols)
+
+    @pytest.mark.parametrize("ydeg", [0, 1, 2])
+    @pytest.mark.parametrize("eq", SUBSTITUTION_EQUATIONS, ids=repr)
+    def test_solve_matches_one_fixed_kernel(self, eq, ydeg):
         # the basis is the per-weight kernels concatenated; the reference takes
-        # one kernel of the whole fixed-weight system over all weights
-        ansatz = build_ansatz(3, 1, 2, weights=SUBSTITUTION_WEIGHTS)
+        # one kernel of the whole fixed-weight system over all weights, and
+        # its dims from one rref of that system with columns sorted by order
+        ansatz = build_ansatz(3, ydeg, 2, weights=SUBSTITUTION_WEIGHTS)
         reference = reference_system(ansatz, eq)
         expected = [combine(v, weighted_generators(ansatz)) for v in nullspace(reference)]
         basis = solve_symmetries(ansatz, eq)

@@ -247,6 +247,72 @@ class TestSparseAgainstDense:
         assert solve_columns(m, rhs) == expected
 
 
+def dense_rows(nrows, ncols):
+    return st.lists(
+        st.lists(ENTRY, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows
+    )
+
+
+class TestSparseRepresentation:
+    """The sparse rows read, compare and hash as the dense matrix would."""
+
+    @PROPERTY
+    @given(matrices())
+    def test_rref_hashes_as_dense(self, m):
+        red, ref = rref(m)[0], dense_rref(m)[0]
+        assert red == ref
+        assert hash(red) == hash(ref)
+
+    @PROPERTY
+    @given(matrices(), st.randoms(use_true_random=False))
+    def test_sparse_and_dense_constructors_agree(self, m, rnd):
+        dense = m.tolists()
+        rows = []
+        for row in dense:
+            cells = [(j, x) for j, x in enumerate(row) if x]
+            rnd.shuffle(cells)  # the order the entries were stored in is no part of it
+            rows.append(dict(cells))
+        sparse = RatMatrix._from_sparse(rows, m.cols)
+        built = RatMatrix(dense, cols=m.cols)
+        assert sparse == built == m
+        assert hash(sparse) == hash(built) == hash(m)
+        assert sparse.tolists() == dense
+        assert [sparse.row(i) for i in range(m.rows)] == [tuple(r) for r in dense]
+        assert [sparse.column(j) for j in range(m.cols)] == [
+            tuple(r[j] for r in dense) for j in range(m.cols)
+        ]
+        assert all(sparse[i, j] == dense[i][j] for i in range(m.rows) for j in range(m.cols))
+
+    def test_constructor_converts_and_drops_zeros(self):
+        m = RatMatrix([[0, "1/2", F(0)], [2, 0, -3]])
+        assert m._rows == ({1: F(1, 2)}, {0: F(2), 2: F(-3)})
+        assert all(type(x) is F for row in m._rows for x in row.values())
+        assert m[1, -1] == -3
+        with pytest.raises(IndexError):
+            m[0, 3]
+        with pytest.raises(ValueError):
+            RatMatrix([[1, 2], [3]])
+
+    @PROPERTY
+    @given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.data())
+    def test_arithmetic_matches_dense(self, n, k, p, data):
+        a = data.draw(dense_rows(n, k))
+        a2 = data.draw(dense_rows(n, k))
+        b = data.draw(dense_rows(k, p))
+        v = data.draw(st.lists(ENTRY, min_size=k, max_size=k))
+        c = data.draw(ENTRY)
+        ma, mb = RatMatrix(a, cols=k), RatMatrix(b, cols=p)
+        product = [[sum((a[i][t] * b[t][j] for t in range(k)), F(0)) for j in range(p)]
+                   for i in range(n)]
+        assert ma @ mb == RatMatrix(product, cols=p)
+        assert ma + RatMatrix(a2, cols=k) == RatMatrix(
+            [[x + y for x, y in zip(r, r2)] for r, r2 in zip(a, a2)], cols=k
+        )
+        assert ma.scale(c) == RatMatrix([[c * x for x in r] for r in a], cols=k)
+        assert ma.apply(v) == tuple(sum((x * y for x, y in zip(r, v)), F(0)) for r in a)
+        assert ma.is_zero() == all(x == 0 for r in a for x in r)
+
+
 class TestPolySparseAgainstDense:
     @PROPERTY
     @given(poly_matrices())

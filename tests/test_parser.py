@@ -7,7 +7,9 @@ import pytest
 from jetsym.errors import ParseError, ScopeError
 from jetsym.expr import ExpPolyExpr, U, Y
 from jetsym.parser import (
+    MAX_COEFFICIENT_BITS,
     MAX_EXPONENT,
+    MAX_NUMERAL_DIGITS,
     MAX_POWER_TERMS,
     parse_characteristic,
     parse_equation,
@@ -181,3 +183,37 @@ class TestPowerCaps:
         assert MAX_POWER_TERMS < 11440
         with pytest.raises(ScopeError):
             parse_expression("(1 + u + u_1 + u_2 + u_3 + u_4 + u_5 + u_6 + u_7 + y)^7")
+
+
+class TestNumeralCaps:
+    def test_caps_are_inclusive_and_render(self):
+        nines = "9" * MAX_NUMERAL_DIGITS
+        assert parse_expression(f"{nines}/{nines}*u").terms[0].coeff == 1
+        assert parse_expression(f"{nines}*u").render() == f"{nines}*u"
+        # the bit cap is that of the largest admitted numeral, and the
+        # largest admitted coefficient is within Python's default
+        # 4300-digit limit on int/str conversion
+        assert MAX_COEFFICIENT_BITS == (10**MAX_NUMERAL_DIGITS - 1).bit_length()
+        assert len(str(2**MAX_COEFFICIENT_BITS - 1)) <= 4300
+
+    @pytest.mark.parametrize("where", ["{}*u", "1/{}*u", "exp({}*y)"])
+    def test_long_numeral_refused_by_its_text(self, where):
+        with pytest.raises(ScopeError, match=f"{MAX_NUMERAL_DIGITS + 1}-digit numeral"):
+            parse_expression(where.format("1" * (MAX_NUMERAL_DIGITS + 1)))
+
+    @pytest.mark.parametrize(
+        "text",
+        ["((2^64)^64)^4*u", "{0}*{0}*u", "1/{0}*1/{0}*u", "exp({0}*{0}*y)",
+         # the base is refused before 64 products of a 100-numeral product
+         "(" + "*".join(["{0}"] * 100) + ")^64"],
+        ids=["nested-power", "product", "denominators", "exp-weight", "power-base"],
+    )
+    def test_large_coefficient_refused_by_its_bits(self, text):
+        half = str(2 ** (MAX_COEFFICIENT_BITS // 2 + 1))
+        with pytest.raises(ScopeError, match="-bit numerator or denominator"):
+            parse_expression(text.format(half))
+
+    def test_equation_coefficient_refused(self):
+        half = str(2 ** (MAX_COEFFICIENT_BITS // 2 + 1))
+        with pytest.raises(ScopeError, match="above the cap"):
+            parse_equation(f"u_t = u_2 - {half}*{half}*u")
