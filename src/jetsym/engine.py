@@ -1,19 +1,24 @@
 """Determining equations for scalar evolution equations and their solution.
 
 Given ``u_t = G(u, u_1, ..., u_d)`` and a finite ansatz space of candidate
-characteristics, this module assembles the linear determining system (the
-defect of a generic combination must vanish identically in jet and y
-monomials) and solves it exactly.  The system is assembled once, with the
-exponential weight kept as a polynomial unknown: its pivot polynomials
-locate the candidate weights, and the system at any fixed weight is a
-substitution into it.
+characteristics exp(w*y) * y^a * m, this module assembles the linear
+determining system (the defect of a generic combination must vanish
+identically in jet and y monomials) and solves it exactly.  Only the
+y-free system ``S`` over the jet monomials m is assembled, once, with the
+exponential weight w kept as a polynomial unknown: its pivot polynomials
+locate the candidate weights, and its substitution at a fixed w is the
+y-free system there.  Since G is y-free, the y^a columns add nothing new:
+differentiating L(exp(w*y) m) = exp(w*y) L_w(m) in w gives the cell of
+row block y^b and column y^a * m as C(a, b) * S^(a-b)(w), so the kernel at
+w is the set of Jordan chains of S(lambda) at w, of length at most the
+y-degree plus one (:func:`kernel_at`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
-from math import comb
+from math import comb, factorial
 from typing import Optional, Sequence
 
 from .errors import EmptyAnsatzError, ScopeError
@@ -31,6 +36,7 @@ from .linalg import (
     RatMatrix,
     UniPoly,
     _frac,
+    normalize_vector,
     nullspace,
     poly_matrix_pivots,
     rank_modulo,
@@ -99,9 +105,12 @@ def lie_bracket(eta1: ExpPolyExpr, eta2: ExpPolyExpr) -> ExpPolyExpr:
 
 
 # Generators C(q_max + 1 + jet_degree, jet_degree) * (y_degree + 1) above
-# which build_ansatz refuses the caps.  Assembly and elimination grow
-# faster than linearly: heat and KdV runs with 1,650 to 1,980 generators
-# take 7 to 18 s end to end and 4,004 about 30 s (2-core Xeon VM).
+# which build_ansatz refuses the caps.  Only the y-free ones are assembled
+# and each y power adds one elimination of that system; the weight scan's
+# polynomial elimination grows fastest.  At 1,716 generators (order 9, jet
+# degree 3, y-degree 5) the KdV solve takes 0.8 s end to end and the heat,
+# potential Burgers and KdV criterion runs 1.7 to 3.8 s, most of it in the
+# scan (2-core Xeon VM).
 MAX_ANSATZ_GENERATORS = 2000
 
 
@@ -119,6 +128,11 @@ class AnsatzSpace:
     y_degree: int
     jet_degree: int
     weights: tuple
+
+    def with_y_degree(self, y_degree: int) -> "AnsatzSpace":
+        """The ansatz of the same jet monomials and weights, up to y^y_degree."""
+        monomials = self.generators[:: self.y_degree + 1]
+        return replace(self, generators=_y_multiples(monomials, y_degree), y_degree=y_degree)
 
     def describe(self) -> dict:
         return {
@@ -152,12 +166,16 @@ def build_ansatz(
             f"the ansatz (q_max={q_max}, jet_degree={jet_degree}, y_degree={y_degree}) "
             f"has {size} generators, above the cap of {MAX_ANSATZ_GENERATORS}"
         )
-    gens = [
-        jm * ExpPolyExpr.monomial(ONE, {Y: a})
-        for jm in all_jet_monomials(q_max, jet_degree)
-        for a in range(y_degree + 1)
-    ]
-    return AnsatzSpace(tuple(gens), q_max, y_degree, jet_degree, weight_list)
+    gens = _y_multiples(all_jet_monomials(q_max, jet_degree), y_degree)
+    return AnsatzSpace(gens, q_max, y_degree, jet_degree, weight_list)
+
+
+def _y_multiples(monomials: Sequence, y_degree: int) -> tuple:
+    """y^a * m for each jet monomial m and a = 0..y_degree, the y power innermost."""
+    if not y_degree:
+        return tuple(monomials)
+    powers = [ExpPolyExpr.monomial(ONE, {Y: a}) for a in range(y_degree + 1)]
+    return tuple(m * p for m in monomials for p in powers)
 
 
 @dataclass(frozen=True)
@@ -206,21 +224,18 @@ class DeterminingSystem:
                 rows.append(row)
         return RatMatrix._from_sparse(rows, len(self.generators))
 
-    def restrict(self, generators) -> "DeterminingSystem":
-        """The columns of the given generators, in that order, without zero rows.
+    def taylor(self, w, count: int) -> list:
+        """S_p = S^(p)(w)/p! for p < count, each as ``{column: [(row, entry), ...]}``.
 
-        A generator's defect does not depend on the other generators, so
-        this is the system the smaller ansatz would assemble.
+        Only the nonzero cells are expanded, and only nonzero entries kept.
         """
-        generators = tuple(generators)
-        if generators == self.generators:
-            return self
-        index = {g: j for j, g in enumerate(self.generators)}
-        cols = [index[g] for g in generators]
-        kept = [(s, tuple(r[j] for j in cols)) for s, r in zip(self.row_shapes, self.rows)]
-        kept = [(s, r) for s, r in kept if any(p.coeffs for p in r)]
-        shapes = tuple(s for s, _ in kept)
-        return DeterminingSystem(generators, shapes, tuple(r for _, r in kept))
+        out = [{} for _ in range(count)]
+        for i, cells in enumerate(self._cells):
+            for j, p in cells:
+                for s_p, x in zip(out, p.taylor(w, count)):
+                    if x:
+                        s_p.setdefault(j, []).append((i, x))
+        return out
 
 
 def _weighted_defect(gen: ExpPolyExpr, eq: EvolutionEquation) -> ExpPolyExpr:
@@ -238,9 +253,8 @@ def _weighted_defect(gen: ExpPolyExpr, eq: EvolutionEquation) -> ExpPolyExpr:
 def determining_system(ansatz: AnsatzSpace, eq: EvolutionEquation) -> DeterminingSystem:
     """Assemble the constraint matrix of the ansatz's generators, weight unknown.
 
-    This is the only assembly: the system at a fixed weight w is
-    ``substitute(w)`` of it, and a smaller ansatz's system is a
-    ``restrict`` of it.
+    Any generators will do; a run assembles only its y-free ones, and
+    :func:`kernel_at` reads the kernel of every y-degree off that system.
     """
     defects = [_weighted_defect(g, eq) for g in ansatz.generators]
     # strip the parameter power (PARAM has the largest code, so it is the
@@ -260,9 +274,71 @@ def determining_system(ansatz: AnsatzSpace, eq: EvolutionEquation) -> Determinin
     zero = UniPoly.zero()  # immutable, so every empty cell shares it
     rows = [[zero] * len(defects) for _ in keys]
     for (key, col), cell in cells.items():
-        rows[index[key]][col] = UniPoly([cell.get(k, ZERO) for k in range(max(cell) + 1)])
+        rows[index[key]][col] = UniPoly._from_fractions(
+            [cell.get(k, ZERO) for k in range(max(cell) + 1)]
+        )
     shapes = tuple(key[1:] for key in keys)
     return DeterminingSystem(ansatz.generators, shapes, tuple(map(tuple, rows)))
+
+
+def kernel_at(system: DeterminingSystem, w, y_degree: int) -> list:
+    """Kernel at the weight w of the generators y^a * m, a <= y_degree.
+
+    ``system`` is the y-free system ``S`` over the jet monomials m.  The
+    result is ``nullspace`` of the system those generators would assemble
+    at w, over the columns ``m*(y_degree+1) + a`` of :func:`build_ansatz`'s
+    order.  Row block y^b of that system has ``C(a, b) * S^(a-b)(w)`` in
+    column y^a * m, so with ``S_p = S^(p)(w)/p!`` and ``x_a`` the y^a block
+    times ``a!``, a kernel vector is a Jordan chain of ``S(lambda)`` at w:
+    ``sum_p S_p x_(b+p) = 0`` for every b.  Dropping ``x_0`` from a chain
+    leaves a chain one shorter, so the chains of level j are one
+    ``nullspace`` of ``[S_0 | r_j]``, where ``r_j`` pushes each chain of
+    level j-1 through ``S_1 .. S_j``.  Level 0 is ``nullspace(S_0)``, the
+    whole answer at y-degree 0.  Above it one ``rref`` of the chain
+    vectors, with the columns reversed, gives ``nullspace``'s basis: the
+    vector of each free column has its last nonzero entry there and 0 at
+    every other free column.
+    """
+    if not y_degree:
+        return nullspace(system.substitute(w))
+    n, step = len(system.generators), y_degree + 1
+    taylor = system.taylor(_frac(w), step)
+    s0 = [{} for _ in system.rows]
+    for m, cells in taylor[0].items():
+        for i, x in cells:
+            s0[i][m] = x
+    # a chain is one sparse vector over the columns m*step + a, holding x_a
+    kernel = nullspace(RatMatrix._from_sparse(s0, n))
+    chains = [{m * step: x for m, x in enumerate(v) if x} for v in kernel]
+    for j in range(1, step):
+        if not chains:
+            return []  # no eigenvector, so no chain of any length
+        rows = [dict(r) for r in s0]
+        for k, chain in enumerate(chains, n):
+            pushed = {}
+            for col, c in chain.items():
+                m, a = divmod(col, step)
+                for i, e in taylor[a + 1].get(m, ()):
+                    pushed[i] = pushed.get(i, ZERO) + e * c
+            for i, c in pushed.items():
+                if c:
+                    rows[i][k] = c
+        grown = []
+        for v in nullspace(RatMatrix._from_sparse(rows, n + len(chains))):
+            chain = {m * step: x for m, x in enumerate(v[:n]) if x}
+            for alpha, old in zip(v[n:], chains):
+                if alpha:
+                    for col, x in old.items():
+                        chain[col + 1] = chain.get(col + 1, ZERO) + alpha * x
+            grown.append({col: x for col, x in chain.items() if x})
+        chains = grown
+    top = n * step - 1
+    flipped = [{top - col: x / factorial(col % step) for col, x in c.items()} for c in chains]
+    red, pivots = rref(RatMatrix._from_sparse(flipped, top + 1))
+    return [
+        normalize_vector([row.get(top - c, ZERO) for c in range(top + 1)])
+        for row in reversed(red._rows[: len(pivots)])
+    ]
 
 
 @dataclass(frozen=True)
@@ -273,7 +349,7 @@ class SymmetryBasis:
     ansatz: AnsatzSpace
     elements: tuple
     dims: tuple  # dims[q] = dimension of the order-<=q subspace, q = 0..q_max
-    system: DeterminingSystem  # the system, weight unknown, the basis was read off
+    system: DeterminingSystem  # the y-free system, weight unknown, the basis was read off
 
     def __len__(self):
         return len(self.elements)
@@ -287,18 +363,17 @@ def solve_symmetries(
     """Exact basis of symmetry characteristics inside the ansatz space.
 
     No monomial is shared between weights, so the kernel is the
-    concatenation, in weight order, of exp(w*y) times the kernels of
-    ``system.substitute(w)``.  ``dims`` is read off those kernels: with
-    ``k`` kernel vectors at a weight, the order-<=q part has dimension
-    ``k - rank`` of the kernel's coordinates on the generators of order
-    above q, one ``rref`` of the ``k x n`` transposed kernel per weight.
-    ``system`` is the system of the same caps (or of larger ones) when the
-    caller has already assembled it; it is assembled here only when none
-    is given.
+    concatenation, in weight order, of exp(w*y) times ``kernel_at(system,
+    w, y_degree)``.  ``dims`` is read off those kernels: with ``k`` kernel
+    vectors at a weight, the order-<=q part has dimension ``k - rank`` of
+    the kernel's coordinates on the generators of order above q, one
+    ``rref`` of the ``k x n`` transposed kernel per weight.  ``system`` is
+    the y-free system of the ansatz's jet monomials,
+    ``determining_system(ansatz.with_y_degree(0), eq)``, when the caller
+    has already assembled it; it is assembled here only when none is given.
     """
     if system is None:
-        system = determining_system(ansatz, eq)
-    system = system.restrict(ansatz.generators)
+        system = determining_system(ansatz.with_y_degree(0), eq)
     gens = ansatz.generators
     n = len(gens)
     # a kernel vector lies in the order-<=q subspace when its coordinates on
@@ -310,7 +385,7 @@ def solve_symmetries(
     counts = [sum(1 for o in gen_orders if o <= q) for q in range(ansatz.q_max + 1)]
     elements, dims = [], [0] * len(counts)
     for w in ansatz.weights:
-        kernel = nullspace(system.substitute(w))
+        kernel = kernel_at(system, w, ansatz.y_degree)
         if not kernel:
             continue  # full column rank: no order-<=q block has a kernel either
         exp_w = ExpPolyExpr.exponential(Y, w)
@@ -330,7 +405,7 @@ class LambdaScan:
     residual_factors: tuple  # verified rational-root-free factors (UniPoly)
     generic_nullity: int  # kernel dimension at generic weight
     pivots: tuple
-    kernels: tuple  # kernel basis at each candidate, over the scanned generators
+    kernels: tuple  # kernel basis at each candidate, over the y-free generators
 
     def describe(self) -> dict:
         return {
@@ -353,15 +428,14 @@ def lambda_candidates(
     kernel of the substituted system, which is kept on the scan.  The
     rational-root-free parts of those factors are verified against the
     matrix rank in the corresponding quotient ring and reported, never
-    silently dropped.  ``system`` is a system containing the ansatz's
-    generators when the caller has already assembled one; its columns for
-    this ansatz are the ansatz's own system.  The weights the ansatz
-    declares play no part.
+    silently dropped.  The scan runs on the y-free system of the ansatz's
+    jet monomials: a weight with a chain has an eigenvector, so the y
+    powers add no weight.  ``system`` is that system when the caller has
+    already assembled it.  The weights the ansatz declares play no part.
     """
     if system is None:
-        system = determining_system(ansatz, eq)
-    system = system.restrict(ansatz.generators)
-    ncols = len(ansatz.generators)
+        system = determining_system(ansatz.with_y_degree(0), eq)
+    ncols = len(system.generators)
     pivots = poly_matrix_pivots(system.rows)
     monic = {p.monic() for p in pivots if not p.is_constant()}
     factors = {f for p in monic for f in squarefree_factors(p)}
@@ -373,7 +447,7 @@ def lambda_candidates(
             residual_cands.add(residual)
     candidates, kernels = [], []
     for w in sorted(root_cands):
-        kernel = nullspace(system.substitute(w))
+        kernel = kernel_at(system, w, 0)
         if kernel:
             candidates.append(w)
             kernels.append(tuple(kernel))

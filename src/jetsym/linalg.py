@@ -301,7 +301,11 @@ def in_span(columns: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> boo
 
 
 class UniPoly:
-    """Dense univariate polynomial, coefficients ascending by degree."""
+    """Dense univariate polynomial, coefficients ascending by degree.
+
+    The constructor converts each coefficient once; :meth:`_from_fractions`
+    adopts ``Fraction`` coefficients that this package computed itself.
+    """
 
     __slots__ = ("coeffs", "var")
 
@@ -313,20 +317,31 @@ class UniPoly:
         self.var = var
 
     @classmethod
+    def _from_fractions(cls, coeffs: Iterable, var: str = "lambda") -> "UniPoly":
+        """Adopt ``Fraction`` coefficients unchecked, dropping trailing zeros."""
+        cs = list(coeffs)
+        while cs and not cs[-1]:
+            cs.pop()
+        p = object.__new__(cls)
+        p.coeffs = tuple(cs)
+        p.var = var
+        return p
+
+    @classmethod
     def zero(cls, var: str = "lambda") -> "UniPoly":
-        return cls((), var)
+        return cls._from_fractions((), var)
 
     @classmethod
     def one(cls, var: str = "lambda") -> "UniPoly":
-        return cls((ONE,), var)
+        return cls._from_fractions((ONE,), var)
 
     @classmethod
     def constant(cls, c, var: str = "lambda") -> "UniPoly":
-        return cls((_frac(c),), var)
+        return cls._from_fractions((_frac(c),), var)
 
     @classmethod
     def variable(cls, var: str = "lambda") -> "UniPoly":
-        return cls((ZERO, ONE), var)
+        return cls._from_fractions((ZERO, ONE), var)
 
     @property
     def degree(self) -> int:
@@ -355,18 +370,18 @@ class UniPoly:
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
         n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(
+        return UniPoly._from_fractions(
             (self.coeff(k) + other.coeff(k) for k in range(n)), self.var
         )
 
     def __sub__(self, other: "UniPoly") -> "UniPoly":
         n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(
+        return UniPoly._from_fractions(
             (self.coeff(k) - other.coeff(k) for k in range(n)), self.var
         )
 
     def __neg__(self) -> "UniPoly":
-        return UniPoly((-c for c in self.coeffs), self.var)
+        return UniPoly._from_fractions((-c for c in self.coeffs), self.var)
 
     def __mul__(self, other: "UniPoly") -> "UniPoly":
         if self.is_zero() or other.is_zero():
@@ -377,11 +392,11 @@ class UniPoly:
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
-        return UniPoly(out, self.var)
+        return UniPoly._from_fractions(out, self.var)
 
     def scale(self, c) -> "UniPoly":
         c = _frac(c)
-        return UniPoly((c * a for a in self.coeffs), self.var)
+        return UniPoly._from_fractions((c * a for a in self.coeffs), self.var)
 
     def eval(self, x) -> Fraction:
         x = _frac(x)
@@ -391,6 +406,24 @@ class UniPoly:
         for c in reversed(self.coeffs):
             out = out * x + c
         return out
+
+    def taylor(self, x, count: int) -> tuple:
+        """The Taylor coefficients p^(k)(x)/k! at x for k < count.
+
+        Each is the remainder of one synthetic division by ``(t - x)``,
+        whose quotient the next one divides.
+        """
+        x = _frac(x)
+        cs = list(self.coeffs)
+        if not x:
+            return tuple(cs[:count]) + (ZERO,) * (count - len(cs))
+        out = []
+        for _ in range(count):
+            acc = ZERO
+            for k in range(len(cs) - 1, -1, -1):
+                acc = cs[k] = acc * x + cs[k]
+            out.append(cs.pop(0) if cs else ZERO)
+        return tuple(out)
 
     def eval_matrix(self, m: RatMatrix) -> RatMatrix:
         """Horner evaluation at a square matrix."""
@@ -418,16 +451,16 @@ class UniPoly:
             for i, c in enumerate(other.coeffs):
                 rem[k - d + i] -= f * c
             rem.pop()
-        return UniPoly(q, self.var), UniPoly(rem, self.var)
+        return UniPoly._from_fractions(q, self.var), UniPoly._from_fractions(rem, self.var)
 
     def monic(self) -> "UniPoly":
         if self.is_zero():
             return self
         inv = ONE / self.leading()
-        return UniPoly((c * inv for c in self.coeffs), self.var)
+        return UniPoly._from_fractions((c * inv for c in self.coeffs), self.var)
 
     def derivative(self) -> "UniPoly":
-        return UniPoly(
+        return UniPoly._from_fractions(
             (k * c for k, c in enumerate(self.coeffs) if k > 0), self.var
         )
 
@@ -475,7 +508,7 @@ def char_poly(m: RatMatrix) -> UniPoly:
     for k in range(1, n + 1):
         aux = (m @ aux) + eye.scale(coeffs[n - k + 1])
         coeffs[n - k] = -(m @ aux).trace() / k
-    return UniPoly(coeffs)
+    return UniPoly._from_fractions(coeffs)
 
 
 def _divisors(n: int) -> list:
@@ -489,6 +522,22 @@ def _divisors(n: int) -> list:
                 large.append(n // d)
         d += 1
     return small + large[::-1]
+
+
+def _decimal_digits(n: int) -> int:
+    """Number of decimal digits of ``n != 0``, from its bit length.
+
+    ``(bits - 1) * 30103 // 100000 + 1`` is within one of the count below
+    10^8 bits; exact comparisons with powers of ten settle it, where
+    ``len(str(n))`` raises above 4300 digits.
+    """
+    n = abs(n)
+    digits = (n.bit_length() - 1) * 30103 // 100000 + 1
+    while 10**digits <= n:
+        digits += 1
+    while digits > 1 and 10 ** (digits - 1) > n:
+        digits -= 1
+    return digits
 
 
 # Each candidate costs one exact evaluation and its share of one sort:
@@ -514,7 +563,7 @@ def rational_roots(p: UniPoly) -> tuple:
     # powers of the variable come off first
     zmult = 0
     while not work.is_zero() and work.coeff(0) == 0 and work.degree > 0:
-        work = UniPoly(work.coeffs[1:], p.var)
+        work = UniPoly._from_fractions(work.coeffs[1:], p.var)
         zmult += 1
     if zmult:
         roots.append((ZERO, zmult))
@@ -524,18 +573,22 @@ def rational_roots(p: UniPoly) -> tuple:
         g = math.gcd(*ints)
         lead, trail = ints[-1] // g, ints[0] // g
         big = max(abs(lead), abs(trail))
+        # the messages name the degree, not the polynomial: str() of a
+        # coefficient above 4300 digits raises
         if big > 10**12:  # trial division below it takes at most 10^6 steps
             raise ScopeError(
-                f"rational root search on {p}: its integer form has a "
-                f"{len(str(big))}-digit leading or trailing coefficient, "
+                f"rational root search on a degree-{p.degree} polynomial: its "
+                f"integer form has a {_decimal_digits(big)}-digit "
+                f"({big.bit_length()}-bit) leading or trailing coefficient, "
                 "above the 10^12 bound of divisor enumeration"
             )
         nums, dens = _divisors(trail), _divisors(lead)
         count = 2 * len(nums) * len(dens)
         if count > MAX_ROOT_CANDIDATES:
             raise ScopeError(
-                f"rational root search on {p}: its integer form has {count} "
-                f"candidate roots +-p/q, above the bound of {MAX_ROOT_CANDIDATES}"
+                f"rational root search on a degree-{p.degree} polynomial: its "
+                f"integer form has {count} candidate roots +-p/q, above the "
+                f"bound of {MAX_ROOT_CANDIDATES}"
             )
         cands = set()
         for pnum in nums:
@@ -545,7 +598,7 @@ def rational_roots(p: UniPoly) -> tuple:
         for cand in sorted(cands):
             mult = 0
             while work.degree >= 1 and work.eval(cand) == 0:
-                work = work.divmod(UniPoly((-cand, ONE), p.var))[0]
+                work = work.divmod(UniPoly._from_fractions((-cand, ONE), p.var))[0]
                 mult += 1
             if mult:
                 roots.append((cand, mult))
@@ -755,7 +808,8 @@ def poly_matrix_pivots(rows: Sequence[Sequence[UniPoly]]) -> list:
         prevs.append(pivot)
         r += 1
     return [
-        UniPoly(Fraction(x, scale**k) for x in p) for k, p in enumerate(prevs[1:], 1)
+        UniPoly._from_fractions(Fraction(x, scale**k) for x in p)
+        for k, p in enumerate(prevs[1:], 1)
     ]
 
 

@@ -1,6 +1,6 @@
 """Pipeline orchestration and deterministic report rendering.
 
-A run parses the equation, assembles one symbolic determining system,
+A run parses the equation, assembles one y-free symbolic determining system,
 resolves the exponential weights from it, solves it at those weights,
 optionally decomposes the shift action and decides the dependence
 criterion, and packages everything into a report whose JSON rendering
@@ -109,19 +109,17 @@ def run_pipeline(cfg: RunConfig) -> Report:
         _stamp(report, started)
         return report
 
-    # the one enumeration and assembly of the run; every other system is
-    # read off it
+    # the one enumeration and the one assembly of the run, of its y-free
+    # generators; every kernel is read off it as Jordan chains
     caps = build_ansatz(cfg.order_cap, cfg.y_degree, cfg.jet_degree)
-    system = engine.determining_system(caps, eq)
+    system = engine.determining_system(caps.with_y_degree(0), eq)
     scan = None
     if cfg.lambda_mode == "none":
         weights = (ZERO,)
     elif cfg.lambda_mode == "explicit":
         weights = tuple(sorted({_frac(w) for w in cfg.lambda_weights} | {ZERO}))
     elif cfg.lambda_mode == "auto":
-        scan = engine.lambda_candidates(
-            build_ansatz(cfg.order_cap, 0, cfg.jet_degree), eq, system
-        )
+        scan = engine.lambda_candidates(caps, eq, system)
         weights = tuple(sorted(set(scan.candidates) | {ZERO}))
     else:
         raise JetsymError(f"unknown lambda mode {cfg.lambda_mode!r}")

@@ -29,6 +29,7 @@ from .engine import (
     build_ansatz,
     determining_system,
     is_symmetry,
+    kernel_at,
     lambda_candidates,
 )
 from .errors import ClosureViolationError, InternalInconsistencyError
@@ -412,23 +413,25 @@ def dependence_criterion_direct(
     symmetry exists in an ansatz closed under d/dy exactly when one of the
     shapes is realizable in it.
 
-    ``scan`` (of ``build_ansatz(q_max, 0, jet_degree)``) and ``basis`` (the
+    ``scan`` (of the y-free generators of the caps) and ``basis`` (the
     solved space of a run) hand over what the caller already has.  With a
     basis the search covers its declared ansatz: its nonzero weights, and
-    shape (b) only at y-degree >= 1, read off its system at weight 0.
-    Without one it covers every rational weight and y-degree 1, and
-    assembles one system, weight unknown, here.  The certificate claims
-    the rationals only when no nonzero candidate of the scan was left out.
+    shape (b) only at y-degree >= 1, read off its y-free system at weight
+    0.  Without one it covers every rational weight and y-degree 1, and
+    assembles the y-free system, weight unknown, here.  Shape (b) is a
+    Jordan chain of length 2 of that system at weight 0.  The certificate
+    claims the rationals only when no nonzero candidate of the scan was
+    left out.
     """
     if target != Y:
         raise ValueError("the direct criterion is implemented for the y coordinate")
     if basis is None:
-        system = determining_system(build_ansatz(q_max, 1, jet_degree), eq)
+        ansatz = build_ansatz(q_max, 0, jet_degree)
+        system = determining_system(ansatz, eq)
     else:
-        system = basis.system
-    y_free = build_ansatz(q_max, 0, jet_degree)
+        ansatz, system = basis.ansatz, basis.system
     if scan is None:
-        scan = lambda_candidates(y_free, eq, system)
+        scan = lambda_candidates(ansatz, eq, system)
     if basis is None:
         weights, y_degree = scan.candidates, 1
     else:
@@ -440,12 +443,11 @@ def dependence_criterion_direct(
     witness, method = None, "direct-exponential"
     for w in _preferred_weights(weights):
         if w in kernels:
-            witness = ExpPolyExpr.exponential(Y, w) * combine(kernels[w][0], y_free.generators)
+            witness = ExpPolyExpr.exponential(Y, w) * combine(kernels[w][0], system.generators)
             break
     if witness is None and y_degree >= 1:
-        linear = build_ansatz(q_max, 1, jet_degree).generators
-        kernel = nullspace(system.restrict(linear).substitute(ZERO))
-        elements = (combine(vec, linear) for vec in kernel)
+        linear = ansatz.with_y_degree(1).generators
+        elements = (combine(vec, linear) for vec in kernel_at(system, ZERO, 1))
         witness = next((e for e in elements if e.depends_on(target)), None)
         method = "direct-linear"
     if witness is not None:

@@ -11,6 +11,7 @@ import pytest
 import jetsym
 from jetsym import engine, report, structure
 from jetsym.cli import main
+from jetsym.expr import Y
 from jetsym.report import RunConfig, emit_report, run_pipeline
 
 
@@ -150,7 +151,8 @@ class TestOneAssembly:
     )
     def test_one_determining_system_per_run(self, tmp_path, monkeypatch, args):
         # the weight scan, the solve and both direct-criterion shapes read
-        # their systems off the one symbolic assembly
+        # their systems off the one symbolic assembly, of the y-free
+        # generators only: every y power is a Jordan chain of that system
         calls = []
         original = engine.determining_system
 
@@ -163,6 +165,9 @@ class TestOneAssembly:
         code, _ = run_json(tmp_path, args)
         assert code == 0
         assert len(calls) == 1
+        (ansatz, _eq), = calls
+        assert ansatz.generators
+        assert not any(g.depends_on(Y) for g in ansatz.generators)
 
 
 class TestOneEnumeration:

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jetsym.engine import (
     EvolutionEquation,
@@ -12,6 +13,7 @@ from jetsym.engine import (
     check_dimension_bounds,
     determining_system,
     is_symmetry,
+    kernel_at,
     lambda_candidates,
     lie_bracket,
     solve_symmetries,
@@ -200,13 +202,6 @@ class TestSubstitutionMatchesFixedAssembly:
             reference = reference_system(build_ansatz(3, ydeg, 2, weights=(w,)), eq)
             assert nullspace(system.substitute(w)) == nullspace(reference)
 
-    @pytest.mark.parametrize("ydeg", [1, 2])
-    @pytest.mark.parametrize("eq", SUBSTITUTION_EQUATIONS, ids=repr)
-    def test_y_free_restriction_is_the_ydeg0_system(self, eq, ydeg):
-        full = determining_system(build_ansatz(3, ydeg, 2), eq)
-        y_free = build_ansatz(3, 0, 2)
-        assert full.restrict(y_free.generators) == determining_system(y_free, eq)
-
     @pytest.mark.parametrize("ydeg", [0, 1, 2])
     @pytest.mark.parametrize("eq", SUBSTITUTION_EQUATIONS, ids=repr)
     def test_substitute_matches_dense_horner(self, eq, ydeg):
@@ -239,6 +234,54 @@ class TestSubstitutionMatchesFixedAssembly:
         basis = solve_symmetries(ansatz, eq)
         assert list(basis.elements) == expected
         assert basis.dims == reference_dims(ansatz, reference)
+
+
+def chain_equations():
+    """u_2 + a*u_1 + b*u, maybe plus a nonlinear term, with rational weights
+    r1, r2 where exp(r*y) is a symmetry of the linear part: kernels there
+    have the longest chains."""
+    roots = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+    extra = st.sampled_from(["", " + u_1^2", " + u*u_1", " + u_1^3"])
+    return st.tuples(roots, roots, extra)
+
+
+class TestChainKernel:
+    """The kernel at any y-degree is read off the y-free system as Jordan
+    chains of S(lambda); the reference assembles every y^a column at the
+    weight from the defects."""
+
+    @pytest.mark.parametrize("ydeg", [0, 1, 2, 3])
+    @pytest.mark.parametrize("eq", SUBSTITUTION_EQUATIONS, ids=repr)
+    def test_chain_kernel_is_the_full_kernel(self, eq, ydeg):
+        system = determining_system(build_ansatz(3, 0, 2), eq)
+        for w in SUBSTITUTION_WEIGHTS:
+            reference = reference_system(build_ansatz(3, ydeg, 2, weights=(w,)), eq)
+            assert kernel_at(system, w, ydeg) == nullspace(reference)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        chain_equations(),
+        st.integers(min_value=0, max_value=3),
+        st.sampled_from(["r1", "r2", "0", "other"]),
+        st.fractions(min_value=-3, max_value=3, max_denominator=3),
+    )
+    def test_chain_kernel_on_random_equations(self, roots_extra, ydeg, which, other):
+        r1, r2, extra = roots_extra
+        eq = parse_equation(f"u_t = u_2 + {-(r1 + r2)}*u_1 + {r1 * r2}*u{extra}")
+        w = {"r1": r1, "r2": r2, "0": F(0), "other": other}[which]
+        system = determining_system(build_ansatz(2, 0, 2), eq)
+        reference = reference_system(build_ansatz(2, ydeg, 2, weights=(w,)), eq)
+        assert kernel_at(system, w, ydeg) == nullspace(reference)
+
+    @pytest.mark.parametrize("ydeg", [0, 1, 2, 3])
+    def test_double_weight_has_one_chain_of_length_two(self, ydeg):
+        # the defect of exp(w*y) for u_2 - 2*u_1 + u is -(w - 1)^2 exp(w*y):
+        # exp(y) and y*exp(y) are a chain of length 2, and no chain is longer
+        eq = parse_equation("u_t = u_2 - 2*u_1 + u")
+        system = determining_system(build_ansatz(0, 0, 1), eq)
+        gens = build_ansatz(0, ydeg, 1).generators
+        elements = [combine(v, gens).render() for v in kernel_at(system, 1, ydeg)]
+        assert elements == ["1", "y"][: ydeg + 1]
 
 
 class TestSolveSymmetries:

@@ -13,6 +13,7 @@ from jetsym.linalg import (
     UniPoly,
     _inverse_mod,
     _NeedsSplit,
+    _decimal_digits,
     _int_exact_div,
     _poly_exact_div,
     char_poly,
@@ -480,6 +481,16 @@ class TestRationalRoots:
             rational_roots(UniPoly([10**20, 0, 1]))
         with pytest.raises(ScopeError, match="21-digit"):  # integer form 10^20 x - 1
             rational_roots(UniPoly([F(-1, 10**20), 1]))
+
+    def test_refusal_message_past_the_str_limit(self):
+        # the integer form 10^5000 x^2 - 1 has 5001 digits, above the 4300
+        # that int/str conversion allows
+        with pytest.raises(ScopeError, match=r"degree-2 .* 5001-digit \(16610-bit\)"):
+            rational_roots(UniPoly([-1, 0, F(1, 10**5000)]))
+
+    @pytest.mark.parametrize("n", [1, 9, 10, 99, 10**12, 10**12 + 1, 10**4299, 10**4300 - 1])
+    def test_decimal_digits(self, n):
+        assert _decimal_digits(n) == len(str(n)) == _decimal_digits(-n)
 
     def test_bound_applies_to_the_primitive_form(self):
         # 10^12 itself is searched; 10^20 * (x - 1) is primitive x - 1

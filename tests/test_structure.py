@@ -425,6 +425,23 @@ class TestCriterion:
         assert verdict.method == "direct-exponential"
         assert verdict.witness.lambdas == (F(1),)
 
+    def test_direct_assembles_only_the_y_free_system(self, monkeypatch):
+        # shape (b) is a chain of length 2 of the y-free system at weight 0
+        import jetsym.structure
+
+        calls = []
+        original = jetsym.structure.determining_system
+
+        def recording(ansatz, eq):
+            calls.append(ansatz.generators)
+            return original(ansatz, eq)
+
+        monkeypatch.setattr(jetsym.structure, "determining_system", recording)
+        verdict = dependence_criterion_direct(HEAT, 2, 2)
+        assert verdict.method == "direct-linear" and verdict.witness_expression == E("y")
+        (gens,) = calls
+        assert gens and not any(g.depends_on(Y) for g in gens)
+
     def test_direct_kdv_not_exists(self):
         verdict = dependence_criterion_direct(KDV, 3, 2)
         assert not verdict.exists
