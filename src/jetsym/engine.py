@@ -27,6 +27,8 @@ from .expr import (
     T,
     Y,
     ExpPolyExpr,
+    _cleared,
+    _divided,
     all_jet_monomials,
     combine,
 )
@@ -47,9 +49,15 @@ from .linalg import (
 
 
 class EvolutionEquation:
-    """Right-hand side of ``u_t = G(u, u_1, ..., u_d)`` with its order d."""
+    """Right-hand side of ``u_t = G(u, u_1, ..., u_d)`` with its order d.
 
-    __slots__ = ("rhs", "order", "_frechet", "_derivatives")
+    The defects run on ``D_G * G``, with ``D_G`` the lcm of G's coefficient
+    denominators, so that their arithmetic is on ``int``s.  The equation
+    keeps ``D_G``, the linearization of ``D_G * G`` and its total
+    y-derivatives, each computed once; ``rhs`` is G itself.
+    """
+
+    __slots__ = ("rhs", "order", "_denominator", "_scaled_frechet", "_scaled_derivatives")
 
     def __init__(self, rhs: ExpPolyExpr):
         for c in (T, Y, PARAM):
@@ -62,19 +70,20 @@ class EvolutionEquation:
             raise ScopeError(f"evolution order must be at least 2, got {d}")
         self.rhs = rhs
         self.order = d
-        self._frechet = rhs.frechet()
-        self._derivatives = (rhs,)
+        self._denominator, scaled = _cleared(rhs)
+        self._scaled_frechet = scaled.frechet()
+        self._scaled_derivatives = (scaled,)
 
-    def rhs_derivatives(self, n: int) -> tuple:
-        """D_y^j G for j = 0..n, each computed once per equation."""
-        ders = self._derivatives
+    def _scaled_rhs_derivatives(self, n: int) -> tuple:
+        """D_y^j (D_G * G) for j = 0..n, on ints, each computed once per equation."""
+        ders = self._scaled_derivatives
         if len(ders) <= n:
             # extend a copy and publish it whole, so concurrent callers
             # never see a partly built tuple
             grown = list(ders)
             while len(grown) <= n:
                 grown.append(grown[-1].total_derive_y())
-            self._derivatives = ders = tuple(grown)
+            self._scaled_derivatives = ders = tuple(grown)
         return ders[: n + 1]
 
     def __eq__(self, other):
@@ -85,14 +94,23 @@ class EvolutionEquation:
 
 
 def symmetry_defect(eta: ExpPolyExpr, eq: EvolutionEquation) -> ExpPolyExpr:
-    """Linearization defect; zero exactly when eta is a symmetry characteristic."""
-    return _linearized_on_rhs(eta, eq) - eq._frechet.apply(eta)
+    """Linearization defect eta'[G] - G_*[eta]; zero exactly when eta is a
+    symmetry characteristic.
+
+    Both terms are bilinear in (eta, G), so the defect is computed on
+    ``D_eta * eta`` and ``D_G * G``, both with ``int`` coefficients, and
+    divided by ``D_eta * D_G`` once.
+    """
+    return _shifted_defect(eta, eq, ExpPolyExpr.zero())
 
 
-def _linearized_on_rhs(eta: ExpPolyExpr, eq: EvolutionEquation) -> ExpPolyExpr:
-    """D_G(eta) = eta'[G], contracted with the equation's cached D_y^j G."""
-    op = eta.frechet()
-    return op.contract(eq.rhs_derivatives(op.order))
+def _shifted_defect(eta: ExpPolyExpr, eq: EvolutionEquation, shift: ExpPolyExpr) -> ExpPolyExpr:
+    """The defect with D_y replaced by D_y + shift in G_*[eta], on int numerators."""
+    d, scaled = _cleared(eta)
+    op = scaled.frechet()
+    linearized = op.contract(eq._scaled_rhs_derivatives(op.order))
+    defect = linearized - eq._scaled_frechet.apply_shifted(scaled, shift)
+    return _divided(defect, d * eq._denominator)
 
 
 def is_symmetry(eta: ExpPolyExpr, eq: EvolutionEquation) -> bool:
@@ -246,8 +264,10 @@ def _weighted_defect(gen: ExpPolyExpr, eq: EvolutionEquation) -> ExpPolyExpr:
     turns the defect into exp(w y) times a polynomial in w; the parameter
     coordinate carries the powers of w.
     """
-    shift = ExpPolyExpr.coordinate(PARAM)
-    return _linearized_on_rhs(gen, eq) - eq._frechet.apply_shifted(gen, shift)
+    return _shifted_defect(gen, eq, _PARAM_SHIFT)
+
+
+_PARAM_SHIFT = _cleared(ExpPolyExpr.coordinate(PARAM))[1]  # int coefficient, like the kernel's
 
 
 def determining_system(ansatz: AnsatzSpace, eq: EvolutionEquation) -> DeterminingSystem:

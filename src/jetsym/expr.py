@@ -22,12 +22,26 @@ key merges like terms and is the term order: every operation emits
 ``(key, coeff)`` pairs, then merges them once and sorts once.  The pairs
 stay sparse because a dense exponent vector would sort ``u_1`` before
 ``y*u_1`` and change the rendered term order.
+
+Coefficients are cleared of their denominators where the arithmetic is
+heavy.  The kernel (``_merged``, the ``_*_pairs`` generators, ``frechet``,
+``contract``, ``apply_shifted``) uses only ``*``, ``+`` and truthiness on
+coefficients, so it runs unchanged on ``int`` numerators: the symmetry
+defect and the assembly in ``engine`` and the power expansion in
+``parser`` take ``(d, d*e)`` from :func:`_cleared`, work on the ``int``
+coefficients of ``d*e``, and divide the result once with
+:func:`_divided`.  An exponential weight stays a ``Fraction`` and
+multiplies into such coefficients exactly.  The boundary rule: every
+expression that this module's constructors, ``parser`` or ``engine``
+return holds only ``Fraction`` coefficients, since an ``int`` divided by
+an ``int`` downstream would give a float.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
@@ -182,6 +196,24 @@ def _merged(pairs: Iterable) -> "ExpPolyExpr":
     e = object.__new__(ExpPolyExpr)
     e.terms = tuple(_new_monomial(Monomial, kc) for kc in sorted(acc.items()) if kc[1])
     return e
+
+
+def _cleared(e: "ExpPolyExpr") -> tuple:
+    """``(d, d*e)`` with ``d`` the lcm of e's denominators; ``d*e`` has ``int``
+    coefficients and is for the kernel's use only."""
+    d = lcm(*(c.denominator for _, c in e.terms))
+    out = object.__new__(ExpPolyExpr)
+    out.terms = tuple(
+        _new_monomial(Monomial, (k, c.numerator * (d // c.denominator))) for k, c in e.terms
+    )
+    return d, out
+
+
+def _divided(e: "ExpPolyExpr", d: int) -> "ExpPolyExpr":
+    """``e / d`` with ``Fraction`` coefficients: the way back from :func:`_cleared`."""
+    out = object.__new__(ExpPolyExpr)
+    out.terms = tuple(_new_monomial(Monomial, (k, Fraction(c, d))) for k, c in e.terms)
+    return out
 
 
 def _bump(pairs: tuple, c: Coord, delta) -> tuple:

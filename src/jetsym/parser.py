@@ -16,7 +16,8 @@ The argument of ``exp`` must simplify to a rational multiple of a single
 not contain y, t or exponentials; that restriction is reported as a scope
 error, not a syntax error.
 
-Powers are expanded by repeated multiplication, so two caps refuse a power
+Powers are expanded by repeated multiplication, on the base's integer
+numerators over their common denominator, so two caps refuse a power
 with a scope error before any expansion: an exponent above MAX_EXPONENT,
 and a power whose expansion could exceed MAX_POWER_TERMS terms.  An
 n-term base to the k has at most C(n+k-1, k) terms.
@@ -36,7 +37,7 @@ from math import comb
 
 from .engine import EvolutionEquation
 from .errors import ParseError, ScopeError
-from .expr import ExpPolyExpr, T, coord_by_name
+from .expr import ExpPolyExpr, T, _cleared, _divided, coord_by_name
 
 _OPS = "+-*^()="
 
@@ -210,11 +211,12 @@ class _Parser:
                     f"a {n}-term base to the power {k} may expand to {bound} terms, "
                     f"above the cap of {MAX_POWER_TERMS}"
                 )
-            _checked_coefficients(base)
-            out = ExpPolyExpr.one()
+            # expanded on int numerators: (d*base)^k, divided by d^k once
+            d, scaled = _cleared(_checked_coefficients(base))
+            out = _cleared(ExpPolyExpr.one())[1]
             for _ in range(k):
-                out = out * base
-            return _checked_coefficients(out)
+                out = out * scaled
+            return _checked_coefficients(_divided(out, d**k))
         return base
 
     # atom := rational | coordinate | "exp" "(" expr ")" | "(" expr ")"

@@ -24,7 +24,7 @@ from .errors import (
     ScopeError,
     UnresolvedSpectrumError,
 )
-from .expr import Coord, Y, coord_by_name
+from .expr import Coord, T, Y, coord_by_name
 from .linalg import ZERO, _frac
 from .parser import parse_characteristic, parse_equation
 
@@ -66,7 +66,14 @@ class RunConfig:
             )
         if self.mode == "check" and not self.checks:
             raise JetsymError("check mode requires at least one characteristic")
-        self.target_coord()
+        if self.target_coord() == T and self.mode in ("structure", "criterion"):
+            # characteristics are enumerated without t, so a t-verdict
+            # would hold for every equation and certify nothing
+            raise ScopeError(
+                "target t is not supported in structure and criterion modes: the "
+                "ansatz holds no t, so 'no t-dependent symmetry within the ansatz' "
+                "would be vacuous"
+            )
 
 
 @dataclass

@@ -304,6 +304,16 @@ class TestErrorCodes:
         assert code == 3
         assert data["error"]["kind"] == "scope"
 
+    @pytest.mark.parametrize("mode", ["structure", "criterion"])
+    def test_scope_error_target_t(self, tmp_path, mode):
+        # the ansatz holds no t, so a t-verdict would certify nothing
+        code, data = run_json(
+            tmp_path, ["--eq", "u_t = u_2", "--mode", mode, "--target", "t"]
+        )
+        assert code == 3
+        assert data["error"]["kind"] == "scope"
+        assert "holds no t" in data["error"]["message"]
+
     @pytest.mark.parametrize(
         "char, words",
         [("u^100000000", "exponent"), ("(u + u_1 + u_2 + u_3 + u_4 + y)^40", "terms")],

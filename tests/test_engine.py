@@ -20,7 +20,7 @@ from jetsym.engine import (
     symmetry_defect,
 )
 from jetsym.errors import EmptyAnsatzError, ScopeError
-from jetsym.expr import Y, ExpPolyExpr, combine, monomial_coordinates
+from jetsym.expr import U, Y, ExpPolyExpr, combine, jet, monomial_coordinates
 from jetsym.linalg import (
     RatMatrix,
     UniPoly,
@@ -73,6 +73,79 @@ class TestDefect:
         assert is_symmetry(E("u_1"), HEAT)
         assert is_symmetry(E("exp(y)"), LINEAR_DECAY)
         assert not is_symmetry(E("y*u_1"), HEAT)
+
+
+def reference_defect(eta, rhs):
+    """eta'[G] - G_*[eta] from the public operations on the unscaled
+    ``Fraction`` expressions: eta's linearization contracted with D_y^j G,
+    minus G's linearization applied to eta."""
+    op = eta.frechet()
+    derivatives = [rhs]
+    for _ in range(op.order):
+        derivatives.append(derivatives[-1].total_derive_y())
+    return op.contract(derivatives) - rhs.frechet().apply(eta)
+
+
+def only_fractions(e):
+    return all(type(m.coeff) is Fraction for m in e.terms)
+
+
+SMALL_RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@st.composite
+def rational_equations(draw):
+    """u_t = a*u_2 + (rational combination of u, u_1, u_1^2, u*u_1), a != 0."""
+    rhs = ExpPolyExpr.monomial(draw(SMALL_RATIONALS.filter(bool)), {jet(2): 1})
+    for powers in ({U: 1}, {jet(1): 1}, {jet(1): 2}, {U: 1, jet(1): 1}):
+        rhs = rhs + ExpPolyExpr.monomial(draw(SMALL_RATIONALS), powers)
+    return EvolutionEquation(rhs)
+
+
+@st.composite
+def rational_characteristics(draw):
+    """Sums of rational monomials in y, u, u_1, u_2 with fractional
+    exponential weights on y and u."""
+    weights = st.sampled_from([F(0), F(0), F(1, 2), F(-2, 3), F(3)])
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        powers = {c: draw(st.integers(0, 2)) for c in (Y, U, jet(1), jet(2))}
+        expvec = {Y: draw(weights), U: draw(weights)}
+        terms.append(ExpPolyExpr.monomial(draw(SMALL_RATIONALS), powers, expvec))
+    return sum(terms, ExpPolyExpr.zero())
+
+
+INTEGER_NUMERATORS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+class TestIntegerNumerators:
+    """Defects and assembly run on int numerators and divide once; they must
+    equal the Fraction computation and hand back only Fraction coefficients."""
+
+    @INTEGER_NUMERATORS
+    @given(rational_characteristics(), rational_equations())
+    def test_defect_equals_the_fraction_reference(self, eta, eq):
+        defect = symmetry_defect(eta, eq)
+        assert defect == reference_defect(eta, eq.rhs)
+        assert only_fractions(defect)
+
+    @INTEGER_NUMERATORS
+    @given(rational_equations(), st.sampled_from([F(0), F(1, 2), F(-5, 3), F(2)]))
+    def test_assembly_equals_the_fraction_reference(self, eq, w):
+        system = determining_system(build_ansatz(2, 1, 2), eq)
+        assert all(type(c) is Fraction for row in system.rows for p in row for c in p.coeffs)
+        # column j read back as an expression is exp(-w*y) times the defect
+        # of exp(w*y) * generator j
+        exp_w, exp_minus_w = ExpPolyExpr.exponential(Y, w), ExpPolyExpr.exponential(Y, -w)
+        for j, g in enumerate(system.generators):
+            column = sum(
+                (
+                    ExpPolyExpr.monomial(row[j].eval(w), dict(powers), dict(expvec))
+                    for row, (powers, expvec) in zip(system.rows, system.row_shapes)
+                ),
+                ExpPolyExpr.zero(),
+            )
+            assert column == exp_minus_w * reference_defect(exp_w * g, eq.rhs)
 
 
 class TestLieBracket:

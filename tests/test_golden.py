@@ -47,6 +47,11 @@ CASES = {
          "--check", "exp(y)*u", "--check", "(u + u_1 + u_2 + u_3 + y)^4"],
         0,
     ),
+    "check_rational": (
+        ["--eq", "u_t = 2/3*u_2 - 1/4*u_1^2", "--check", "3/5*exp(1/2*y)*u_1",
+         "--check", "(1/2*u + 2/3*u_1 - y)^3", "--check", "u_1", "--check", "exp(3/8*u)"],
+        0,
+    ),
     "criterion_unresolved_declared_weights": (
         ["--eq", "u_t = u_2 + u", "--mode", "criterion", "--lambda", "none"],
         0,

@@ -3,9 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jetsym.errors import ParseError, ScopeError
-from jetsym.expr import ExpPolyExpr, U, Y
+from jetsym.expr import ExpPolyExpr, U, Y, jet
 from jetsym.parser import (
     MAX_COEFFICIENT_BITS,
     MAX_EXPONENT,
@@ -183,6 +184,31 @@ class TestPowerCaps:
         assert MAX_POWER_TERMS < 11440
         with pytest.raises(ScopeError):
             parse_expression("(1 + u + u_1 + u_2 + u_3 + u_4 + u_5 + u_6 + u_7 + y)^7")
+
+
+POSITIVE_RATIONALS = st.fractions(min_value=F(1, 9), max_value=9, max_denominator=9)
+
+
+class TestPowerOnIntegerNumerators:
+    """A power is expanded on the base's int numerators and divided once; it
+    must equal repeated multiplication and hold only Fraction coefficients."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(POSITIVE_RATIONALS, POSITIVE_RATIONALS, st.integers(0, 6))
+    def test_rational_base(self, a, c, k):
+        parsed = parse_expression(
+            f"({a.numerator}/{a.denominator}*u + {c.numerator}/{c.denominator}*u_1 + y)^{k}"
+        )
+        base = (
+            ExpPolyExpr.monomial(a, {U: 1})
+            + ExpPolyExpr.monomial(c, {jet(1): 1})
+            + ExpPolyExpr.coordinate(Y)
+        )
+        expected = ExpPolyExpr.one()
+        for _ in range(k):
+            expected = expected * base
+        assert parsed == expected
+        assert all(type(m.coeff) is F for m in parsed.terms)
 
 
 class TestNumeralCaps:
