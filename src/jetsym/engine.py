@@ -124,11 +124,12 @@ def lie_bracket(eta1: ExpPolyExpr, eta2: ExpPolyExpr) -> ExpPolyExpr:
 
 # Generators C(q_max + 1 + jet_degree, jet_degree) * (y_degree + 1) above
 # which build_ansatz refuses the caps.  Only the y-free ones are assembled
-# and each y power adds one elimination of that system; the weight scan's
-# polynomial elimination grows fastest.  At 1,716 generators (order 9, jet
-# degree 3, y-degree 5) the KdV solve takes 0.8 s end to end and the heat,
-# potential Burgers and KdV criterion runs 1.7 to 3.8 s, most of it in the
-# scan (2-core Xeon VM).
+# and each y power adds one elimination of that system.  At 1,716
+# generators (order 9, jet degree 3, y-degree 5) the KdV solve takes 0.6 to
+# 0.7 s end to end with --lambda none and 2.3 to 2.6 s with the weight scan,
+# and the heat, potential Burgers and KdV criterion runs take 0.6 to 2.9 s.
+# The KdV runs spend most of it in the scan's growing integer minors,
+# potential Burgers in the Jordan chain levels (2-core Xeon VM).
 MAX_ANSATZ_GENERATORS = 2000
 
 

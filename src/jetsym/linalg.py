@@ -16,15 +16,20 @@ solves, span tests and Jordan chain tops are each read off one call.
 Over polynomials in the weight unknown, :func:`poly_matrix_pivots` is a
 sparse fraction-free (Bareiss) elimination over Z on ``{column: entry}``
 row dicts.  The matrix is first multiplied by ``D``, the lcm of all
-coefficient denominators, and each entry is held as a list of integer
-coefficients; every division is an exact ``divmod`` long division over Z,
-and pivot ``k`` is divided by ``D**k`` on return.  The entries compared at
-step ``k`` are all ``D**k`` times the same minors of the input, so with
-``D > 0`` their (degree, coefficients) order is unchanged.  A row without
-the pivot column is not rescaled at that step; it is brought up to date
-by one exact division when it next holds a pivot column.  Pivot rule and
-row swaps are those of the dense rational elimination, so the pivot list
-is the same, and an inexact division raises as the bug it would be.
+coefficient denominators, and each entry is held as ``(s, p)``: the weight
+to the power ``s`` times a list ``p`` of integer coefficients with a
+nonzero constant term.  Every division is an exact ``divmod`` long
+division over Z that subtracts the shifts, and pivot ``k`` is divided by
+``D**k`` on return.  On a quasi-homogeneous equation such as heat or KdV
+the system is graded in the weight, every minor is a monomial, and so
+every entry has one coefficient and each operation is one ``int``
+operation.  The entries compared at step ``k`` are all ``D**k`` times the
+same minors of the input, so with ``D > 0`` their (degree, coefficients)
+order is unchanged.  A row without the pivot column is not rescaled at
+that step; it is brought up to date by one exact division when it next
+holds a pivot column.  Pivot rule and row swaps are those of the dense
+rational elimination, so the pivot list is the same, and an inexact
+division raises as the bug it would be.
 :func:`rank_modulo` eliminates over the same kind of row dicts, with
 rational polynomial entries.
 """
@@ -696,21 +701,6 @@ def _int_mul(a: list, b: list) -> list:
     return out
 
 
-def _int_sub(a: list, b: list) -> list:
-    """``a - b`` on integer coefficient lists, trailing zeros trimmed."""
-    if len(a) < len(b):
-        out = [-y for y in b]
-        for i, x in enumerate(a):
-            out[i] += x
-    else:
-        out = list(a)
-        for i, y in enumerate(b):
-            out[i] -= y
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
 def _int_exact_div(num: list, den: list) -> list:
     """Quotient of integer coefficient lists that ``den`` divides exactly over Z.
 
@@ -734,6 +724,63 @@ def _int_exact_div(num: list, den: list) -> list:
     return q
 
 
+# Nonzero Bareiss entries of poly_matrix_pivots are ``(s, p)``: lambda**s
+# times the integer coefficients ``p``, ascending by degree, ``p[0] != 0``.
+
+
+def _graded(s: int, p: list):
+    """``(s, p)`` with ``p`` trimmed in place and its low zeros moved into ``s``;
+    None for zero."""
+    while p and not p[-1]:
+        p.pop()
+    if not p:
+        return None
+    k = 0
+    while not p[k]:
+        k += 1
+    return (s + k, p[k:]) if k else (s, p)
+
+
+def _graded_mul(a: tuple, b: tuple) -> tuple:
+    (sa, pa), (sb, pb) = a, b
+    if len(pa) == 1 and len(pb) == 1:
+        return sa + sb, [pa[0] * pb[0]]
+    return sa + sb, _int_mul(pa, pb)
+
+
+def _graded_div(num: tuple, den: tuple) -> tuple:
+    """Quotient of entries that ``den`` divides exactly, else ``ArithmeticError``."""
+    (sn, pn), (sd, pd) = num, den
+    if sn < sd:
+        raise ArithmeticError("inexact polynomial division")
+    if len(pn) == 1 and len(pd) == 1:
+        q, m = divmod(pn[0], pd[0])
+        if m:
+            raise ArithmeticError("inexact polynomial division")
+        return sn - sd, [q]
+    return sn - sd, _int_exact_div(pn, pd)
+
+
+def _graded_cross(pivot: tuple, x, f: tuple, y):
+    """``pivot*x - f*y`` with ``x`` or ``y`` None for a zero entry; None for zero."""
+    if y is None:
+        return _graded_mul(pivot, x)
+    sb, pb = _graded_mul(f, y)
+    if x is None:
+        return sb, [-c for c in pb]
+    sa, pa = _graded_mul(pivot, x)
+    if sa == sb and len(pa) == 1 and len(pb) == 1:
+        c = pa[0] - pb[0]
+        return (sa, [c]) if c else None
+    s = min(sa, sb)
+    out = [0] * (max(sa + len(pa), sb + len(pb)) - s)
+    for i, c in enumerate(pa, sa - s):
+        out[i] = c
+    for i, c in enumerate(pb, sb - s):
+        out[i] -= c
+    return _graded(s, out)
+
+
 def poly_matrix_pivots(rows: Sequence[Sequence[UniPoly]]) -> list:
     """Pivot polynomials of a division-free (Bareiss) elimination.
 
@@ -744,12 +791,20 @@ def poly_matrix_pivots(rows: Sequence[Sequence[UniPoly]]) -> list:
     pivot is, up to sign, a maximal non-vanishing minor).
 
     The elimination runs over Z: the matrix is scaled by ``D``, the lcm of
-    all coefficient denominators, and every entry is held as a list of
-    integer coefficients, ascending by degree.  Each entry compared at step
-    ``k`` (1-based) is a ``k``-minor of ``D*M``, that is ``D**k`` times the
-    same minor of ``M``; as ``D > 0`` the ``(degree, coefficients)`` order,
-    and with it every pivot choice and row swap, is that of ``M``.  Pivot
-    ``k`` is returned divided by ``D**k``.
+    all coefficient denominators, and every nonzero entry is held as
+    ``(s, p)``, ``lambda**s`` times the integer coefficient list ``p``
+    (ascending by degree, ``p[0] != 0``).  Products add the shifts, exact
+    quotients subtract them, and a difference is aligned to the smaller
+    shift and stripped of the low terms that cancelled.  On a
+    quasi-homogeneous equation (heat, KdV) the system is graded, so every
+    minor, and with it every entry, is a monomial ``c*lambda**s``: ``p`` has
+    one coefficient and each operation is one ``int`` operation.
+
+    Each entry compared at step ``k`` (1-based) is a ``k``-minor of
+    ``D*M``, that is ``D**k`` times the same minor of ``M``; as ``D > 0`` the
+    order of the padded coefficient lists ``[0]*s + p`` (length first), and
+    with it every pivot choice and row swap, is that of ``M``.  Pivot ``k``
+    is returned divided by ``D**k``.
 
     Rows are ``{column: entry}`` dicts and each step touches only the rows
     holding the pivot column.  A Bareiss step merely multiplies every other
@@ -764,7 +819,7 @@ def poly_matrix_pivots(rows: Sequence[Sequence[UniPoly]]) -> list:
     scale = math.lcm(*(c.denominator for row in rows for x in row for c in x.coeffs))
     mat = [
         {
-            j: [c.numerator * (scale // c.denominator) for c in x.coeffs]
+            j: _graded(0, [c.numerator * (scale // c.denominator) for c in x.coeffs])
             for j, x in enumerate(row)
             if x.coeffs
         }
@@ -773,7 +828,7 @@ def poly_matrix_pivots(rows: Sequence[Sequence[UniPoly]]) -> list:
     ncols = len(rows[0]) if rows else 0
     order = list(range(len(mat)))  # position -> row, swapped as in the dense form
     step = [0] * len(mat)  # the step each row's entries are current at
-    prevs = [[1]]  # prevs[k]: the pivot of step k, with prevs[0] = 1
+    prevs = [(0, [1])]  # prevs[k]: the pivot of step k, with prevs[0] = 1
     r = 0
     for c in range(ncols):
         if r == len(mat):
@@ -787,10 +842,15 @@ def poly_matrix_pivots(rows: Sequence[Sequence[UniPoly]]) -> list:
             if step[i] != r:
                 old = prevs[step[i]]
                 mat[i] = {
-                    j: _int_exact_div(_int_mul(x, prev), old) for j, x in mat[i].items()
+                    j: _graded_div(_graded_mul(x, prev), old) for j, x in mat[i].items()
                 }
                 step[i] = r
-        pr = min(hits, key=lambda k: (len(mat[order[k]][c]), mat[order[k]][c], k))
+
+        def key(k):
+            s, p = mat[order[k]][c]
+            return s + len(p), [0] * s + p, k
+
+        pr = min(hits, key=key)
         hit_rows = [order[k] for k in hits if k != pr]
         order[r], order[pr] = order[pr], order[r]
         prow = mat[order[r]]
@@ -800,16 +860,16 @@ def poly_matrix_pivots(rows: Sequence[Sequence[UniPoly]]) -> list:
             f = row[c]
             crossed = {}
             for j in row.keys() | prow.keys():
-                v = _int_sub(_int_mul(pivot, row.get(j, [])), _int_mul(f, prow.get(j, [])))
-                if v:
-                    crossed[j] = _int_exact_div(v, prev)
+                v = _graded_cross(pivot, row.get(j), f, prow.get(j))
+                if v is not None:
+                    crossed[j] = _graded_div(v, prev)
             mat[i] = crossed
             step[i] = r + 1
         prevs.append(pivot)
         r += 1
     return [
-        UniPoly._from_fractions(Fraction(x, scale**k) for x in p)
-        for k, p in enumerate(prevs[1:], 1)
+        UniPoly._from_fractions([ZERO] * s + [Fraction(x, scale**k) for x in p])
+        for k, (s, p) in enumerate(prevs[1:], 1)
     ]
 
 

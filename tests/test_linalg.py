@@ -14,6 +14,9 @@ from jetsym.linalg import (
     _inverse_mod,
     _NeedsSplit,
     _decimal_digits,
+    _graded,
+    _graded_cross,
+    _graded_div,
     _int_exact_div,
     _poly_exact_div,
     char_poly,
@@ -200,6 +203,14 @@ RATIONAL_POLY_ENTRY = st.one_of(
         st.lists(st.builds(F, st.integers(-3, 3), st.sampled_from((1, 2, 3, 5, 7))), max_size=3),
     ),
 )
+# Entries times lambda^s, integer and rational, so that the elimination
+# strips shifts, cancels low terms (raising the shift) and divides by
+# shifted pivots.
+SHIFTED_POLY_ENTRY = st.builds(
+    lambda p, s: UniPoly([0] * s + list(p.coeffs)),
+    st.one_of(POLY_ENTRY, RATIONAL_POLY_ENTRY),
+    st.integers(0, 4),
+)
 # split, irreducible, linear, three linear factors, a square, irrational roots
 MODULI = tuple(
     UniPoly(c)
@@ -221,6 +232,21 @@ def poly_matrices(draw, entry=POLY_ENTRY):
         ]
         for i in range(nrows)
     ]
+
+
+@st.composite
+def graded_poly_matrices(draw):
+    """Matrices of monomials ``c * lambda**(r_i - c_j)``: every minor is a monomial."""
+    nrows = draw(st.integers(0, 6))
+    ncols = draw(st.integers(0, 6))
+    row_degrees = draw(st.lists(st.integers(3, 6), min_size=nrows, max_size=nrows))
+    col_degrees = draw(st.lists(st.integers(0, 3), min_size=ncols, max_size=ncols))
+    coeff = st.sampled_from((0, 0, 1, -1, 2, F(-3, 2)))
+    return [[UniPoly([0] * (r - c) + [draw(coeff)]) for c in col_degrees] for r in row_degrees]
+
+
+def _is_monomial(p):
+    return sum(1 for c in p.coeffs if c) == 1
 
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -339,6 +365,18 @@ class TestPolySparseAgainstDense:
     def test_pivots_match_dense_rational_coefficients(self, rows):
         assert poly_matrix_pivots(rows) == dense_poly_matrix_pivots(rows)
 
+    @PROPERTY
+    @given(poly_matrices(SHIFTED_POLY_ENTRY))
+    def test_pivots_match_dense_shifted_entries(self, rows):
+        assert poly_matrix_pivots(rows) == dense_poly_matrix_pivots(rows)
+
+    @PROPERTY
+    @given(graded_poly_matrices())
+    def test_pivots_match_dense_graded_entries(self, rows):
+        pivots = poly_matrix_pivots(rows)
+        assert pivots == dense_poly_matrix_pivots(rows)
+        assert all(_is_monomial(p) for p in pivots)
+
     def test_rational_scan_pivots_match_dense(self):
         # coefficients -1/3 and 2/5: the integer elimination scales by D = 15
         ansatz = build_ansatz(3, 0, 3)
@@ -355,6 +393,26 @@ class TestPolySparseAgainstDense:
         pivots = poly_matrix_pivots(rows)
         assert len(pivots) == 56
         assert pivots == dense_poly_matrix_pivots(rows)
+
+
+class TestScanGrading:
+    """The weight scan's speed rests on quasi-homogeneity: heat and KdV are
+    invariant under ``y -> a*y`` with the weight scaled by ``1/a``, so every
+    entry of their y-free systems, and every minor, is a monomial in the
+    weight."""
+
+    @pytest.mark.parametrize(
+        "equation, caps", [("u_t = u_2", (4, 0, 3)), ("u_t = u_3 + u*u_1", (3, 0, 3))]
+    )
+    def test_graded_systems_have_monomial_entries_and_pivots(self, equation, caps):
+        rows = determining_system(build_ansatz(*caps), parse_equation(equation)).rows
+        assert all(_is_monomial(x) for row in rows for x in row if not x.is_zero())
+        pivots = poly_matrix_pivots(rows)
+        assert pivots and all(_is_monomial(p) for p in pivots)
+
+    def test_ungraded_system_has_a_polynomial_pivot(self):
+        rows = determining_system(build_ansatz(3, 0, 3), parse_equation("u_t = u_2 + u")).rows
+        assert not all(_is_monomial(p) for p in poly_matrix_pivots(rows))
 
 
 class TestRref:
@@ -585,6 +643,38 @@ class TestIntExactDiv:
             _int_exact_div([1, 0, 1], [0, 1])
         with pytest.raises(ArithmeticError):
             _int_exact_div([1], [1, 1])
+
+
+class TestGradedEntries:
+    """Entries ``(s, p)``: lambda**s times an integer list with ``p[0] != 0``."""
+
+    def test_strip_moves_low_zeros_into_the_shift(self):
+        assert _graded(1, [0, 0, 3, -1, 0]) == (3, [3, -1])
+        assert _graded(2, [5]) == (2, [5])
+        assert _graded(0, [0, 0]) is None
+
+    def test_cross_aligns_shifts_and_strips_cancellations(self):
+        one, lam = (0, [1]), (1, [1])
+        # 1*(1 + lam) - 1*1 = lam: the constant terms cancel
+        assert _graded_cross(one, (0, [1, 1]), one, one) == (1, [1])
+        # lam*lam - 2*(lam + lam^2) = -2*lam - lam^2
+        assert _graded_cross(lam, lam, (0, [2]), (1, [1, 1])) == (1, [-2, -1])
+        assert _graded_cross((2, [3]), (1, [2]), (1, [6]), (2, [1])) is None
+        assert _graded_cross(lam, None, one, (0, [2, 0, 1])) == (0, [-2, 0, -1])
+
+    def test_exact_division_subtracts_shifts(self):
+        assert _graded_div((3, [6]), (1, [-2])) == (2, [-3])
+        assert _graded_div((1, [-1, 0, 1]), (0, [-1, 1])) == (1, [1, 1])
+
+    def test_inexact_division_raises(self):
+        # lambda / lambda^2: the shift would go negative
+        with pytest.raises(ArithmeticError):
+            _graded_div((1, [1]), (2, [1]))
+        # 3*lambda^2 / (2*lambda): a monomial coefficient remainder over Z
+        with pytest.raises(ArithmeticError):
+            _graded_div((2, [3]), (1, [2]))
+        with pytest.raises(ArithmeticError):
+            _graded_div((0, [1, 0, 1]), (0, [1, 1]))
 
 
 class TestPolyMatrixPivots:
