@@ -17,6 +17,7 @@ from .errors import (
     ParseError,
     UnresolvedSpectrumError,
 )
+from .parser import parse_expression
 from .report import RunConfig, emit_report, error_to_dict, run_pipeline
 
 EXIT_OK = 0
@@ -86,6 +87,17 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _weight(text: str) -> Fraction:
+    """One --lambda entry, a rational constant read under the parser's numeral caps."""
+    try:
+        e = parse_expression(text)
+        if any(m.powers or m.expvec for m in e.terms):
+            raise ParseError("not a rational constant")
+    except ParseError as exc:
+        raise ParseError(f"bad --lambda entry {text.strip()!r}: {exc}") from exc
+    return e.terms[0].coeff if e.terms else Fraction(0)
+
+
 def config_from_args(args) -> RunConfig:
     lam = args.lam.strip()
     if lam == "auto":
@@ -93,10 +105,7 @@ def config_from_args(args) -> RunConfig:
     elif lam == "none":
         lambda_mode, weights = "none", ()
     else:
-        try:
-            weights = tuple(Fraction(part.strip()) for part in lam.split(",") if part.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad --lambda list {lam!r}: {exc}") from exc
+        weights = tuple(_weight(part) for part in lam.split(",") if part.strip())
         lambda_mode = "explicit"
     mode = args.mode
     if args.check and mode != "check":

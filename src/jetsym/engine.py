@@ -6,12 +6,12 @@ determining system (the defect of a generic combination must vanish
 identically in jet and y monomials) and solves it exactly.  Only the
 y-free system ``S`` over the jet monomials m is assembled, once, with the
 exponential weight w kept as a polynomial unknown: its pivot polynomials
-locate the candidate weights, and its substitution at a fixed w is the
-y-free system there.  Since G is y-free, the y^a columns add nothing new:
-differentiating L(exp(w*y) m) = exp(w*y) L_w(m) in w gives the cell of
-row block y^b and column y^a * m as C(a, b) * S^(a-b)(w), so the kernel at
-w is the set of Jordan chains of S(lambda) at w, of length at most the
-y-degree plus one (:func:`kernel_at`).
+locate the candidate weights, and every kernel at a fixed w is read off
+its Taylor expansion there.  Since G is y-free, the y^a columns add
+nothing new: differentiating L(exp(w*y) m) = exp(w*y) L_w(m) in w gives
+the cell of row block y^b and column y^a * m as C(a, b) * S^(a-b)(w), so
+the kernel at w is the set of Jordan chains of S(lambda) at w, of length
+at most the y-degree plus one (:func:`kernel_at`).
 """
 
 from __future__ import annotations
@@ -204,8 +204,8 @@ class DeterminingSystem:
     One row per jet/y monomial occurring in any generator defect; the
     entry in column l is that monomial's coefficient in the defect of
     exp(w*y) times generator l, with the common exp factor divided out.
-    Entries are ``UniPoly`` polynomials in the weight w; ``substitute``
-    fixes the weight and gives the rational matrix.
+    Entries are ``UniPoly`` polynomials in the weight w; ``taylor``
+    expands them at a fixed weight, ``S(w)`` itself being the first term.
     """
 
     generators: tuple
@@ -225,23 +225,6 @@ class DeterminingSystem:
     def _cells(self) -> tuple:
         """Per row, the ``(column, entry)`` pairs of its nonzero entries."""
         return tuple(tuple((j, p) for j, p in enumerate(row) if p.coeffs) for row in self.rows)
-
-    def substitute(self, w) -> RatMatrix:
-        """The rational system at the fixed weight w, without its zero rows.
-
-        Only the nonzero cells are evaluated, straight into sparse rows.
-        """
-        w = _frac(w)
-        rows = []
-        for cells in self._cells:
-            row = {}
-            for j, p in cells:
-                x = p.eval(w)
-                if x:
-                    row[j] = x
-            if row:
-                rows.append(row)
-        return RatMatrix._from_sparse(rows, len(self.generators))
 
     def taylor(self, w, count: int) -> list:
         """S_p = S^(p)(w)/p! for p < count, each as ``{column: [(row, entry), ...]}``.
@@ -320,16 +303,16 @@ def kernel_at(system: DeterminingSystem, w, y_degree: int) -> list:
     vector of each free column has its last nonzero entry there and 0 at
     every other free column.
     """
-    if not y_degree:
-        return nullspace(system.substitute(w))
     n, step = len(system.generators), y_degree + 1
     taylor = system.taylor(_frac(w), step)
     s0 = [{} for _ in system.rows]
     for m, cells in taylor[0].items():
         for i, x in cells:
             s0[i][m] = x
+    kernel = nullspace(RatMatrix._from_sparse([r for r in s0 if r], n))
+    if not y_degree:
+        return kernel
     # a chain is one sparse vector over the columns m*step + a, holding x_a
-    kernel = nullspace(RatMatrix._from_sparse(s0, n))
     chains = [{m * step: x for m, x in enumerate(v) if x} for v in kernel]
     for j in range(1, step):
         if not chains:
@@ -446,7 +429,7 @@ def lambda_candidates(
     Pivot polynomials of a fraction-free elimination provide a complete
     candidate set.  Each distinct squarefree factor of the pivots is
     root-searched once, and every rational root is then verified by the
-    kernel of the substituted system, which is kept on the scan.  The
+    kernel ``kernel_at(system, w, 0)``, which is kept on the scan.  The
     rational-root-free parts of those factors are verified against the
     matrix rank in the corresponding quotient ring and reported, never
     silently dropped.  The scan runs on the y-free system of the ansatz's

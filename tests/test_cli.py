@@ -420,6 +420,33 @@ class TestErrorCodes:
         code, data = run_json(tmp_path, ["--eq", "u_t = u_2", "--lambda", "0,x"])
         assert code == 2
 
+    def test_exponent_lambda_refused_at_once(self, tmp_path):
+        # read as a numeral, 1e10000000 is a 10-million-digit integer
+        code, data = run_json_subprocess(
+            tmp_path, ["--eq", "u_t = u_2", "--lambda", "1e10000000"], timeout=10
+        )
+        assert code == 2
+        assert data["error"]["kind"] == "syntax"
+        assert "1e10000000" in data["error"]["message"]
+
+    def test_exponent_lambda_writes_error_payload(self, tmp_path):
+        # read as a numeral, 1e5000 could not be rendered back to 5001 digits
+        code, data = run_json(
+            tmp_path, ["--eq", "u_t = u_2", "--lambda", "1e5000", "--mode", "solve"]
+        )
+        assert code == 2
+        assert data["error"]["exit_code"] == 2
+
+    def test_lambda_list_with_fraction(self, tmp_path):
+        code, data = run_json(tmp_path, ["--eq", "u_t = u_2", "--lambda", "1, -1/2"])
+        assert code == 0
+        assert data["config"]["lambda_weights"] == ["1", "-1/2"]
+
+    def test_lambda_numeral_above_cap(self, tmp_path):
+        code, data = run_json(tmp_path, ["--eq", "u_t = u_2", "--lambda", "7" * 4001])
+        assert code == 3
+        assert "4001-digit numeral" in data["error"]["message"]
+
     def test_errors_not_written_as_reports(self, tmp_path):
         path = tmp_path / "err.json"
         code = main(["--eq", "u_t = u_2 +", "--json", str(path)])

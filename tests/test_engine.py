@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -193,9 +194,9 @@ class TestDeterminingSystem:
         a = build_ansatz(1, 0, 1)
         gens = [g.render() for g in a.generators]
         assert gens == ["1", "u", "u_1"]
-        matrix = determining_system(a, HEAT).substitute(0)
+        s_0 = determining_system(a, HEAT).taylor(0, 1)[0]
         col = a.generators.index(E("u_1"))
-        assert all(row[col] == 0 for row in matrix.tolists())
+        assert col not in s_0
 
     def test_single_constraint_from_y_u1(self):
         a = build_ansatz(1, 1, 1)
@@ -207,8 +208,7 @@ class TestDeterminingSystem:
         labels = system.row_labels()
         row = next(i for i, x in enumerate(entries) if x != 0)
         assert labels[row] == "u_2"
-        matrix = system.substitute(0)
-        assert [x for x in matrix.column(col) if x != 0] == [F(-2)]
+        assert system.taylor(0, 1)[0][col] == [(row, F(-2))]
 
     def test_symbolic_constant_entry(self):
         a = build_ansatz(0, 0, 0)
@@ -218,13 +218,15 @@ class TestDeterminingSystem:
         # defect of exp(w*y) is (1 - w^2) exp(w*y); the kernel is unaffected
         assert system.rows[0][0] == UniPoly([1, 0, -1])
 
-    def test_substitute(self):
+    def test_taylor_expansion(self):
         a = build_ansatz(0, 0, 0)
         system = determining_system(a, LINEAR_DECAY)
-        # 1 - w^2 vanishes at w = 1, so the one row is zero and dropped
-        at_one = system.substitute(1)
-        assert (at_one.rows, at_one.cols) == (0, 1)
-        assert system.substitute(2) == RatMatrix([[-3]])
+        # 1 - w^2 vanishes at w = 1, so S(1) has no entry and a kernel
+        assert system.taylor(1, 1) == [{}]
+        assert kernel_at(system, 1, 0) == [(F(1),)]
+        # 1 - w^2 = -3 - 4*(w - 2) - (w - 2)^2
+        assert system.taylor(2, 4) == [{0: [(0, F(-3))]}, {0: [(0, F(-4))]}, {0: [(0, F(-1))]}, {}]
+        assert kernel_at(system, 2, 0) == []
 
 
 def weighted_generators(ansatz):
@@ -238,6 +240,26 @@ def reference_system(ansatz, eq):
     gens = weighted_generators(ansatz)
     _, columns = monomial_coordinates([symmetry_defect(g, eq) for g in gens])
     return RatMatrix(list(zip(*columns)), cols=len(gens))
+
+
+def dense_taylor(system, w, p=0):
+    """Reference S^(p)(w)/p!, dense: each cell of ``system.rows`` evaluated
+    by Horner on C(k, p) * c_k, the coefficients of its p-th derivative
+    over p!."""
+    return [
+        [
+            horner([comb(k, p) * c for k, c in enumerate(cell.coeffs)][p:], w)
+            for cell in row
+        ]
+        for row in system.rows
+    ]
+
+
+def horner(coeffs, w):
+    x = F(0)
+    for c in reversed(coeffs):
+        x = x * w + c
+    return x
 
 
 def reference_dims(ansatz, matrix):
@@ -273,27 +295,26 @@ class TestSubstitutionMatchesFixedAssembly:
         system = determining_system(build_ansatz(3, ydeg, 2), eq)
         for w in SUBSTITUTION_WEIGHTS:
             reference = reference_system(build_ansatz(3, ydeg, 2, weights=(w,)), eq)
-            assert nullspace(system.substitute(w)) == nullspace(reference)
+            assert kernel_at(system, w, 0) == nullspace(reference)
 
     @pytest.mark.parametrize("ydeg", [0, 1, 2])
     @pytest.mark.parametrize("eq", SUBSTITUTION_EQUATIONS, ids=repr)
-    def test_substitute_matches_dense_horner(self, eq, ydeg):
+    def test_taylor_matches_dense_horner(self, eq, ydeg):
         system = determining_system(build_ansatz(3, ydeg, 2), eq)
+        n = len(system.generators)
+        count = max(len(cell.coeffs) for row in system.rows for cell in row) + 1
         for w in SUBSTITUTION_WEIGHTS:
-            expected = []
-            for row in system.rows:
-                values = []
-                for p in row:
-                    x = F(0)
-                    for c in reversed(p.coeffs):
-                        x = x * w + c
-                    values.append(x)
-                if any(values):
-                    expected.append(values)
-            fixed = system.substitute(w)
-            assert (fixed.rows, fixed.cols) == (len(expected), len(system.generators))
-            assert fixed.tolists() == expected
-            assert fixed == RatMatrix(expected, cols=fixed.cols)
+            expansion = system.taylor(w, count)
+            assert len(expansion) == count
+            for p, s_p in enumerate(expansion):
+                dense = [[F(0)] * n for _ in system.rows]
+                for col, cells in s_p.items():
+                    assert 0 <= col < n and cells
+                    assert [i for i, _ in cells] == sorted({i for i, _ in cells})
+                    for i, x in cells:
+                        assert x and isinstance(x, Fraction)
+                        dense[i][col] = x
+                assert dense == dense_taylor(system, w, p)
 
     @pytest.mark.parametrize("ydeg", [0, 1, 2])
     @pytest.mark.parametrize("eq", SUBSTITUTION_EQUATIONS, ids=repr)
@@ -477,7 +498,10 @@ def reference_lambda_scan(system):
         root_cands.update(r for r, _ in roots)
         if residual.degree >= 1:
             residual_cands.extend(f for f in squarefree_factors(residual) if f not in residual_cands)
-    candidates = tuple(w for w in sorted(root_cands) if nullspace(system.substitute(w)))
+    candidates = tuple(
+        w for w in sorted(root_cands)
+        if nullspace(RatMatrix(dense_taylor(system, w), cols=ncols))
+    )
     residuals = []
     for f in residual_cands:
         for factor, rank_mod in rank_modulo(rows, f):

@@ -3,7 +3,9 @@
 Each fixture in ``tests/golden/`` holds the exact bytes ``jetsym --json``
 wrote for one command line, including the exit code's error payload for
 the failing runs.  A refactor that changes any answer, ordering or
-normalization shows up here as a byte difference.
+normalization shows up here as a byte difference.  For a few of those
+command lines, the ``.txt`` fixture holds the text report the same run
+writes to stdout without ``--json``.
 """
 
 from pathlib import Path
@@ -73,3 +75,13 @@ def test_json_matches_golden(name, tmp_path):
     out = tmp_path / f"{name}.json"
     assert main(argv + ["--json", str(out)]) == expected_code
     assert out.read_bytes() == (GOLDEN_DIR / f"{name}.json").read_bytes()
+
+
+TEXT_CASES = ("check_heat", "criterion_heat", "structure_heat_target_u")
+
+
+@pytest.mark.parametrize("name", TEXT_CASES)
+def test_text_report_matches_golden(name, capsys):
+    argv, expected_code = CASES[name]
+    assert main(argv) == expected_code
+    assert capsys.readouterr().out.encode("utf-8") == (GOLDEN_DIR / f"{name}.txt").read_bytes()

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -767,6 +768,20 @@ class TestUniPolyBasics:
         p = UniPoly([1, 2, 1]) * UniPoly([1, 0, 1])
         factors = squarefree_factors(p)
         assert UniPoly([1, 1]) in factors
+
+    @PROPERTY
+    @given(
+        st.one_of(POLY_ENTRY, RATIONAL_POLY_ENTRY, SHIFTED_POLY_ENTRY),
+        st.sampled_from((0, 1, F(-1, 2), F(3, 7))),
+        st.data(),
+    )
+    def test_taylor_is_scaled_derivatives(self, p, x, data):
+        count = data.draw(st.integers(1, p.degree + 2))
+        expansion = p.taylor(x, count)
+        assert len(expansion) == count
+        for k, c in enumerate(expansion):
+            assert isinstance(c, Fraction) and c == p.eval(x) / factorial(k)
+            p = p.derivative()
 
     def test_str(self):
         assert str(UniPoly([1, 0, 1])) == "lambda^2 + 1"
