@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -134,6 +135,11 @@ def _write_json(path: str, payload: bytes):
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a --lambda value such as -1/2 as an option: join it on
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] == "--lambda" and re.match(r"-[^A-Za-z-]", argv[i]):
+            argv[i - 1 : i + 1] = ["--lambda=" + argv[i]]
     args = build_arg_parser().parse_args(argv)
     try:
         cfg = config_from_args(args)

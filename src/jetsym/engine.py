@@ -5,13 +5,16 @@ characteristics exp(w*y) * y^a * m, this module assembles the linear
 determining system (the defect of a generic combination must vanish
 identically in jet and y monomials) and solves it exactly.  Only the
 y-free system ``S`` over the jet monomials m is assembled, once, with the
-exponential weight w kept as a polynomial unknown: its pivot polynomials
-locate the candidate weights, and every kernel at a fixed w is read off
-its Taylor expansion there.  Since G is y-free, the y^a columns add
-nothing new: differentiating L(exp(w*y) m) = exp(w*y) L_w(m) in w gives
-the cell of row block y^b and column y^a * m as C(a, b) * S^(a-b)(w), so
-the kernel at w is the set of Jordan chains of S(lambda) at w, of length
-at most the y-degree plus one (:func:`kernel_at`).
+exponential weight w kept as a polynomial unknown.  ``S(w)`` has full
+column rank at generic w (the top power of w in the defect of a kernel
+vector is ``-G_{u_d}`` times its top coefficient), so the last pivot of
+its elimination, a maximal minor, locates every candidate weight; every
+kernel at a fixed w is read off the Taylor expansion of S there.  Since
+G is y-free, the y^a columns add nothing new: differentiating
+L(exp(w*y) m) = exp(w*y) L_w(m) in w gives the cell of row block y^b and
+column y^a * m as C(a, b) * S^(a-b)(w), so the kernel at w is the set of
+Jordan chains of S(lambda) at w, of length at most the y-degree plus one
+(:func:`kernel_at`).
 """
 
 from __future__ import annotations
@@ -426,10 +429,11 @@ def lambda_candidates(
 ) -> LambdaScan:
     """Rational exponential weights at which the determining system gains solutions.
 
-    Pivot polynomials of a fraction-free elimination provide a complete
-    candidate set.  Each distinct squarefree factor of the pivots is
-    root-searched once, and every rational root is then verified by the
-    kernel ``kernel_at(system, w, 0)``, which is kept on the scan.  The
+    ``S(w)`` has full column rank at generic w (see the module docstring),
+    so the last pivot of a fraction-free elimination, a maximal minor,
+    vanishes wherever the rank drops.  Each of its squarefree factors is
+    root-searched once, and every rational root is verified by the kernel
+    ``kernel_at(system, w, 0)``, which is kept on the scan.  The
     rational-root-free parts of those factors are verified against the
     matrix rank in the corresponding quotient ring and reported, never
     silently dropped.  The scan runs on the y-free system of the ansatz's
@@ -441,10 +445,8 @@ def lambda_candidates(
         system = determining_system(ansatz.with_y_degree(0), eq)
     ncols = len(system.generators)
     pivots = poly_matrix_pivots(system.rows)
-    monic = {p.monic() for p in pivots if not p.is_constant()}
-    factors = {f for p in monic for f in squarefree_factors(p)}
     root_cands, residual_cands = set(), set()
-    for f in sorted(factors, key=UniPoly.sort_key):
+    for f in squarefree_factors(pivots[-1]):
         roots, residual = rational_roots(f)
         root_cands.update(r for r, _ in roots)
         if residual.degree >= 1:

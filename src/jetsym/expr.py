@@ -394,9 +394,6 @@ class ExpPolyExpr:
         """True iff ``c`` occurs with nonzero power or exponential weight."""
         return any(m.power(c) or m.weight(c) for m in self.terms)
 
-    def max_degree(self, c: Coord) -> int:
-        return max((m.power(c) for m in self.terms), default=0)
-
     def frechet(self) -> "LinearDiffOp":
         """Linearization: the operator sum_j (d self / d u_(j)) D_y^j."""
         return LinearDiffOp([self.partial_derive(jet(l)) for l in range(self.order() + 1)])

@@ -31,7 +31,8 @@ holds a pivot column.  Pivot rule and row swaps are those of the dense
 rational elimination, so the pivot list is the same, and an inexact
 division raises as the bug it would be.
 :func:`rank_modulo` eliminates over the same kind of row dicts, with
-rational polynomial entries.
+rational polynomial entries, and reduces only the rows below each pivot,
+since the rows above never pivot again.
 """
 
 from __future__ import annotations
@@ -343,10 +344,6 @@ class UniPoly:
     @classmethod
     def constant(cls, c, var: str = "lambda") -> "UniPoly":
         return cls._from_fractions((_frac(c),), var)
-
-    @classmethod
-    def variable(cls, var: str = "lambda") -> "UniPoly":
-        return cls._from_fractions((ZERO, ONE), var)
 
     @property
     def degree(self) -> int:
@@ -901,16 +898,13 @@ def rank_modulo(rows: Sequence[Sequence[UniPoly]], modulus: UniPoly) -> list:
     divisor-closed refinement of ``modulus``.  Rows are ``{column: residue}``
     dicts holding only nonzero residues; the pivot is the first row, in
     current order, that is nonzero at the column, as in the dense
-    Gauss-Jordan form, so the splits found are the same.
+    Gauss-Jordan form, and only the rows below it are reduced: the rows
+    above never pivot again, so the ranks and splits found are the same.
     """
     modulus = modulus.monic()
     zero = UniPoly.zero()
-    mat = []
-    for row in rows:
-        residues = (
-            (j, e.divmod(modulus)[1]) for j, e in enumerate(row) if not e.is_zero()
-        )
-        mat.append({j: x for j, x in residues if not x.is_zero()})
+    residues = ({j: e.divmod(modulus)[1] for j, e in enumerate(row) if e.coeffs} for row in rows)
+    mat = [{j: x for j, x in row.items() if x.coeffs} for row in residues]
     ncols = len(rows[0]) if rows else 0
     try:
         r = 0
@@ -924,9 +918,9 @@ def rank_modulo(rows: Sequence[Sequence[UniPoly]], modulus: UniPoly) -> list:
             inv = _inverse_mod(mat[r][c], modulus)
             # a unit times a nonzero residue is nonzero: no entry drops out
             prow = mat[r] = {j: (inv * e).divmod(modulus)[1] for j, e in mat[r].items()}
-            for i, row in enumerate(mat):
+            for row in mat[r + 1 :]:
                 f = row.get(c)
-                if f is None or i == r:
+                if f is None:
                     continue
                 for j, b in prow.items():
                     v = (row.get(j, zero) - f * b).divmod(modulus)[1]

@@ -436,9 +436,8 @@ def dependence_criterion_direct(
         weights, y_degree = scan.candidates, 1
     else:
         weights, y_degree = basis.ansatz.weights, basis.ansatz.y_degree
-    # The scan's generic nullity is always 0 (the top power of w in the
-    # defect of a kernel vector is -G_{u_d} times its top coefficient), so
-    # its candidates are every weight with a y-free kernel.
+    # The scan's generic nullity is always 0 (see the engine module), so its
+    # candidates are every weight with a y-free kernel.
     kernels = dict(zip(scan.candidates, scan.kernels))
     witness, method = None, "direct-exponential"
     for w in _preferred_weights(weights):

@@ -119,10 +119,10 @@ class TestWeightScanOnce:
 
 
 class TestRootSearchOnce:
-    def test_one_search_per_distinct_squarefree_factor(self, tmp_path, monkeypatch):
-        # all 15 scan pivots are constants times lambda^k*(lambda^2 - c), so
-        # their distinct squarefree factors are lambda, lambda^2 - c and
-        # lambda^3 - c*lambda
+    def test_one_search_per_factor_of_the_last_pivot(self, tmp_path, monkeypatch):
+        # all 15 scan pivots are constants times lambda^k*(lambda^2 - c); only
+        # the last one is searched, and its squarefree factors are
+        # lambda^3 - c*lambda and lambda
         calls = []
         original = engine.rational_roots
 
@@ -136,7 +136,7 @@ class TestRootSearchOnce:
         )
         assert code == 5
         assert data["error"]["factors"] == ["lambda^2 - 720720/2399627"]
-        assert len(calls) <= 3
+        assert [str(p) for p in calls] == ["lambda^3 - 720720/2399627*lambda", "lambda"]
 
 
 class TestOneAssembly:
@@ -441,6 +441,20 @@ class TestErrorCodes:
         code, data = run_json(tmp_path, ["--eq", "u_t = u_2", "--lambda", "1, -1/2"])
         assert code == 0
         assert data["config"]["lambda_weights"] == ["1", "-1/2"]
+
+    @pytest.mark.parametrize("lam", ["-1/2", "-1/2,0"])
+    def test_negative_lambda_list(self, tmp_path, lam):
+        # a value that starts with a minus sign is the weight list, as in
+        # --lambda=-1/2, not an option
+        code, data = run_json(tmp_path, ["--eq", "u_t = u_2", "--lambda", lam])
+        assert code == 0
+        assert data["resolved_weights"] == ["-1/2", "0"]
+
+    def test_option_after_lambda_refused(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--eq", "u_t = u_2", "--lambda", "--mode", "solve"])
+        assert exc.value.code == 2
+        assert "expected one argument" in capsys.readouterr().err
 
     def test_lambda_numeral_above_cap(self, tmp_path):
         code, data = run_json(tmp_path, ["--eq", "u_t = u_2", "--lambda", "7" * 4001])

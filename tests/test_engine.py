@@ -518,6 +518,9 @@ class TestScanMatchesPerPivotSearch:
             ("u_t = u_2", (4, 0, 3)),
             ("u_t = u_2 + u", (3, 0, 2)),
             ("u_t = u_2 - 720720/2399627*u", (3, 0, 2)),
+            ("u_t = u_3 + u", (3, 0, 2)),
+            ("u_t = u_4 + 3*u_2 + 2*u", (3, 0, 2)),
+            ("u_t = u_2 - 4*u_1 - 9*u", (3, 0, 3)),
         ],
     )
     def test_same_candidates_and_residuals(self, text, caps):

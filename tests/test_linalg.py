@@ -355,7 +355,7 @@ class TestPolySparseAgainstDense:
     def test_tie_breaks_follow_row_swaps(self):
         # step 1 swaps rows 0 and 2; rows 1 and 0 then tie at column 1 and
         # the dense order, [2, 1, 0], makes row 1 the pivot
-        z, one, lam = UniPoly.zero(), UniPoly.one(), UniPoly.variable()
+        z, one, lam = UniPoly.zero(), UniPoly.one(), UniPoly([0, 1])
         rows = [[z, lam, one], [z, lam, z], [lam, z, z]]
         pivots = poly_matrix_pivots(rows)
         assert pivots == dense_poly_matrix_pivots(rows)
@@ -685,14 +685,14 @@ class TestPolyMatrixPivots:
 
     def test_diagonal(self):
         one = UniPoly.one()
-        lam = UniPoly.variable()
+        lam = UniPoly([0, 1])
         assert poly_matrix_pivots([[one, UniPoly.zero()], [UniPoly.zero(), lam]]) == [
             one,
             lam,
         ]
 
     def test_rank_drop_candidates(self):
-        lam = UniPoly.variable()
+        lam = UniPoly([0, 1])
         pivots = poly_matrix_pivots([[lam, lam], [lam, lam]])
         assert len(pivots) == 1  # generic rank one
         roots = set()
@@ -701,7 +701,7 @@ class TestPolyMatrixPivots:
         assert Fraction(0) in roots
 
     def test_lowest_degree_pivot_preference(self):
-        lam = UniPoly.variable()
+        lam = UniPoly([0, 1])
         one = UniPoly.one()
         pivots = poly_matrix_pivots([[lam, one], [one, lam]])
         # the degree-0 entry is chosen first even though it sits in row 1
@@ -732,7 +732,6 @@ class TestPolyMatrixPivots:
 
 class TestRankModulo:
     def test_irreducible_modulus_rank_drop(self):
-        lam = UniPoly.variable()
         mod = UniPoly([1, 0, 1])  # no rational roots
         entry = UniPoly([1, 0, 1])
         out = rank_modulo([[entry]], mod)
