@@ -136,10 +136,11 @@ def _write_json(path: str, payload: bytes):
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # argparse reads a --lambda value such as -1/2 as an option: join it on
-    for i in range(len(argv) - 1, 0, -1):
-        if argv[i - 1] == "--lambda" and re.match(r"-[^A-Za-z-]", argv[i]):
-            argv[i - 1 : i + 1] = ["--lambda=" + argv[i]]
+    # argparse reads a --lambda value such as -1/2 as an option: join it on to
+    # --lambda or an abbreviation of it (no other option starts with --l)
+    for i, opt in reversed(list(enumerate(argv[:-1]))):
+        if len(opt) > 2 and "--lambda".startswith(opt) and re.match(r"-[^A-Za-z-]", argv[i + 1]):
+            argv[i : i + 2] = [opt + "=" + argv[i + 1]]
     args = build_arg_parser().parse_args(argv)
     try:
         cfg = config_from_args(args)

@@ -7,10 +7,11 @@ identically in jet and y monomials) and solves it exactly.  Only the
 y-free system ``S`` over the jet monomials m is assembled, once, with the
 exponential weight w kept as a polynomial unknown.  ``S(w)`` has full
 column rank at generic w (the top power of w in the defect of a kernel
-vector is ``-G_{u_d}`` times its top coefficient), so the last pivot of
-its elimination, a maximal minor, locates every candidate weight; every
-kernel at a fixed w is read off the Taylor expansion of S there.  Since
-G is y-free, the y^a columns add nothing new: differentiating
+vector is ``-G_{u_d}`` times its top coefficient), so once its constant
+entries, units of Q[w], are eliminated, the last pivot of the core left,
+a maximal minor, locates every candidate weight; every kernel at a fixed
+w is read off the Taylor expansion of S there.  Since G is y-free, the
+y^a columns add nothing new: differentiating
 L(exp(w*y) m) = exp(w*y) L_w(m) in w gives the cell of row block y^b and
 column y^a * m as C(a, b) * S^(a-b)(w), so the kernel at w is the set of
 Jordan chains of S(lambda) at w, of length at most the y-degree plus one
@@ -48,6 +49,7 @@ from .linalg import (
     rational_roots,
     rref,
     squarefree_factors,
+    unit_core,
 )
 
 
@@ -216,13 +218,6 @@ class DeterminingSystem:
     rows: tuple  # tuples of UniPoly entries
     # every system keeps the weight as an unknown; perfbench/tracer.py reads this
     symbolic = True
-
-    def row_labels(self) -> list:
-        """Readable name of the monomial each row annihilates."""
-        return [
-            ExpPolyExpr.monomial(ONE, dict(powers), dict(expvec)).render()
-            for powers, expvec in self.row_shapes
-        ]
 
     @cached_property
     def _cells(self) -> tuple:
@@ -411,7 +406,7 @@ class LambdaScan:
     candidates: tuple  # rational weights with a nonzero solution space
     residual_factors: tuple  # verified rational-root-free factors (UniPoly)
     generic_nullity: int  # kernel dimension at generic weight
-    pivots: tuple
+    pivots: tuple  # Bareiss pivots of the unit_core core of S, not of S
     kernels: tuple  # kernel basis at each candidate, over the y-free generators
 
     def describe(self) -> dict:
@@ -429,24 +424,28 @@ def lambda_candidates(
 ) -> LambdaScan:
     """Rational exponential weights at which the determining system gains solutions.
 
-    ``S(w)`` has full column rank at generic w (see the module docstring),
-    so the last pivot of a fraction-free elimination, a maximal minor,
-    vanishes wherever the rank drops.  Each of its squarefree factors is
-    root-searched once, and every rational root is verified by the kernel
-    ``kernel_at(system, w, 0)``, which is kept on the scan.  The
+    The constant entries of ``S(lambda)``, units, are eliminated first
+    (:func:`unit_core`): at every w, and modulo every factor, the rank of S
+    is the unit count plus that of the small core left.  ``S(w)`` has full
+    column rank at generic w (see the module docstring), so the last pivot
+    of the core's fraction-free elimination, a maximal minor, vanishes
+    wherever the rank drops.  Each of its squarefree factors is
+    root-searched once, and every rational root is verified on the whole
+    system by the kernel ``kernel_at(system, w, 0)``, kept on the scan.  The
     rational-root-free parts of those factors are verified against the
-    matrix rank in the corresponding quotient ring and reported, never
+    core's rank in the corresponding quotient ring and reported, never
     silently dropped.  The scan runs on the y-free system of the ansatz's
-    jet monomials: a weight with a chain has an eigenvector, so the y
-    powers add no weight.  ``system`` is that system when the caller has
-    already assembled it.  The weights the ansatz declares play no part.
+    jet monomials: a weight with a chain has an eigenvector, so the y powers
+    add no weight.  ``system`` is that system when the caller has already
+    assembled it.  The weights the ansatz declares play no part.
     """
     if system is None:
         system = determining_system(ansatz.with_y_degree(0), eq)
-    ncols = len(system.generators)
-    pivots = poly_matrix_pivots(system.rows)
+    units, core = unit_core([dict(cells) for cells in system._cells], len(system.generators))
+    ncols = len(system.generators) - units  # the core's columns
+    pivots = poly_matrix_pivots(core)
     root_cands, residual_cands = set(), set()
-    for f in squarefree_factors(pivots[-1]):
+    for f in squarefree_factors(pivots[-1]) if pivots else ():
         roots, residual = rational_roots(f)
         root_cands.update(r for r, _ in roots)
         if residual.degree >= 1:
@@ -460,7 +459,7 @@ def lambda_candidates(
     verified_residuals = {
         factor
         for f in residual_cands
-        for factor, rank_mod in rank_modulo(system.rows, f)
+        for factor, rank_mod in rank_modulo(core, f)
         if rank_mod < ncols
     }
     return LambdaScan(

@@ -13,23 +13,26 @@ The one exact rational elimination is the sparse :func:`rref`, which copies
 those rows in and returns the reduced rows as they are; kernels, ranks,
 solves, span tests and Jordan chain tops are each read off one call.
 
-Over polynomials in the weight unknown, :func:`poly_matrix_pivots` is a
-sparse fraction-free (Bareiss) elimination over Z on ``{column: entry}``
-row dicts.  The matrix is first multiplied by ``D``, the lcm of all
-coefficient denominators, and each entry is held as ``(s, p)``: the weight
-to the power ``s`` times a list ``p`` of integer coefficients with a
-nonzero constant term.  Every division is an exact ``divmod`` long
-division over Z that subtracts the shifts, and pivot ``k`` is divided by
-``D**k`` on return.  On a quasi-homogeneous equation such as heat or KdV
-the system is graded in the weight, every minor is a monomial, and so
-every entry has one coefficient and each operation is one ``int``
-operation.  The entries compared at step ``k`` are all ``D**k`` times the
-same minors of the input, so with ``D > 0`` their (degree, coefficients)
-order is unchanged.  A row without the pivot column is not rescaled at
-that step; it is brought up to date by one exact division when it next
-holds a pivot column.  Pivot rule and row swaps are those of the dense
-rational elimination, so the pivot list is the same, and an inexact
-division raises as the bug it would be.
+Over polynomials in the weight unknown, :func:`unit_core` eliminates the
+constant entries, units of Q[lambda], and the weight scan's Bareiss
+elimination and :func:`rank_modulo` run on the small core it leaves.
+:func:`poly_matrix_pivots` is a sparse fraction-free (Bareiss)
+elimination over Z on ``{column: entry}`` row dicts.  The matrix is
+first multiplied by ``D``, the lcm of all coefficient denominators, and
+each entry is held as ``(s, p)``: the weight to the power ``s`` times a
+list ``p`` of integer coefficients with a nonzero constant term.  Every
+division is an exact ``divmod`` long division over Z that subtracts the
+shifts, and pivot ``k`` is divided by ``D**k`` on return.  On a
+quasi-homogeneous equation such as heat or KdV the system is graded in
+the weight, every minor is a monomial, and so every entry has one
+coefficient and each operation is one ``int`` operation.  The entries
+compared at step ``k`` are all ``D**k`` times the same minors of the
+input, so with ``D > 0`` their (degree, coefficients) order is
+unchanged.  A row without the pivot column is not rescaled at that step;
+it is brought up to date by one exact division when it next holds a
+pivot column.  Pivot rule and row swaps are those of the dense rational
+elimination, so the pivot list is the same, and an inexact division
+raises as the bug it would be.
 :func:`rank_modulo` eliminates over the same kind of row dicts, with
 rational polynomial entries, and reduces only the rows below each pivot,
 since the rows above never pivot again.
@@ -37,6 +40,7 @@ since the rows above never pivot again.
 
 from __future__ import annotations
 
+import heapq
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -352,9 +356,6 @@ class UniPoly:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
 
     def leading(self) -> Fraction:
         if not self.coeffs:
@@ -868,6 +869,103 @@ def poly_matrix_pivots(rows: Sequence[Sequence[UniPoly]]) -> list:
         UniPoly._from_fractions([ZERO] * s + [Fraction(x, scale**k) for x in p])
         for k, (s, p) in enumerate(prevs[1:], 1)
     ]
+
+
+def unit_core(rows: Sequence[dict], ncols: int) -> tuple:
+    """Eliminate the nonzero constant entries of a polynomial matrix.
+
+    ``rows`` are ``{column: UniPoly}`` dicts of the nonzero entries.  A
+    nonzero constant is a unit of Q[lambda], so a Schur complement step on
+    it lowers the rank by one at every value of lambda, and modulo every
+    polynomial.  Each step pivots on the constant entry of least Markowitz
+    cost ``(r-1)*(c-1)``, ``r`` and ``c`` the entry counts of its row and
+    column, ties broken by (row, column), until no constant entry is left.
+    Returns ``(units, core)``: the step count and the dense ``UniPoly`` rows
+    left, over the remaining columns in ascending order, zero rows dropped;
+    so ``units + rank(core(w)) == rank(M(w))`` at every ``w``.
+
+    Each row is scaled to integer coefficients, its entries held as the
+    ``(s, p)`` of :func:`poly_matrix_pivots`, so a graded entry
+    ``c*lambda**s`` costs one ``int`` operation.  A step replaces each row
+    ``x`` holding the pivot column by ``a*x - f*pivot_row``, ``a > 0`` the
+    pivot (the pivot row is negated if need be) and ``f`` the row's entry
+    at its column, and divides the row by the gcd of its coefficients; a
+    constant row factor changes no rank.  A column -> row-set index and a
+    heap of the constant entries by cost are kept up to date, so a step
+    touches only the rows holding its column and the columns of its row.
+    """
+    mat, col_rows = {}, {j: set() for j in range(ncols)}
+    for i, row in enumerate(rows):
+        scale = math.lcm(*(c.denominator for p in row.values() for c in p.coeffs))
+        mat[i] = {
+            j: _graded(0, [c.numerator * (scale // c.denominator) for c in p.coeffs])
+            for j, p in row.items()
+            if p.coeffs
+        }
+        for j in mat[i]:
+            col_rows[j].add(i)
+
+    def cost(i, j):
+        return (len(mat[i]) - 1) * (len(col_rows[j]) - 1)
+
+    # an entry whose row or column count changed is pushed again; a popped
+    # item whose cost is out of date, or whose entry is gone, is skipped
+    heap = [
+        (cost(i, j), i, j)
+        for i, row in mat.items()
+        for j, (s, p) in row.items()
+        if not s and len(p) == 1
+    ]
+    heapq.heapify(heap)
+    while heap:
+        k, r, c = heapq.heappop(heap)
+        x = mat[r].get(c) if r in mat else None
+        if x is None or x[0] or len(x[1]) != 1 or k != cost(r, c):
+            continue
+        prow = mat.pop(r)
+        a = prow.pop(c)[1][0]
+        if a < 0:
+            a = -a
+            prow = {j: (s, [-v for v in p]) for j, (s, p) in prow.items()}
+        pivot, scaled = (0, [a]), a != 1 and prow
+        hit_rows = col_rows.pop(c) - {r}
+        for j in prow:
+            col_rows[j].discard(r)
+        for i in hit_rows:
+            row = mat[i]
+            f = row.pop(c)
+            if scaled:
+                for j, x in row.items():
+                    if j not in prow:
+                        row[j] = _graded_mul(pivot, x)
+            for j, y in prow.items():
+                v = _graded_cross(pivot, row.get(j), f, y)
+                if v is None:
+                    del row[j]
+                    col_rows[j].discard(i)
+                else:
+                    row[j] = v
+                    col_rows[j].add(i)
+            if scaled and (g := math.gcd(*(v for _, p in row.values() for v in p))) > 1:
+                for j, (s, p) in row.items():
+                    row[j] = (s, [v // g for v in p])
+        for i in hit_rows:
+            for j, (s, p) in mat[i].items():
+                if not s and len(p) == 1:
+                    heapq.heappush(heap, (cost(i, j), i, j))
+        for j in prow:
+            for i in col_rows[j]:
+                s, p = mat[i][j]
+                if not s and len(p) == 1 and i not in hit_rows:
+                    heapq.heappush(heap, (cost(i, j), i, j))
+    cols, core = sorted(col_rows), []
+    for row in mat.values():
+        if row:
+            dense = dict.fromkeys(cols, UniPoly.zero())
+            for j, (s, p) in row.items():
+                dense[j] = UniPoly._from_fractions([ZERO] * s + [Fraction(v) for v in p])
+            core.append(list(dense.values()))
+    return ncols - len(col_rows), core
 
 
 class _NeedsSplit(Exception):

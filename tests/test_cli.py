@@ -386,6 +386,18 @@ class TestErrorCodes:
         assert data["error"]["kind"] == "scope"
         assert "737280 candidate roots" in data["error"]["message"]
 
+    def test_scope_error_huge_denominators_refused_quickly(self, tmp_path):
+        # the lcm of the denominators has 25680 bits; the unit pivots never
+        # carry it into a minor, so the root search refuses the small core's
+        # last pivot at once instead of after a Bareiss run on huge integers
+        rhs = f"u_2 + 1/{2**13000}*u_1 + 1/{3**8000}*u"
+        code, data = run_json_subprocess(
+            tmp_path, ["--eq", "u_t = " + rhs, "--mode", "criterion"], timeout=10
+        )
+        assert code == 3
+        assert data["error"]["kind"] == "scope"
+        assert "rational root search" in data["error"]["message"]
+
     def test_scope_error_ansatz_too_large(self, tmp_path):
         # C(9+1+6, 6) * 10 = 80080 generators: refused before any is built,
         # where enumerating and assembling them would run for minutes
@@ -449,6 +461,15 @@ class TestErrorCodes:
         code, data = run_json(tmp_path, ["--eq", "u_t = u_2", "--lambda", lam])
         assert code == 0
         assert data["resolved_weights"] == ["-1/2", "0"]
+
+    @pytest.mark.parametrize("spelling", ["--lam", "--l"])
+    def test_negative_lambda_after_abbreviation(self, tmp_path, spelling):
+        # argparse takes abbreviations of --lambda, so the value is joined on
+        # after them too
+        args = ["--eq", "u_t = u_2", "--mode", "solve"]
+        code, data = run_json(tmp_path, args + [spelling, "-1/2"], "abbreviated.json")
+        assert code == 0
+        assert (code, data) == run_json(tmp_path, args + ["--lambda", "-1/2"])
 
     def test_option_after_lambda_refused(self, capsys):
         with pytest.raises(SystemExit) as exc:

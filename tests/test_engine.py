@@ -33,6 +33,7 @@ from jetsym.linalg import (
     rref,
     solve as lin_solve,
     squarefree_factors,
+    unit_core,
 )
 from jetsym.parser import parse_equation, parse_expression
 
@@ -205,7 +206,7 @@ class TestDeterminingSystem:
         entries = [row[col].eval(0) for row in system.rows]
         nonzero = [x for x in entries if x != 0]
         assert nonzero == [F(-2)]
-        labels = system.row_labels()
+        labels = row_labels(system)
         row = next(i for i, x in enumerate(entries) if x != 0)
         assert labels[row] == "u_2"
         assert system.taylor(0, 1)[0][col] == [(row, F(-2))]
@@ -227,6 +228,14 @@ class TestDeterminingSystem:
         # 1 - w^2 = -3 - 4*(w - 2) - (w - 2)^2
         assert system.taylor(2, 4) == [{0: [(0, F(-3))]}, {0: [(0, F(-4))]}, {0: [(0, F(-1))]}, {}]
         assert kernel_at(system, 2, 0) == []
+
+
+def row_labels(system):
+    """Readable name of the monomial each row of ``system`` annihilates."""
+    return [
+        ExpPolyExpr.monomial(F(1), dict(powers), dict(expvec)).render()
+        for powers, expvec in system.row_shapes
+    ]
 
 
 def weighted_generators(ansatz):
@@ -484,6 +493,25 @@ class TestLambdaCandidates:
                 else:
                     assert not basis.elements
 
+    def test_pivots_are_the_cores(self):
+        ansatz = build_ansatz(3, 0, 2)
+        system = determining_system(ansatz, LINEAR_GROWTH)
+        units, core = unit_core([dict(cells) for cells in system._cells], len(system.generators))
+        scan = lambda_candidates(ansatz, LINEAR_GROWTH, system)
+        assert scan.pivots == tuple(poly_matrix_pivots(core))
+        assert len(scan.pivots) == len(core[0]) == len(system.generators) - units
+
+    def test_all_unit_system_has_an_empty_core(self):
+        # the defect of exp(w*y) under KdV is -(w^3 + u*w + u_1) exp(w*y): the
+        # constant at u_1 eliminates the one column, so no weight is a candidate
+        scan = lambda_candidates(build_ansatz(0, 0, 0), KDV)
+        assert (scan.candidates, scan.pivots, scan.generic_nullity) == ((), (), 0)
+
+
+def is_constant(p):
+    """Whether ``p`` has degree at most 0, the zero polynomial included."""
+    return len(p.coeffs) <= 1
+
 
 def reference_lambda_scan(system):
     """The per-pivot loop: one root search per pivot, and the squarefree
@@ -492,7 +520,7 @@ def reference_lambda_scan(system):
     rows, ncols = system.rows, len(system.generators)
     root_cands, residual_cands = set(), []
     for p in poly_matrix_pivots(rows):
-        if p.is_constant():
+        if is_constant(p):
             continue
         roots, residual = rational_roots(p)
         root_cands.update(r for r, _ in roots)
@@ -508,6 +536,23 @@ def reference_lambda_scan(system):
             if rank_mod < ncols and factor not in residuals:
                 residuals.append(factor)
     return candidates, tuple(sorted(residuals, key=UniPoly.sort_key))
+
+
+SCAN_COEFFICIENTS = st.sampled_from((0, 0, 1, -1, 2, -3, F(1, 2), F(-2, 3)))
+
+
+@st.composite
+def scan_equations(draw):
+    """u_t = u_d + a combination of the lower jets, d = 2 or 3, and half the
+    time of u*u_1, u_1^2 and u^2 as well."""
+    d = draw(st.sampled_from((2, 3)))
+    rhs = ExpPolyExpr.monomial(F(1), {jet(d): 1})
+    terms = [{jet(k) if k else U: 1} for k in range(d)]
+    if draw(st.booleans()):
+        terms += [{U: 1, jet(1): 1}, {jet(1): 2}, {U: 2}]
+    for powers in terms:
+        rhs = rhs + ExpPolyExpr.monomial(F(draw(SCAN_COEFFICIENTS)), powers)
+    return EvolutionEquation(rhs)
 
 
 class TestScanMatchesPerPivotSearch:
@@ -528,6 +573,16 @@ class TestScanMatchesPerPivotSearch:
         system = determining_system(ansatz, eq)
         scan = lambda_candidates(ansatz, eq, system)
         assert (scan.candidates, scan.residual_factors) == reference_lambda_scan(system)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(scan_equations())
+    def test_random_equations(self, eq):
+        # seeded random linear and nonlinear equations
+        ansatz = build_ansatz(3, 0, 2)
+        system = determining_system(ansatz, eq)
+        scan = lambda_candidates(ansatz, eq, system)
+        assert (scan.candidates, scan.residual_factors) == reference_lambda_scan(system)
+        assert scan.generic_nullity == 0
 
 
 class TestBounds:

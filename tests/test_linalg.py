@@ -33,6 +33,7 @@ from jetsym.linalg import (
     solve,
     solve_columns,
     squarefree_factors,
+    unit_core,
 )
 from jetsym.parser import parse_equation
 
@@ -246,6 +247,23 @@ def graded_poly_matrices(draw):
     return [[UniPoly([0] * (r - c) + [draw(coeff)]) for c in col_degrees] for r in row_degrees]
 
 
+@st.composite
+def sparse_poly_rows(draw, entry):
+    """``{column: UniPoly}`` rows of matrices up to 8 x 8, each row holding a
+    random subset of the columns, with the column count."""
+    nrows, ncols = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    rows = []
+    for _ in range(nrows):
+        cols = draw(st.sets(st.integers(0, ncols - 1), max_size=ncols)) if ncols else ()
+        rows.append({j: p for j in sorted(cols) if (p := draw(entry)).coeffs})
+    return rows, ncols
+
+
+def is_constant(p):
+    """Whether ``p`` has degree at most 0, the zero polynomial included."""
+    return len(p.coeffs) <= 1
+
+
 def _is_monomial(p):
     return sum(1 for c in p.coeffs if c) == 1
 
@@ -394,6 +412,67 @@ class TestPolySparseAgainstDense:
         pivots = poly_matrix_pivots(rows)
         assert len(pivots) == 56
         assert pivots == dense_poly_matrix_pivots(rows)
+
+
+SAMPLE_WEIGHTS = (F(0), F(1), F(-1), F(2), F(1, 2), F(-2, 3), F(3))
+
+
+class TestUnitCore:
+    """Eliminating the constant entries, units of Q[lambda], keeps the rank
+    at every weight: ``units + rank(core(w)) == rank(M(w))``."""
+
+    @staticmethod
+    def check_core(rows, ncols):
+        units, core = unit_core(rows, ncols)
+        assert all(len(row) == ncols - units for row in core)
+        assert not any(p.coeffs and is_constant(p) for row in core for p in row)
+        assert all(any(p.coeffs for p in row) for row in core)
+        for w in SAMPLE_WEIGHTS:
+            whole = RatMatrix(
+                [[row[j].eval(w) if j in row else F(0) for j in range(ncols)] for row in rows],
+                cols=ncols,
+            )
+            reduced = RatMatrix([[p.eval(w) for p in row] for row in core], cols=ncols - units)
+            assert units + rank(reduced) == rank(whole)
+        return units, core
+
+    @PROPERTY
+    @given(sparse_poly_rows(POLY_ENTRY))
+    def test_integer_entries(self, matrix):
+        self.check_core(*matrix)
+
+    @PROPERTY
+    @given(sparse_poly_rows(st.one_of(RATIONAL_POLY_ENTRY, SHIFTED_POLY_ENTRY)))
+    def test_rational_and_shifted_entries(self, matrix):
+        self.check_core(*matrix)
+
+    def test_least_markowitz_cost_then_row_and_column(self):
+        one, lam = UniPoly.one(), UniPoly([0, 1])
+        # every unit of [[1, 1], [lam, 1]] costs 1: (0, 0) goes first and
+        # leaves 1 - lam, where (0, 1) would leave lam - 1
+        assert unit_core([{0: one, 1: one}, {0: lam, 1: one}], 2) == (1, [[UniPoly([1, -1])]])
+        # (1, 1) costs 1 and goes before (0, 0) and (0, 1), which cost 2
+        assert unit_core([{0: one, 1: one, 2: lam}, {0: lam, 1: one}], 3) == (
+            1, [[UniPoly([1, -1]), lam]]
+        )
+
+    def test_no_unit_leaves_the_matrix(self):
+        lam = UniPoly([0, 1])
+        assert unit_core([{0: lam}, {}, {1: lam * lam}], 3) == (
+            0, [[lam, UniPoly.zero(), UniPoly.zero()], [UniPoly.zero(), lam * lam, UniPoly.zero()]]
+        )
+
+    def test_scan_systems_shrink_to_small_cores(self):
+        for text, caps, shape in [
+            ("u_t = u_2", (4, 0, 3), (7, 6)),
+            ("u_t = u_2 + u", (3, 0, 3), (6, 5)),
+            ("u_t = u_3 + u*u_1", (3, 0, 3), (11, 2)),
+        ]:
+            system = determining_system(build_ansatz(*caps), parse_equation(text))
+            rows = [dict(cells) for cells in system._cells]
+            units, core = self.check_core(rows, len(system.generators))
+            assert (len(core), len(core[0])) == shape
+            assert units + shape[1] == len(system.generators)
 
 
 class TestScanGrading:
@@ -577,7 +656,7 @@ class TestGeneralizedEigenspace:
             roots, residual = rational_roots(char_poly(m))
             total = sum(len(generalized_eigenspace(m, lam)) for lam, _ in roots)
             assert total <= n
-            assert (total == n) == residual.is_constant()
+            assert (total == n) == is_constant(residual)
             for lam, mult in roots:
                 assert len(generalized_eigenspace(m, lam)) == mult
 
