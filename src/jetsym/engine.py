@@ -130,11 +130,11 @@ def lie_bracket(eta1: ExpPolyExpr, eta2: ExpPolyExpr) -> ExpPolyExpr:
 # Generators C(q_max + 1 + jet_degree, jet_degree) * (y_degree + 1) above
 # which build_ansatz refuses the caps.  Only the y-free ones are assembled
 # and each y power adds one elimination of that system.  At 1,716
-# generators (order 9, jet degree 3, y-degree 5) the KdV solve takes 0.6 to
-# 0.7 s end to end with --lambda none and 2.3 to 2.6 s with the weight scan,
-# and the heat, potential Burgers and KdV criterion runs take 0.6 to 2.9 s.
-# The KdV runs spend most of it in the scan's growing integer minors,
-# potential Burgers in the Jordan chain levels (2-core Xeon VM).
+# generators (order 9, jet degree 3, y-degree 5) the KdV solve takes 0.75 s
+# end to end with --lambda none and 0.85 s with the weight scan, and the
+# heat, potential Burgers and KdV criterion runs take 0.55 to 1.3 s.  The
+# criterion runs spend most of it in the kernels and Jordan chain levels,
+# on rref of the whole fixed-weight system (2-core Xeon VM).
 MAX_ANSATZ_GENERATORS = 2000
 
 

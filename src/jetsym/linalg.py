@@ -16,26 +16,14 @@ solves, span tests and Jordan chain tops are each read off one call.
 Over polynomials in the weight unknown, :func:`unit_core` eliminates the
 constant entries, units of Q[lambda], and the weight scan's Bareiss
 elimination and :func:`rank_modulo` run on the small core it leaves.
-:func:`poly_matrix_pivots` is a sparse fraction-free (Bareiss)
-elimination over Z on ``{column: entry}`` row dicts.  The matrix is
-first multiplied by ``D``, the lcm of all coefficient denominators, and
-each entry is held as ``(s, p)``: the weight to the power ``s`` times a
-list ``p`` of integer coefficients with a nonzero constant term.  Every
-division is an exact ``divmod`` long division over Z that subtracts the
-shifts, and pivot ``k`` is divided by ``D**k`` on return.  On a
-quasi-homogeneous equation such as heat or KdV the system is graded in
-the weight, every minor is a monomial, and so every entry has one
-coefficient and each operation is one ``int`` operation.  The entries
-compared at step ``k`` are all ``D**k`` times the same minors of the
-input, so with ``D > 0`` their (degree, coefficients) order is
-unchanged.  A row without the pivot column is not rescaled at that step;
-it is brought up to date by one exact division when it next holds a
-pivot column.  Pivot rule and row swaps are those of the dense rational
-elimination, so the pivot list is the same, and an inexact division
-raises as the bug it would be.
-:func:`rank_modulo` eliminates over the same kind of row dicts, with
-rational polynomial entries, and reduces only the rows below each pivot,
-since the rows above never pivot again.
+Both :func:`unit_core` and :func:`poly_matrix_pivots` clear denominators
+first and hold every entry as one plain form: a list of integer
+coefficients, ascending by degree, ``[]`` for zero.  Every division in
+the Bareiss elimination is an exact ``divmod`` long division over Z, and
+one that leaves a remainder raises as the bug it would be.
+:func:`rank_modulo` eliminates over ``{column: entry}`` row dicts of
+rational polynomial residues, and reduces only the rows below each
+pivot, since the rows above never pivot again.
 """
 
 from __future__ import annotations
@@ -677,7 +665,7 @@ def jordan_chains(m: RatMatrix, lam) -> list:
 
 
 # ---------------------------------------------------------------------------
-# sparse matrices over UniPoly: fraction-free elimination and modular rank
+# polynomial matrices: fraction-free elimination and modular rank
 
 
 def _poly_exact_div(num: UniPoly, den: UniPoly) -> UniPoly:
@@ -687,8 +675,17 @@ def _poly_exact_div(num: UniPoly, den: UniPoly) -> UniPoly:
     return q
 
 
+# The weight scan holds a polynomial as its integer coefficients, ascending
+# by degree, without trailing zeros: ``[]`` is zero.
+
+
+def _int_coeffs(p: UniPoly, scale: int) -> list:
+    """Coefficients of ``scale * p``, where ``scale`` clears every denominator."""
+    return [c.numerator * (scale // c.denominator) for c in p.coeffs]
+
+
 def _int_mul(a: list, b: list) -> list:
-    """Product of two integer coefficient lists, ascending by degree."""
+    """Product of two integer coefficient lists."""
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
@@ -696,6 +693,17 @@ def _int_mul(a: list, b: list) -> list:
         if x:
             for j, y in enumerate(b):
                 out[i + j] += x * y
+    return out
+
+
+def _int_cross(a: list, x: list, f: list, y: list) -> list:
+    """``a*x - f*y`` of integer coefficient lists, trailing zeros trimmed."""
+    out, fy = _int_mul(a, x), _int_mul(f, y)
+    out += [0] * (len(fy) - len(out))
+    for i, c in enumerate(fy):
+        out[i] -= c
+    while out and not out[-1]:
+        out.pop()
     return out
 
 
@@ -722,63 +730,6 @@ def _int_exact_div(num: list, den: list) -> list:
     return q
 
 
-# Nonzero Bareiss entries of poly_matrix_pivots are ``(s, p)``: lambda**s
-# times the integer coefficients ``p``, ascending by degree, ``p[0] != 0``.
-
-
-def _graded(s: int, p: list):
-    """``(s, p)`` with ``p`` trimmed in place and its low zeros moved into ``s``;
-    None for zero."""
-    while p and not p[-1]:
-        p.pop()
-    if not p:
-        return None
-    k = 0
-    while not p[k]:
-        k += 1
-    return (s + k, p[k:]) if k else (s, p)
-
-
-def _graded_mul(a: tuple, b: tuple) -> tuple:
-    (sa, pa), (sb, pb) = a, b
-    if len(pa) == 1 and len(pb) == 1:
-        return sa + sb, [pa[0] * pb[0]]
-    return sa + sb, _int_mul(pa, pb)
-
-
-def _graded_div(num: tuple, den: tuple) -> tuple:
-    """Quotient of entries that ``den`` divides exactly, else ``ArithmeticError``."""
-    (sn, pn), (sd, pd) = num, den
-    if sn < sd:
-        raise ArithmeticError("inexact polynomial division")
-    if len(pn) == 1 and len(pd) == 1:
-        q, m = divmod(pn[0], pd[0])
-        if m:
-            raise ArithmeticError("inexact polynomial division")
-        return sn - sd, [q]
-    return sn - sd, _int_exact_div(pn, pd)
-
-
-def _graded_cross(pivot: tuple, x, f: tuple, y):
-    """``pivot*x - f*y`` with ``x`` or ``y`` None for a zero entry; None for zero."""
-    if y is None:
-        return _graded_mul(pivot, x)
-    sb, pb = _graded_mul(f, y)
-    if x is None:
-        return sb, [-c for c in pb]
-    sa, pa = _graded_mul(pivot, x)
-    if sa == sb and len(pa) == 1 and len(pb) == 1:
-        c = pa[0] - pb[0]
-        return (sa, [c]) if c else None
-    s = min(sa, sb)
-    out = [0] * (max(sa + len(pa), sb + len(pb)) - s)
-    for i, c in enumerate(pa, sa - s):
-        out[i] = c
-    for i, c in enumerate(pb, sb - s):
-        out[i] -= c
-    return _graded(s, out)
-
-
 def poly_matrix_pivots(rows: Sequence[Sequence[UniPoly]]) -> list:
     """Pivot polynomials of a division-free (Bareiss) elimination.
 
@@ -788,86 +739,42 @@ def poly_matrix_pivots(rows: Sequence[Sequence[UniPoly]]) -> list:
     the generic rank is a root of at least one returned pivot (the last
     pivot is, up to sign, a maximal non-vanishing minor).
 
-    The elimination runs over Z: the matrix is scaled by ``D``, the lcm of
-    all coefficient denominators, and every nonzero entry is held as
-    ``(s, p)``, ``lambda**s`` times the integer coefficient list ``p``
-    (ascending by degree, ``p[0] != 0``).  Products add the shifts, exact
-    quotients subtract them, and a difference is aligned to the smaller
-    shift and stripped of the low terms that cancelled.  On a
-    quasi-homogeneous equation (heat, KdV) the system is graded, so every
-    minor, and with it every entry, is a monomial ``c*lambda**s``: ``p`` has
-    one coefficient and each operation is one ``int`` operation.
-
-    Each entry compared at step ``k`` (1-based) is a ``k``-minor of
-    ``D*M``, that is ``D**k`` times the same minor of ``M``; as ``D > 0`` the
-    order of the padded coefficient lists ``[0]*s + p`` (length first), and
+    The elimination runs over Z on the integer coefficient lists of
+    ``D*M``, ``D`` the lcm of all coefficient denominators of ``M``.  Each
+    entry compared at step ``k`` (1-based) is a ``k``-minor of ``D*M``, that
+    is ``D**k`` times the same minor of ``M``; as ``D > 0`` their order, and
     with it every pivot choice and row swap, is that of ``M``.  Pivot ``k``
-    is returned divided by ``D**k``.
-
-    Rows are ``{column: entry}`` dicts and each step touches only the rows
-    holding the pivot column.  A Bareiss step merely multiplies every other
-    row by ``pivot/prev``; those factors telescope, so such a row is left
-    alone and brought up to date with one division when it next holds a
-    pivot column.  The result is exactly that of the dense elimination: the
-    same entries, the same pivot rule and the same row swaps.  Every entry
-    is an integer minor, so each division is exact over Z (Sylvester's
-    identity); one that leaves a remainder raises ``ArithmeticError`` as
-    the bug it would be.
+    is returned divided by ``D**k``.  Every entry is an integer minor, so
+    each division is exact over Z (Sylvester's identity); one that leaves a
+    remainder raises ``ArithmeticError`` as the bug it would be.
     """
     scale = math.lcm(*(c.denominator for row in rows for x in row for c in x.coeffs))
-    mat = [
-        {
-            j: _graded(0, [c.numerator * (scale // c.denominator) for c in x.coeffs])
-            for j, x in enumerate(row)
-            if x.coeffs
-        }
-        for row in rows
-    ]
+    mat = [[_int_coeffs(x, scale) for x in row] for row in rows]
     ncols = len(rows[0]) if rows else 0
-    order = list(range(len(mat)))  # position -> row, swapped as in the dense form
-    step = [0] * len(mat)  # the step each row's entries are current at
-    prevs = [(0, [1])]  # prevs[k]: the pivot of step k, with prevs[0] = 1
-    r = 0
+    pivots, prev = [], [1]
     for c in range(ncols):
+        r = len(pivots)
         if r == len(mat):
             break
-        hits = [k for k in range(r, len(mat)) if c in mat[order[k]]]
+        hits = [(len(mat[i][c]), mat[i][c], i) for i in range(r, len(mat)) if mat[i][c]]
         if not hits:
             continue
-        prev = prevs[r]
-        for k in hits:
-            i = order[k]
-            if step[i] != r:
-                old = prevs[step[i]]
-                mat[i] = {
-                    j: _graded_div(_graded_mul(x, prev), old) for j, x in mat[i].items()
-                }
-                step[i] = r
-
-        def key(k):
-            s, p = mat[order[k]][c]
-            return s + len(p), [0] * s + p, k
-
-        pr = min(hits, key=key)
-        hit_rows = [order[k] for k in hits if k != pr]
-        order[r], order[pr] = order[pr], order[r]
-        prow = mat[order[r]]
-        pivot = prow[c]
-        for i in hit_rows:
-            row = mat[i]
+        pr = min(hits)[2]
+        mat[r], mat[pr] = mat[pr], mat[r]
+        prow = mat[r][c:]
+        pivot = prow[0]
+        # the columns left of c are zero below row r
+        for row in mat[r + 1 :]:
             f = row[c]
-            crossed = {}
-            for j in row.keys() | prow.keys():
-                v = _graded_cross(pivot, row.get(j), f, prow.get(j))
-                if v is not None:
-                    crossed[j] = _graded_div(v, prev)
-            mat[i] = crossed
-            step[i] = r + 1
-        prevs.append(pivot)
-        r += 1
+            row[c:] = [
+                _int_exact_div(_int_cross(pivot, x, f, y), prev) if x or y else []
+                for x, y in zip(row[c:], prow)
+            ]
+        pivots.append(pivot)
+        prev = pivot
     return [
-        UniPoly._from_fractions([ZERO] * s + [Fraction(x, scale**k) for x in p])
-        for k, (s, p) in enumerate(prevs[1:], 1)
+        UniPoly._from_fractions([Fraction(x, scale**k) for x in p])
+        for k, p in enumerate(pivots, 1)
     ]
 
 
@@ -884,24 +791,19 @@ def unit_core(rows: Sequence[dict], ncols: int) -> tuple:
     left, over the remaining columns in ascending order, zero rows dropped;
     so ``units + rank(core(w)) == rank(M(w))`` at every ``w``.
 
-    Each row is scaled to integer coefficients, its entries held as the
-    ``(s, p)`` of :func:`poly_matrix_pivots`, so a graded entry
-    ``c*lambda**s`` costs one ``int`` operation.  A step replaces each row
-    ``x`` holding the pivot column by ``a*x - f*pivot_row``, ``a > 0`` the
-    pivot (the pivot row is negated if need be) and ``f`` the row's entry
-    at its column, and divides the row by the gcd of its coefficients; a
-    constant row factor changes no rank.  A column -> row-set index and a
-    heap of the constant entries by cost are kept up to date, so a step
-    touches only the rows holding its column and the columns of its row.
+    Each row is scaled to integer coefficient lists, as in
+    :func:`poly_matrix_pivots`.  A step replaces each row ``x`` holding the
+    pivot column by ``a*x - f*pivot_row``, ``a > 0`` the pivot (the pivot row
+    is negated if need be) and ``f`` the row's entry at its column, and
+    divides the row by the gcd of its coefficients; a constant row factor
+    changes no rank.  A column -> row-set index and a heap of the constant
+    entries by cost are kept up to date, so a step touches only the rows
+    holding its column and the columns of its row.
     """
     mat, col_rows = {}, {j: set() for j in range(ncols)}
     for i, row in enumerate(rows):
         scale = math.lcm(*(c.denominator for p in row.values() for c in p.coeffs))
-        mat[i] = {
-            j: _graded(0, [c.numerator * (scale // c.denominator) for c in p.coeffs])
-            for j, p in row.items()
-            if p.coeffs
-        }
+        mat[i] = {j: _int_coeffs(p, scale) for j, p in row.items() if p.coeffs}
         for j in mat[i]:
             col_rows[j].add(i)
 
@@ -910,24 +812,19 @@ def unit_core(rows: Sequence[dict], ncols: int) -> tuple:
 
     # an entry whose row or column count changed is pushed again; a popped
     # item whose cost is out of date, or whose entry is gone, is skipped
-    heap = [
-        (cost(i, j), i, j)
-        for i, row in mat.items()
-        for j, (s, p) in row.items()
-        if not s and len(p) == 1
-    ]
+    heap = [(cost(i, j), i, j) for i, row in mat.items() for j, p in row.items() if len(p) == 1]
     heapq.heapify(heap)
     while heap:
         k, r, c = heapq.heappop(heap)
         x = mat[r].get(c) if r in mat else None
-        if x is None or x[0] or len(x[1]) != 1 or k != cost(r, c):
+        if x is None or len(x) != 1 or k != cost(r, c):
             continue
         prow = mat.pop(r)
-        a = prow.pop(c)[1][0]
+        a = prow.pop(c)[0]
         if a < 0:
             a = -a
-            prow = {j: (s, [-v for v in p]) for j, (s, p) in prow.items()}
-        pivot, scaled = (0, [a]), a != 1 and prow
+            prow = {j: [-v for v in p] for j, p in prow.items()}
+        pivot, scaled = [a], a != 1 and prow
         hit_rows = col_rows.pop(c) - {r}
         for j in prow:
             col_rows[j].discard(r)
@@ -937,34 +834,32 @@ def unit_core(rows: Sequence[dict], ncols: int) -> tuple:
             if scaled:
                 for j, x in row.items():
                     if j not in prow:
-                        row[j] = _graded_mul(pivot, x)
+                        row[j] = [a * v for v in x]
             for j, y in prow.items():
-                v = _graded_cross(pivot, row.get(j), f, y)
-                if v is None:
-                    del row[j]
-                    col_rows[j].discard(i)
-                else:
+                v = _int_cross(pivot, row.get(j, []), f, y)
+                if v:
                     row[j] = v
                     col_rows[j].add(i)
-            if scaled and (g := math.gcd(*(v for _, p in row.values() for v in p))) > 1:
-                for j, (s, p) in row.items():
-                    row[j] = (s, [v // g for v in p])
+                else:
+                    del row[j]
+                    col_rows[j].discard(i)
+            if scaled and (g := math.gcd(*(v for p in row.values() for v in p))) > 1:
+                for j, p in row.items():
+                    row[j] = [v // g for v in p]
         for i in hit_rows:
-            for j, (s, p) in mat[i].items():
-                if not s and len(p) == 1:
+            for j, p in mat[i].items():
+                if len(p) == 1:
                     heapq.heappush(heap, (cost(i, j), i, j))
         for j in prow:
             for i in col_rows[j]:
-                s, p = mat[i][j]
-                if not s and len(p) == 1 and i not in hit_rows:
+                if len(mat[i][j]) == 1 and i not in hit_rows:
                     heapq.heappush(heap, (cost(i, j), i, j))
-    cols, core = sorted(col_rows), []
-    for row in mat.values():
-        if row:
-            dense = dict.fromkeys(cols, UniPoly.zero())
-            for j, (s, p) in row.items():
-                dense[j] = UniPoly._from_fractions([ZERO] * s + [Fraction(v) for v in p])
-            core.append(list(dense.values()))
+    cols = sorted(col_rows)
+    core = [
+        [UniPoly._from_fractions([Fraction(v) for v in row.get(j, ())]) for j in cols]
+        for row in mat.values()
+        if row
+    ]
     return ncols - len(col_rows), core
 
 

@@ -15,10 +15,10 @@ from jetsym.linalg import (
     _inverse_mod,
     _NeedsSplit,
     _decimal_digits,
-    _graded,
-    _graded_cross,
-    _graded_div,
+    _int_coeffs,
+    _int_cross,
     _int_exact_div,
+    _int_mul,
     _poly_exact_div,
     char_poly,
     generalized_eigenspace,
@@ -106,10 +106,7 @@ def dense_poly_matrix_pivots(rows):
             crossed = [
                 pivot * mat[i][j] - factor * mat[r][j] for j in range(ncols)
             ]
-            try:
-                mat[i] = [_poly_exact_div(x, prev) for x in crossed]
-            except ArithmeticError:
-                mat[i] = crossed
+            mat[i] = [_poly_exact_div(x, prev) for x in crossed]
         prev = pivot
         r += 1
     return pivots
@@ -206,8 +203,8 @@ RATIONAL_POLY_ENTRY = st.one_of(
     ),
 )
 # Entries times lambda^s, integer and rational, so that the elimination
-# strips shifts, cancels low terms (raising the shift) and divides by
-# shifted pivots.
+# meets low zero coefficients, low terms that cancel, and pivots without a
+# constant term to divide by.
 SHIFTED_POLY_ENTRY = st.builds(
     lambda p, s: UniPoly([0] * s + list(p.coeffs)),
     st.one_of(POLY_ENTRY, RATIONAL_POLY_ENTRY),
@@ -391,7 +388,7 @@ class TestPolySparseAgainstDense:
 
     @PROPERTY
     @given(graded_poly_matrices())
-    def test_pivots_match_dense_graded_entries(self, rows):
+    def test_pivots_match_dense_monomial_entries(self, rows):
         pivots = poly_matrix_pivots(rows)
         assert pivots == dense_poly_matrix_pivots(rows)
         assert all(_is_monomial(p) for p in pivots)
@@ -476,15 +473,15 @@ class TestUnitCore:
 
 
 class TestScanGrading:
-    """The weight scan's speed rests on quasi-homogeneity: heat and KdV are
-    invariant under ``y -> a*y`` with the weight scaled by ``1/a``, so every
-    entry of their y-free systems, and every minor, is a monomial in the
-    weight."""
+    """Heat and KdV are quasi-homogeneous: invariant under ``y -> a*y`` with
+    the weight scaled by ``1/a``, so every entry of their y-free systems, and
+    every minor, is a monomial in the weight.  The scan does not rely on it:
+    its speed rests on the small core :func:`unit_core` leaves."""
 
     @pytest.mark.parametrize(
         "equation, caps", [("u_t = u_2", (4, 0, 3)), ("u_t = u_3 + u*u_1", (3, 0, 3))]
     )
-    def test_graded_systems_have_monomial_entries_and_pivots(self, equation, caps):
+    def test_quasi_homogeneous_systems_have_monomial_entries_and_pivots(self, equation, caps):
         rows = determining_system(build_ansatz(*caps), parse_equation(equation)).rows
         assert all(_is_monomial(x) for row in rows for x in row if not x.is_zero())
         pivots = poly_matrix_pivots(rows)
@@ -724,37 +721,60 @@ class TestIntExactDiv:
         with pytest.raises(ArithmeticError):
             _int_exact_div([1], [1, 1])
 
+    def test_cross_cancels_and_trims(self):
+        # 2*(1 + x) - 1*(2 + 2x) = 0: full cancellation is the empty list
+        assert _int_cross([2], [1, 1], [1], [2, 2]) == []
+        # x*(1 + x) - 1*(x^2) = x: the cancelled top coefficient is trimmed
+        assert _int_cross([0, 1], [1, 1], [1], [0, 0, 1]) == [0, 1]
+        # a zero entry on either side
+        assert _int_cross([3], [], [1], [2, 0, 1]) == [-2, 0, -1]
+        assert _int_cross([3], [1, 2], [1], []) == [3, 6]
+        # a crossed entry that cancels to zero is still divided by the last pivot
+        assert _int_exact_div([], [2, 1]) == []
 
-class TestGradedEntries:
-    """Entries ``(s, p)``: lambda**s times an integer list with ``p[0] != 0``."""
 
-    def test_strip_moves_low_zeros_into_the_shift(self):
-        assert _graded(1, [0, 0, 3, -1, 0]) == (3, [3, -1])
-        assert _graded(2, [5]) == (2, [5])
-        assert _graded(0, [0, 0]) is None
+# Integer coefficient lists in the weight scan's form: ascending, no trailing zero.
+INT_COEFFS = st.lists(st.integers(-5, 5), max_size=4).map(
+    lambda c: c[: max((i + 1 for i, x in enumerate(c) if x), default=0)]
+)
 
-    def test_cross_aligns_shifts_and_strips_cancellations(self):
-        one, lam = (0, [1]), (1, [1])
-        # 1*(1 + lam) - 1*1 = lam: the constant terms cancel
-        assert _graded_cross(one, (0, [1, 1]), one, one) == (1, [1])
-        # lam*lam - 2*(lam + lam^2) = -2*lam - lam^2
-        assert _graded_cross(lam, lam, (0, [2]), (1, [1, 1])) == (1, [-2, -1])
-        assert _graded_cross((2, [3]), (1, [2]), (1, [6]), (2, [1])) is None
-        assert _graded_cross(lam, None, one, (0, [2, 0, 1])) == (0, [-2, 0, -1])
 
-    def test_exact_division_subtracts_shifts(self):
-        assert _graded_div((3, [6]), (1, [-2])) == (2, [-3])
-        assert _graded_div((1, [-1, 0, 1]), (0, [-1, 1])) == (1, [1, 1])
+class TestIntCoefficientLists:
+    """The helpers :func:`poly_matrix_pivots` and :func:`unit_core` run on."""
 
-    def test_inexact_division_raises(self):
-        # lambda / lambda^2: the shift would go negative
+    def test_int_coeffs_clears_denominators(self):
+        p = UniPoly([F(1, 2), F(-2, 3), 0, 5])
+        assert _int_coeffs(p, 6) == [3, -4, 0, 30]
+        assert _int_coeffs(UniPoly.zero(), 7) == []
+
+    @PROPERTY
+    @given(INT_COEFFS, INT_COEFFS, INT_COEFFS, INT_COEFFS)
+    def test_cross_matches_polynomial_arithmetic(self, a, x, f, y):
+        expected = UniPoly(a) * UniPoly(x) - UniPoly(f) * UniPoly(y)
+        assert UniPoly(_int_cross(a, x, f, y)) == expected
+        assert _int_mul(a, x) == _int_coeffs(UniPoly(a) * UniPoly(x), 1)
+
+    @PROPERTY
+    @given(INT_COEFFS, INT_COEFFS.filter(bool))
+    def test_exact_division_inverts_multiplication(self, q, den):
+        assert _int_exact_div(_int_mul(q, den), den) == q
+
+    def test_division_by_pivot_without_constant_term(self):
+        # 6*lam^3 / (-2*lam) = -3*lam^2: low zero coefficients on both sides
+        assert _int_exact_div([0, 0, 0, 6], [0, -2]) == [0, 0, -3]
+        # (lam^3 - lam) / (lam - 1) = lam + lam^2
+        assert _int_exact_div([0, -1, 0, 1], [-1, 1]) == [0, 1, 1]
+
+    def test_inexact_division_of_low_degree_entries_raises(self):
+        # lam / lam^2: no polynomial quotient
         with pytest.raises(ArithmeticError):
-            _graded_div((1, [1]), (2, [1]))
-        # 3*lambda^2 / (2*lambda): a monomial coefficient remainder over Z
+            _int_exact_div([0, 1], [0, 0, 1])
+        # 3*lam^2 / (2*lam): a coefficient remainder over Z
         with pytest.raises(ArithmeticError):
-            _graded_div((2, [3]), (1, [2]))
+            _int_exact_div([0, 0, 3], [0, 2])
+        # (1 + lam^2) / (1 + lam): a polynomial remainder
         with pytest.raises(ArithmeticError):
-            _graded_div((0, [1, 0, 1]), (0, [1, 1]))
+            _int_exact_div([1, 0, 1], [1, 1])
 
 
 class TestPolyMatrixPivots:
