@@ -15,13 +15,13 @@ y^a columns add nothing new: differentiating
 L(exp(w*y) m) = exp(w*y) L_w(m) in w gives the cell of row block y^b and
 column y^a * m as C(a, b) * S^(a-b)(w), so the kernel at w is the set of
 Jordan chains of S(lambda) at w, of length at most the y-degree plus one
-(:func:`kernel_at`).
+(:func:`kernel_at`), read off one recorded elimination of ``S(w)`` per
+weight that every chain level and every caller reuses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass, field, replace
 from math import comb, factorial
 from typing import Optional, Sequence
 
@@ -39,9 +39,11 @@ from .expr import (
 from .linalg import (
     ONE,
     ZERO,
+    Elimination,
     RatMatrix,
     UniPoly,
     _frac,
+    _kernel_basis,
     normalize_vector,
     nullspace,
     poly_matrix_pivots,
@@ -129,12 +131,11 @@ def lie_bracket(eta1: ExpPolyExpr, eta2: ExpPolyExpr) -> ExpPolyExpr:
 
 # Generators C(q_max + 1 + jet_degree, jet_degree) * (y_degree + 1) above
 # which build_ansatz refuses the caps.  Only the y-free ones are assembled
-# and each y power adds one elimination of that system.  At 1,716
-# generators (order 9, jet degree 3, y-degree 5) the KdV solve takes 0.75 s
-# end to end with --lambda none and 0.85 s with the weight scan, and the
-# heat, potential Burgers and KdV criterion runs take 0.55 to 1.3 s.  The
-# criterion runs spend most of it in the kernels and Jordan chain levels,
-# on rref of the whole fixed-weight system (2-core Xeon VM).
+# and eliminated, once per weight; each y power adds one chain level, a
+# few columns carried through that elimination.  At 1,716 generators
+# (order 9, jet degree 3, y-degree 5) the KdV solve takes 0.35 s end to
+# end with --lambda none and 0.4 s with the weight scan, and the heat,
+# potential Burgers and KdV criterion runs take 0.23 to 0.37 s (2-core VM).
 MAX_ANSATZ_GENERATORS = 2000
 
 
@@ -216,13 +217,11 @@ class DeterminingSystem:
     generators: tuple
     row_shapes: tuple
     rows: tuple  # tuples of UniPoly entries
+    _cells: tuple = field(repr=False, compare=False)  # per row, (column, entry) of its nonzeros
+    # weight -> _WeightState, each published once complete
+    _weight_states: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # every system keeps the weight as an unknown; perfbench/tracer.py reads this
     symbolic = True
-
-    @cached_property
-    def _cells(self) -> tuple:
-        """Per row, the ``(column, entry)`` pairs of its nonzero entries."""
-        return tuple(tuple((j, p) for j, p in enumerate(row) if p.coeffs) for row in self.rows)
 
     def taylor(self, w, count: int) -> list:
         """S_p = S^(p)(w)/p! for p < count, each as ``{column: [(row, entry), ...]}``.
@@ -258,13 +257,12 @@ def determining_system(ansatz: AnsatzSpace, eq: EvolutionEquation) -> Determinin
     Any generators will do; a run assembles only its y-free ones, and
     :func:`kernel_at` reads the kernel of every y-degree off that system.
     """
-    defects = [_weighted_defect(g, eq) for g in ansatz.generators]
     # strip the parameter power (PARAM has the largest code, so it is the
     # last power) out of each shape key; within one defect every
-    # (key, power) pair occurs once
+    # (key, power) pair occurs once.  Each defect is dropped once read.
     cells = {}
-    for col, d in enumerate(defects):
-        for key, coeff in d.terms:
+    for col, g in enumerate(ansatz.generators):
+        for key, coeff in _weighted_defect(g, eq).terms:
             jd, powers, expvec = key
             if powers and powers[-1][0] == PARAM:
                 deg, key = powers[-1][1], (jd, powers[:-1], expvec)
@@ -273,14 +271,71 @@ def determining_system(ansatz: AnsatzSpace, eq: EvolutionEquation) -> Determinin
             cells.setdefault((key, col), {})[deg] = coeff
     keys = sorted({key for key, _ in cells})
     index = {key: i for i, key in enumerate(keys)}
-    zero = UniPoly.zero()  # immutable, so every empty cell shares it
-    rows = [[zero] * len(defects) for _ in keys]
+    row_cells = [[] for _ in keys]
+    # columns ascend within a row: the cells were found column by column
     for (key, col), cell in cells.items():
-        rows[index[key]][col] = UniPoly._from_fractions(
-            [cell.get(k, ZERO) for k in range(max(cell) + 1)]
-        )
+        p = UniPoly._from_fractions([cell.get(k, ZERO) for k in range(max(cell) + 1)])
+        row_cells[index[key]].append((col, p))
+    del cells
+    # one dense row at a time, so no second copy of the dense matrix is held
+    zero, rows = UniPoly.zero(), []  # zero is immutable, so every empty cell shares it
+    for cells_i in row_cells:
+        row = [zero] * len(ansatz.generators)
+        for col, p in cells_i:
+            row[col] = p
+        rows.append(tuple(row))
     shapes = tuple(key[1:] for key in keys)
-    return DeterminingSystem(ansatz.generators, shapes, tuple(map(tuple, rows)))
+    return DeterminingSystem(ansatz.generators, shapes, tuple(rows), tuple(map(tuple, row_cells)))
+
+
+class _WeightState:
+    """What :func:`kernel_at` keeps of ``S(lambda)`` at one weight w: the
+    ``S_p``, p >= 1, that can be nonzero, the :class:`Elimination` of ``S_0``,
+    its kernel, and in ``levels[j]`` a basis of the Jordan chains of length
+    at most j + 1, each a ``{(a, column): x_a}`` dict.  ``levels`` grows only
+    by whole tuples, so a concurrent reader never sees part of a level.
+    """
+
+    __slots__ = ("taylor", "record", "kernel", "levels")
+
+    def __init__(self, system: DeterminingSystem, w):
+        count = max((len(p.coeffs) for cells in system._cells for _, p in cells), default=1)
+        s_0, *self.taylor = system.taylor(w, count)
+        s0 = [{} for _ in system.rows]
+        for m, cells in s_0.items():
+            for i, x in cells:
+                s0[i][m] = x
+        self.record = record = Elimination(s0)
+        self.kernel = tuple(_kernel_basis(record.reduced, record.pivots, len(system.generators)))
+        self.levels = (tuple({(0, m): x for m, x in enumerate(v) if x} for v in self.kernel),)
+
+    def longer(self, chains: tuple) -> tuple:
+        """The chains one longer than ``chains``, plus the eigenvectors.
+
+        A chain less its ``x_0`` is ``sum_k alpha_k chains[k]``, and ``S_0 x_0
+        = -sum_k alpha_k r_k``, ``r_k`` pushing ``chains[k]`` through ``S_1 ..
+        S_j``.  Carried through the record, the ``r_k`` left on the rows
+        without a pivot (rows empty in ``S_0`` too) have the allowed
+        ``alpha`` as kernel; the pivot rows give ``x_0``, free columns zero.
+        """
+        pushed = []
+        for chain in chains:
+            r = {}
+            for (a, m), c in chain.items():
+                if a < len(self.taylor):
+                    for i, e in self.taylor[a].get(m, ()):
+                        r[i] = r.get(i, ZERO) + e * c
+            pushed.append({i: x for i, x in r.items() if x})
+        carried = self.record.carry(pushed)
+        on_pivots = [(pc, carried.pop(i)) for i, pc in self.record.pivot_rows.items() if i in carried]
+        grown = []
+        for alpha in nullspace(RatMatrix._from_sparse(list(carried.values()), len(chains))):
+            chain = {(0, pc): -sum((c * alpha[k] for k, c in row.items()), ZERO) for pc, row in on_pivots}
+            for a_k, old in zip(alpha, chains):
+                for (a, m), x in old.items() if a_k else ():
+                    chain[a + 1, m] = chain.get((a + 1, m), ZERO) + a_k * x
+            grown.append({key: x for key, x in chain.items() if x})
+        return tuple(grown) + self.levels[0]
 
 
 def kernel_at(system: DeterminingSystem, w, y_degree: int) -> list:
@@ -292,50 +347,30 @@ def kernel_at(system: DeterminingSystem, w, y_degree: int) -> list:
     order.  Row block y^b of that system has ``C(a, b) * S^(a-b)(w)`` in
     column y^a * m, so with ``S_p = S^(p)(w)/p!`` and ``x_a`` the y^a block
     times ``a!``, a kernel vector is a Jordan chain of ``S(lambda)`` at w:
-    ``sum_p S_p x_(b+p) = 0`` for every b.  Dropping ``x_0`` from a chain
-    leaves a chain one shorter, so the chains of level j are one
-    ``nullspace`` of ``[S_0 | r_j]``, where ``r_j`` pushes each chain of
-    level j-1 through ``S_1 .. S_j``.  Level 0 is ``nullspace(S_0)``, the
-    whole answer at y-degree 0.  Above it one ``rref`` of the chain
-    vectors, with the columns reversed, gives ``nullspace``'s basis: the
-    vector of each free column has its last nonzero entry there and 0 at
-    every other free column.
+    ``sum_p S_p x_(b+p) = 0`` for every b.  ``S_0`` is eliminated once per
+    system and weight (:class:`_WeightState`, kept on the system): level 0,
+    the answer at y-degree 0, is its kernel, each longer level carries
+    only its few new columns through that record, and a repeated call is a
+    lookup.  Above level 0 one ``rref`` of the chain vectors, columns
+    reversed, gives ``nullspace``'s basis: the vector of each free column
+    has its last nonzero entry there and 0 at every other free column.
     """
-    n, step = len(system.generators), y_degree + 1
-    taylor = system.taylor(_frac(w), step)
-    s0 = [{} for _ in system.rows]
-    for m, cells in taylor[0].items():
-        for i, x in cells:
-            s0[i][m] = x
-    kernel = nullspace(RatMatrix._from_sparse([r for r in s0 if r], n))
+    w = _frac(w)
+    states = system._weight_states
+    state = states.get(w) or states.setdefault(w, _WeightState(system, w))
     if not y_degree:
-        return kernel
-    # a chain is one sparse vector over the columns m*step + a, holding x_a
-    chains = [{m * step: x for m, x in enumerate(v) if x} for v in kernel]
-    for j in range(1, step):
-        if not chains:
-            return []  # no eigenvector, so no chain of any length
-        rows = [dict(r) for r in s0]
-        for k, chain in enumerate(chains, n):
-            pushed = {}
-            for col, c in chain.items():
-                m, a = divmod(col, step)
-                for i, e in taylor[a + 1].get(m, ()):
-                    pushed[i] = pushed.get(i, ZERO) + e * c
-            for i, c in pushed.items():
-                if c:
-                    rows[i][k] = c
-        grown = []
-        for v in nullspace(RatMatrix._from_sparse(rows, n + len(chains))):
-            chain = {m * step: x for m, x in enumerate(v[:n]) if x}
-            for alpha, old in zip(v[n:], chains):
-                if alpha:
-                    for col, x in old.items():
-                        chain[col + 1] = chain.get(col + 1, ZERO) + alpha * x
-            grown.append({col: x for col, x in chain.items() if x})
-        chains = grown
-    top = n * step - 1
-    flipped = [{top - col: x / factorial(col % step) for col, x in c.items()} for c in chains]
+        return list(state.kernel)
+    levels = state.levels
+    if len(levels) <= y_degree:
+        grown = list(levels)
+        while len(grown) <= y_degree:
+            grown.append(state.longer(grown[-1]))
+        state.levels = levels = tuple(grown)
+    step = y_degree + 1
+    top = len(system.generators) * step - 1
+    flipped = [
+        {top - (m * step + a): x / factorial(a) for (a, m), x in c.items()} for c in levels[y_degree]
+    ]
     red, pivots = rref(RatMatrix._from_sparse(flipped, top + 1))
     return [
         normalize_vector([row.get(top - c, ZERO) for c in range(top + 1)])

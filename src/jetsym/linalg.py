@@ -9,9 +9,10 @@ downstream output is deterministic.
 
 A :class:`RatMatrix` holds only sparse rows, ``{column: entry}`` dicts of
 its nonzero entries, from construction through elimination to the kernel.
-The one exact rational elimination is the sparse :func:`rref`, which copies
-those rows in and returns the reduced rows as they are; kernels, ranks,
-solves, span tests and Jordan chain tops are each read off one call.
+The one exact rational elimination, :class:`Elimination`, records its row
+operations, so later columns are carried through them without eliminating
+again; kernels, ranks, solves, span tests and Jordan chain tops are each
+read off one elimination.
 
 Over polynomials in the weight unknown, :func:`unit_core` eliminates the
 constant entries, units of Q[lambda], and the weight scan's Bareiss
@@ -186,39 +187,87 @@ class RatMatrix:
         return sum((r.get(i, ZERO) for i, r in enumerate(self._rows)), ZERO)
 
 
+class Elimination:
+    """Recorded sparse Gauss-Jordan elimination of ``{column: entry}`` rows
+    of nonzero ``Fraction``s, which are copied in.
+
+    Columns are taken in ascending order, each pivoting on the shortest
+    pending row holding it (less fill-in; the reduced form is unique, so the
+    choice cannot change it).  A column -> row-set index over pending and
+    reduced rows lets a step touch only the rows holding its column.
+    ``pivots`` are the pivot columns, ``reduced`` their rows, and
+    ``pivot_rows`` maps each pivot row's input position to its column.
+    Each step is recorded as ``(pivot row, scale, {row: factor})``
+    for :meth:`carry`: factor once, then solve for each new right-hand side
+    (Davis, *Direct Methods for Sparse Linear Systems*, ch. 2-3).
+    """
+
+    __slots__ = ("pivots", "reduced", "pivot_rows", "_steps")
+
+    def __init__(self, rows: Sequence[dict]):
+        work = {i: dict(row) for i, row in enumerate(rows) if row}
+        index = {}
+        for i, row in work.items():
+            for j in row:
+                index.setdefault(j, set()).add(i)
+        pending, self.pivot_rows, self._steps = set(work), {}, []
+        for c in sorted(index):
+            hits = [i for i in index[c] if i in pending]
+            if not hits:
+                continue
+            p = min(hits, key=lambda i: (len(work[i]), i))
+            pending.remove(p)
+            inv = ONE / work[p][c]
+            prow = work[p] = {j: x * inv for j, x in work[p].items()}
+            updates = {i: work[i][c] for i in index[c] if i != p}
+            for i, f in updates.items():
+                row = work[i]
+                for j, x in prow.items():
+                    if v := row.get(j, ZERO) - f * x:
+                        row[j] = v
+                        index[j].add(i)
+                    else:
+                        del row[j]
+                        index[j].discard(i)
+            self._steps.append((p, inv, updates))
+            self.pivot_rows[p] = c
+        self.pivots = tuple(self.pivot_rows.values())
+        self.reduced = tuple(work[p] for p in self.pivot_rows)
+
+    def carry(self, columns: Sequence[dict]) -> dict:
+        """``{row: {k: entry}}``: the ``{row: entry}`` columns ``k`` after the
+        recorded steps.  On a pivot row that is the rref of the input with
+        the column appended, if the column is in the span of the input's;
+        on any other row, empty in the input or not, what is left over.
+        """
+        vals = {}
+        for k, col in enumerate(columns):
+            for i, x in col.items():
+                vals.setdefault(i, {})[k] = x
+        for p, inv, updates in self._steps:
+            if not (vp := vals.get(p)):
+                continue
+            vp = vals[p] = {k: x * inv for k, x in vp.items()}
+            for i, f in updates.items():
+                vi = vals.setdefault(i, {})
+                for k, x in vp.items():
+                    if v := vi.get(k, ZERO) - f * x:
+                        vi[k] = v
+                    else:
+                        del vi[k]
+        return vals
+
+
 def rref(m: RatMatrix) -> tuple:
     """Reduced row echelon form.
 
     Returns ``(R, pivots)`` where pivots is the strictly increasing tuple
-    of pivot column indices.  The sparse rows of ``m`` are copied in and
-    each step touches only rows containing the pivot column; ``R`` holds
-    the reduced rows as they are, then empty rows up to ``m.rows``.  The
-    reduced form is unique, so pivoting on the shortest row (less fill-in)
-    cannot change it.
+    of pivot column indices.  ``R`` holds the reduced rows of one
+    :class:`Elimination` as they are, then empty rows up to ``m.rows``.
     """
-    pending = [dict(row) for row in m._rows if row]
-    reduced, pivots = [], []
-    for c in range(m.cols):
-        hits = [k for k, row in enumerate(pending) if c in row]
-        if not hits:
-            continue
-        prow = pending.pop(min(hits, key=lambda k: len(pending[k])))
-        inv = ONE / prow[c]
-        prow = {j: x * inv for j, x in prow.items()}
-        for row in pending + reduced:
-            f = row.get(c)
-            if f is None:
-                continue
-            for j, x in prow.items():
-                v = row.get(j, ZERO) - f * x
-                if v:
-                    row[j] = v
-                else:
-                    del row[j]
-        reduced.append(prow)
-        pivots.append(c)
-    reduced += [{} for _ in range(m.rows - len(reduced))]
-    return RatMatrix._from_sparse(reduced, m.cols), tuple(pivots)
+    e = Elimination(m._rows)
+    reduced = list(e.reduced) + [{} for _ in range(m.rows - len(e.reduced))]
+    return RatMatrix._from_sparse(reduced, m.cols), e.pivots
 
 
 def rank(m: RatMatrix) -> int:
@@ -230,16 +279,19 @@ def nullspace(m: RatMatrix) -> list:
 
     Each basis vector is normalized so its first nonzero entry is 1; the
     list is ordered by ascending free column, which makes the result a
-    canonical representative suitable for golden tests.  A reduced row
-    holds only its pivot and free columns, so each of its entries is read
-    once, into the vector of its free column.
+    canonical representative suitable for golden tests.
     """
     red, pivots = rref(m)
+    return _kernel_basis(red._rows, pivots, m.cols)
+
+
+def _kernel_basis(reduced: Sequence[dict], pivots: Sequence[int], cols: int) -> list:
+    """One kernel vector per free column, each reduced-row entry read once."""
     pivset = set(pivots)
-    vectors = {c: [ZERO] * m.cols for c in range(m.cols) if c not in pivset}
+    vectors = {c: [ZERO] * cols for c in range(cols) if c not in pivset}
     for c, v in vectors.items():
         v[c] = ONE
-    for row, pc in zip(red._rows, pivots):
+    for row, pc in zip(reduced, pivots):
         for j, x in row.items():
             if j != pc:
                 vectors[j][pc] = -x
@@ -258,28 +310,18 @@ def normalize_vector(v: Sequence[Fraction]) -> tuple:
 def solve_columns(m: RatMatrix, rhs: Sequence[Sequence[Fraction]]) -> list:
     """Solutions of ``m x = b`` for the leading consistent columns ``b`` of ``rhs``.
 
-    One elimination of ``[m | rhs]``, built from the sparse rows of ``m``;
-    the first inconsistent right-hand side is the first pivot past
-    ``m.cols``, and the list stops before it.  Free unknowns are set to zero.
+    One :class:`Elimination` of ``m`` carries every right-hand side; the
+    first inconsistent one is the first left over on a row without a pivot,
+    and the list stops before it.  Free unknowns are set to zero.
     """
-    n = m.cols
-    aug = []
-    for i, row in enumerate(m._rows):
-        row = dict(row)
-        for k, b in enumerate(rhs):
-            x = _frac(b[i])
-            if x:
-                row[n + k] = x
-        aug.append(row)
-    red, pivots = rref(RatMatrix._from_sparse(aug, n + len(rhs)))
-    stop = next((pc for pc in pivots if pc >= n), n + len(rhs))
-    solutions = [[ZERO] * n for _ in range(n, stop)]
-    for row, pc in zip(red._rows, pivots):
-        if pc >= n:
-            break
-        for j, x in row.items():
-            if n <= j < stop:
-                solutions[j - n][pc] = x
+    e = Elimination(m._rows)
+    carried = e.carry([{i: x for i, x in enumerate(map(_frac, b)) if x} for b in rhs])
+    left = (k for i, row in carried.items() if i not in e.pivot_rows for k in row)
+    solutions = [[ZERO] * m.cols for _ in range(min(left, default=len(rhs)))]
+    for i, pc in e.pivot_rows.items():
+        for k, x in carried.get(i, {}).items():
+            if k < len(solutions):
+                solutions[k][pc] = x
     return [tuple(x) for x in solutions]
 
 

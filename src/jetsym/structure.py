@@ -110,19 +110,17 @@ def shift_matrices(basis, selected) -> ShiftAction:
     everything = list(elements) + [d for row in derived for d in row]
     _, vectors = monomial_coordinates(everything)
     n = len(elements)
-    basis_matrix = RatMatrix.from_columns(vectors[:n])
-    matrices = []
-    for s, c in enumerate(selected.coords):
-        cols = solve_columns(basis_matrix, vectors[n + s * n : n + (s + 1) * n])
-        if len(cols) < n:
-            j = len(cols)
-            raise ClosureViolationError(
-                f"derivative of basis element {j} with respect to {c.name} "
-                "leaves the basis span",
-                element=elements[j],
-                coord=c,
-            )
-        matrices.append(RatMatrix.from_columns(cols))
+    # one elimination of the basis carries every derivative
+    cols = solve_columns(RatMatrix.from_columns(vectors[:n]), vectors[n:])
+    if len(cols) < len(vectors) - n:
+        s, j = divmod(len(cols), n)
+        c = selected.coords[s]
+        raise ClosureViolationError(
+            f"derivative of basis element {j} with respect to {c.name} leaves the basis span",
+            element=elements[j],
+            coord=c,
+        )
+    matrices = [RatMatrix.from_columns(cols[s : s + n]) for s in range(0, len(cols), n)]
     for a in range(len(matrices)):
         for b in range(a + 1, len(matrices)):
             if matrices[a] @ matrices[b] != matrices[b] @ matrices[a]:

@@ -2,12 +2,16 @@
 
 import itertools
 import random
+import sys
+import threading
 from fractions import Fraction
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jetsym import engine
+from jetsym.cli import main
 from jetsym.engine import (
     EvolutionEquation,
     build_ansatz,
@@ -23,6 +27,7 @@ from jetsym.engine import (
 from jetsym.errors import EmptyAnsatzError, ScopeError
 from jetsym.expr import U, Y, ExpPolyExpr, combine, jet, monomial_coordinates
 from jetsym.linalg import (
+    Elimination,
     RatMatrix,
     UniPoly,
     in_span,
@@ -385,6 +390,78 @@ class TestChainKernel:
         gens = build_ansatz(0, ydeg, 1).generators
         elements = [combine(v, gens).render() for v in kernel_at(system, 1, ydeg)]
         assert elements == ["1", "y"][: ydeg + 1]
+
+
+ORDER_EQUATIONS = [HEAT, parse_equation("u_t = u_2 - 2*u_1 + u"), SUBSTITUTION_EQUATIONS[-1]]
+ORDER_WEIGHTS = [F(0), F(1), F(-1, 2)]
+
+
+class TestWeightState:
+    """``S_0`` is eliminated once per system and weight; every chain level
+    and every later call reuses that record."""
+
+    @pytest.mark.parametrize("eq", ORDER_EQUATIONS, ids=repr)
+    def test_call_order_does_not_matter(self, eq):
+        expected = {
+            (w, ydeg): nullspace(reference_system(build_ansatz(2, ydeg, 2, weights=(w,)), eq))
+            for w in ORDER_WEIGHTS
+            for ydeg in (0, 1, 3)
+        }
+        fresh = {
+            key: kernel_at(determining_system(build_ansatz(2, 0, 2), eq), *key) for key in expected
+        }
+        assert fresh == expected
+        shared = determining_system(build_ansatz(2, 0, 2), eq)
+        for order in ((3, 0, 1), (0, 1, 3), (1, 3, 0)):
+            for w in ORDER_WEIGHTS:
+                for ydeg in order:
+                    assert kernel_at(shared, w, ydeg) == expected[w, ydeg]
+
+    def test_rows_empty_at_the_weight_constrain_the_chains(self):
+        # the one entry -(w - 1)^2 of S vanishes at 1 with its derivative:
+        # the row is empty in S_0 and S_1, and only S_2 stops the chain at
+        # length 2, so y^2*exp(y) is no symmetry
+        system = determining_system(build_ansatz(0, 0, 0), parse_equation("u_t = u_2 - 2*u_1 + u"))
+        assert system.taylor(1, 2) == [{}, {}]
+        assert len(kernel_at(system, 1, 2)) == 2
+
+    def test_heat_criterion_eliminates_s0_once(self, monkeypatch, tmp_path):
+        calls = []
+
+        def counted(rows):
+            calls.append(len(rows))
+            return Elimination(rows)
+
+        monkeypatch.setattr(engine, "Elimination", counted)
+        argv = ["--eq", "u_t = u_2", "--mode", "criterion", "--json", str(tmp_path / "out.json")]
+        assert main(argv) == 0
+        assert len(calls) == 1
+
+    def test_threads_share_one_system(self):
+        eq = ORDER_EQUATIONS[1]
+        keys = [(w, ydeg) for w in ORDER_WEIGHTS for ydeg in (3, 0, 1, 2)]
+        expected = {key: kernel_at(determining_system(build_ansatz(2, 0, 2), eq), *key) for key in keys}
+        shared = determining_system(build_ansatz(2, 0, 2), eq)
+        start = threading.Barrier(4)
+        results = [None] * 4
+
+        def work(t):
+            start.wait()
+            order = keys[t:] + keys[:t]
+            results[t] = {key: kernel_at(shared, *key) for key in order}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [expected] * 4
 
 
 class TestSolveSymmetries:

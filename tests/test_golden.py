@@ -20,6 +20,12 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 CASES = {
     "criterion_heat": (["--eq", "u_t = u_2", "--mode", "criterion"], 0),
     "criterion_decay": (["--eq", "u_t = u_2 - u", "--mode", "criterion"], 0),
+    # a chain of length 2 at the nonzero weight 1: exp(y), exp(y)*y
+    "criterion_double_weight": (
+        ["--eq", "u_t = u_2 - 2*u_1 + u", "--mode", "criterion", "--order", "2",
+         "--jetdeg", "1", "--ydeg", "3"],
+        0,
+    ),
     "criterion_kdv_ydeg1": (
         ["--eq", "u_t = u_3 + u*u_1", "--mode", "criterion", "--ydeg", "1"],
         0,

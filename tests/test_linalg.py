@@ -10,9 +10,11 @@ from hypothesis import given, settings, strategies as st
 from jetsym.engine import build_ansatz, determining_system
 from jetsym.errors import NonSquareError, NotEigenvalueError, ScopeError, ZeroPolynomialError
 from jetsym.linalg import (
+    Elimination,
     RatMatrix,
     UniPoly,
     _inverse_mod,
+    _kernel_basis,
     _NeedsSplit,
     _decimal_digits,
     _int_coeffs,
@@ -288,6 +290,74 @@ class TestSparseAgainstDense:
                 break
             expected.append(x)
         assert solve_columns(m, rhs) == expected
+
+
+def carried_kernel(m, columns):
+    """Kernel of ``[m | columns]`` read off one carry: the ``alpha`` in the
+    kernel of what is left on the rows without a pivot, each with the
+    back substitution on the pivot rows, then the kernel of ``m``."""
+    e = Elimination(m._rows)
+    carried = e.carry([{i: x for i, x in enumerate(b) if x} for b in columns])
+    left = [row for i, row in carried.items() if row and i not in e.pivot_rows]
+    out = []
+    for alpha in nullspace(RatMatrix._from_sparse(left, len(columns))):
+        x = [F(0)] * m.cols
+        for i, pc in zip(e.pivot_rows, e.pivots):
+            x[pc] = -sum((c * alpha[k] for k, c in carried.get(i, {}).items()), F(0))
+        out.append(tuple(x) + alpha)
+    kernel = _kernel_basis(e.reduced, e.pivots, m.cols)
+    return out + [v + (F(0),) * len(columns) for v in kernel]
+
+
+def augmented(m, columns):
+    return RatMatrix(
+        [list(m.row(i)) + [b[i] for b in columns] for i in range(m.rows)],
+        cols=m.cols + len(columns),
+    )
+
+
+class TestRecordedElimination:
+    """Columns carried through the record of one elimination read as the
+    rref of the matrix with those columns appended."""
+
+    @PROPERTY
+    @given(systems())
+    def test_carry_matches_augmented_rref(self, system):
+        m, rhs = system
+        e = Elimination(m._rows)
+        assert (e.pivots, _kernel_basis(e.reduced, e.pivots, m.cols)) == (rref(m)[1], nullspace(m))
+        carried = e.carry([{i: x for i, x in enumerate(b) if x} for b in rhs])
+        for k, b in enumerate(rhs):
+            red, pivots = dense_rref(augmented(m, [b]))
+            left = any(k in row for i, row in carried.items() if i not in e.pivot_rows)
+            assert left == (m.cols in pivots)
+            if not left:
+                for r, i in enumerate(e.pivot_rows):
+                    assert carried.get(i, {}).get(k, F(0)) == red[r, m.cols]
+
+    @PROPERTY
+    @given(systems())
+    def test_carried_kernel_is_the_augmented_kernel(self, system):
+        m, rhs = system
+        whole = augmented(m, rhs)
+        kernel = carried_kernel(m, rhs)
+        assert len(kernel) == len(nullspace(whole))
+        assert rank(RatMatrix(kernel, cols=whole.cols)) == len(kernel)
+        for v in kernel:
+            assert all(x == 0 for x in whole.apply(v))
+
+    def test_rows_empty_in_the_record_constrain_alpha(self):
+        # row 1 of m is empty, so the elimination never sees it; a carried
+        # column held there alone is not in the span of m's columns, and a
+        # column held there and on a pivot row only in combination
+        m = M([[1, 0], [0, 0], [0, 0]])
+        e = Elimination(m._rows)
+        assert e.pivot_rows == {0: 0}
+        assert e.carry([{1: F(1)}]) == {1: {0: F(1)}}
+        columns = [(F(0), F(1), F(0)), (F(2), F(-1), F(0))]
+        kernel = carried_kernel(m, columns)
+        assert len(kernel) == len(nullspace(augmented(m, columns))) == 2
+        assert (F(-2), F(0), F(1), F(1)) in kernel
 
 
 def dense_rows(nrows, ncols):
