@@ -22,6 +22,8 @@ weight that every chain level and every caller reuses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
+from functools import cached_property
 from math import comb, factorial
 from typing import Optional, Sequence
 
@@ -31,10 +33,15 @@ from .expr import (
     T,
     Y,
     ExpPolyExpr,
+    _accumulate,
     _cleared,
+    _contract_pairs,
     _divided,
+    _partial_pairs,
+    _y_chain,
     all_jet_monomials,
     combine,
+    jet,
 )
 from .linalg import (
     ONE,
@@ -60,11 +67,11 @@ class EvolutionEquation:
 
     The defects run on ``D_G * G``, with ``D_G`` the lcm of G's coefficient
     denominators, so that their arithmetic is on ``int``s.  The equation
-    keeps ``D_G``, the linearization of ``D_G * G`` and its total
-    y-derivatives, each computed once; ``rhs`` is G itself.
+    keeps ``D_G``, the terms of the linearization of ``-D_G * G`` and the
+    total y-derivatives of ``D_G * G``, each computed once; ``rhs`` is G.
     """
 
-    __slots__ = ("rhs", "order", "_denominator", "_scaled_frechet", "_scaled_derivatives")
+    __slots__ = ("rhs", "order", "_denominator", "_minus_frechet", "_scaled_derivatives")
 
     def __init__(self, rhs: ExpPolyExpr):
         for c in (T, Y, PARAM):
@@ -78,7 +85,7 @@ class EvolutionEquation:
         self.rhs = rhs
         self.order = d
         self._denominator, scaled = _cleared(rhs)
-        self._scaled_frechet = scaled.frechet()
+        self._minus_frechet = tuple(a.terms for a in _cleared(-rhs)[1].frechet().coefficients)
         self._scaled_derivatives = (scaled,)
 
     def _scaled_rhs_derivatives(self, n: int) -> tuple:
@@ -112,12 +119,22 @@ def symmetry_defect(eta: ExpPolyExpr, eq: EvolutionEquation) -> ExpPolyExpr:
 
 
 def _shifted_defect(eta: ExpPolyExpr, eq: EvolutionEquation, shift: ExpPolyExpr) -> ExpPolyExpr:
-    """The defect with D_y replaced by D_y + shift in G_*[eta], on int numerators."""
+    """The defect with D_y + shift for D_y in G_*[eta], sorted and divided once."""
+    d, acc = _defect_pairs(eta, eq, shift)
+    return _divided(sorted(kc for kc in acc.items() if kc[1]), d)
+
+
+def _defect_pairs(eta: ExpPolyExpr, eq: EvolutionEquation, shift: ExpPolyExpr) -> tuple:
+    """``(d, acc)``: ``d`` times the shifted defect as an unsorted ``{key: int}``
+    dict (cancelled keys keep a zero), into which go the unmerged pairs of
+    ``d eta/d u_l * D_y^l G`` and of ``(-d G/d u_j) * (D_y + shift)^j eta``."""
     d, scaled = _cleared(eta)
-    op = scaled.frechet()
-    linearized = op.contract(eq._scaled_rhs_derivatives(op.order))
-    defect = linearized - eq._scaled_frechet.apply_shifted(scaled, shift)
-    return _divided(defect, d * eq._denominator)
+    terms = scaled.terms
+    ders = eq._scaled_rhs_derivatives(scaled.order())
+    partials = [_partial_pairs(terms, jet(l)) for l in range(len(ders))]
+    acc = _accumulate({}, _contract_pairs(partials, [g.terms for g in ders]))
+    _accumulate(acc, _contract_pairs(eq._minus_frechet, _y_chain(terms, eq.order, shift.terms)))
+    return d * eq._denominator, acc
 
 
 def is_symmetry(eta: ExpPolyExpr, eq: EvolutionEquation) -> bool:
@@ -216,12 +233,20 @@ class DeterminingSystem:
 
     generators: tuple
     row_shapes: tuple
-    rows: tuple  # tuples of UniPoly entries
-    _cells: tuple = field(repr=False, compare=False)  # per row, (column, entry) of its nonzeros
+    _cells: tuple = field(repr=False)  # per row, (column, entry) of its nonzeros, columns ascending
     # weight -> _WeightState, each published once complete
     _weight_states: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # every system keeps the weight as an unknown; perfbench/tracer.py reads this
     symbolic = True
+
+    @cached_property
+    def rows(self) -> tuple:
+        """Dense rows of ``UniPoly`` entries, built on first read; the pipeline
+        reads only the cells.  Every empty cell shares the immutable zero."""
+        zero, rows = UniPoly.zero(), []
+        for cells in map(dict, self._cells):
+            rows.append(tuple(cells.get(j, zero) for j in range(len(self.generators))))
+        return tuple(rows)
 
     def taylor(self, w, count: int) -> list:
         """S_p = S^(p)(w)/p! for p < count, each as ``{column: [(row, entry), ...]}``.
@@ -237,17 +262,9 @@ class DeterminingSystem:
         return out
 
 
-def _weighted_defect(gen: ExpPolyExpr, eq: EvolutionEquation) -> ExpPolyExpr:
-    """Defect of exp(w*y)*gen with the common exp factor removed.
-
-    For y-independent G the identity
-    D_y^j (exp(w y) h) = exp(w y) (D_y + w)^j h
-    turns the defect into exp(w y) times a polynomial in w; the parameter
-    coordinate carries the powers of w.
-    """
-    return _shifted_defect(gen, eq, _PARAM_SHIFT)
-
-
+# The defect of exp(w*y)*gen, exp factor removed, is gen's with this shift:
+# for y-independent G, D_y^j (exp(w y) h) = exp(w y) (D_y + w)^j h, so it is
+# a polynomial in w, whose powers the parameter coordinate carries.
 _PARAM_SHIFT = _cleared(ExpPolyExpr.coordinate(PARAM))[1]  # int coefficient, like the kernel's
 
 
@@ -258,17 +275,20 @@ def determining_system(ansatz: AnsatzSpace, eq: EvolutionEquation) -> Determinin
     :func:`kernel_at` reads the kernel of every y-degree off that system.
     """
     # strip the parameter power (PARAM has the largest code, so it is the
-    # last power) out of each shape key; within one defect every
-    # (key, power) pair occurs once.  Each defect is dropped once read.
+    # last power) out of each shape key; within one defect every (key,
+    # power) pair occurs once.  Each defect is read unsorted, then dropped.
     cells = {}
     for col, g in enumerate(ansatz.generators):
-        for key, coeff in _weighted_defect(g, eq).terms:
+        d, acc = _defect_pairs(g, eq, _PARAM_SHIFT)
+        for key, coeff in acc.items():
+            if not coeff:
+                continue
             jd, powers, expvec = key
             if powers and powers[-1][0] == PARAM:
                 deg, key = powers[-1][1], (jd, powers[:-1], expvec)
             else:
                 deg = 0
-            cells.setdefault((key, col), {})[deg] = coeff
+            cells.setdefault((key, col), {})[deg] = Fraction(coeff, d)
     keys = sorted({key for key, _ in cells})
     index = {key: i for i, key in enumerate(keys)}
     row_cells = [[] for _ in keys]
@@ -276,16 +296,8 @@ def determining_system(ansatz: AnsatzSpace, eq: EvolutionEquation) -> Determinin
     for (key, col), cell in cells.items():
         p = UniPoly._from_fractions([cell.get(k, ZERO) for k in range(max(cell) + 1)])
         row_cells[index[key]].append((col, p))
-    del cells
-    # one dense row at a time, so no second copy of the dense matrix is held
-    zero, rows = UniPoly.zero(), []  # zero is immutable, so every empty cell shares it
-    for cells_i in row_cells:
-        row = [zero] * len(ansatz.generators)
-        for col, p in cells_i:
-            row[col] = p
-        rows.append(tuple(row))
     shapes = tuple(key[1:] for key in keys)
-    return DeterminingSystem(ansatz.generators, shapes, tuple(rows), tuple(map(tuple, row_cells)))
+    return DeterminingSystem(ansatz.generators, shapes, tuple(map(tuple, row_cells)))
 
 
 class _WeightState:
@@ -301,7 +313,7 @@ class _WeightState:
     def __init__(self, system: DeterminingSystem, w):
         count = max((len(p.coeffs) for cells in system._cells for _, p in cells), default=1)
         s_0, *self.taylor = system.taylor(w, count)
-        s0 = [{} for _ in system.rows]
+        s0 = [{} for _ in system._cells]
         for m, cells in s_0.items():
             for i, x in cells:
                 s0[i][m] = x

@@ -18,14 +18,14 @@ Representation: a coordinate is the integer ``kind * 64 + index``, and a
 monomial is the tuple ``(key, coeff)`` with the shape key
 ``(jet_degree, powers, expvec)`` of sparse ``(coord, value)`` pairs sorted
 by coordinate, so terms hash and compare as plain tuples of integers.  The
-key merges like terms and is the term order: every operation emits
-``(key, coeff)`` pairs, then merges them once and sorts once.  The pairs
-stay sparse because a dense exponent vector would sort ``u_1`` before
-``y*u_1`` and change the rendered term order.
+key merges like terms and is the term order: an operation adds its pairs
+into one dict and sorts only its result, once (a defect's ``D_y`` chain
+stays unsorted merged pairs).  The pairs stay sparse because a dense
+exponent vector would sort ``u_1`` before ``y*u_1``, changing the order.
 
 Coefficients are cleared of their denominators where the arithmetic is
-heavy.  The kernel (``_merged``, the ``_*_pairs`` generators, ``frechet``,
-``contract``, ``apply_shifted``) uses only ``*``, ``+`` and truthiness on
+heavy.  The kernel (``_accumulate``, ``_merged``, ``_y_chain`` and the
+``_*_pairs`` generators) uses only ``*``, ``+`` and truthiness on
 coefficients, so it runs unchanged on ``int`` numerators: the symmetry
 defect and the assembly in ``engine`` and the power expansion in
 ``parser`` take ``(d, d*e)`` from :func:`_cleared`, work on the ``int``
@@ -186,15 +186,21 @@ class Monomial(tuple):
 _new_monomial = tuple.__new__
 
 
-def _merged(pairs: Iterable) -> "ExpPolyExpr":
-    """The sum of ``(key, coeff)`` pairs: like keys merged once, then sorted once."""
-    acc = {}
+def _accumulate(acc: dict, pairs: Iterable) -> dict:
+    """Add ``(key, coeff)`` pairs into ``acc``, merging like keys; cancelled keys keep a 0."""
     get = acc.get
     for key, c in pairs:
         prev = get(key)
         acc[key] = c if prev is None else prev + c
+    return acc
+
+
+def _merged(pairs: Iterable) -> "ExpPolyExpr":
+    """The sum of ``(key, coeff)`` pairs: like keys merged once, then sorted once."""
     e = object.__new__(ExpPolyExpr)
-    e.terms = tuple(_new_monomial(Monomial, kc) for kc in sorted(acc.items()) if kc[1])
+    e.terms = tuple(
+        _new_monomial(Monomial, kc) for kc in sorted(_accumulate({}, pairs).items()) if kc[1]
+    )
     return e
 
 
@@ -209,10 +215,11 @@ def _cleared(e: "ExpPolyExpr") -> tuple:
     return d, out
 
 
-def _divided(e: "ExpPolyExpr", d: int) -> "ExpPolyExpr":
-    """``e / d`` with ``Fraction`` coefficients: the way back from :func:`_cleared`."""
+def _divided(pairs: Iterable, d: int) -> "ExpPolyExpr":
+    """The sorted nonzero ``(key, coeff)`` pairs divided by ``d``, as an expression
+    with ``Fraction`` coefficients: the way back from :func:`_cleared`."""
     out = object.__new__(ExpPolyExpr)
-    out.terms = tuple(_new_monomial(Monomial, (k, Fraction(c, d))) for k, c in e.terms)
+    out.terms = tuple(_new_monomial(Monomial, (k, Fraction(c, d))) for k, c in pairs)
     return out
 
 
@@ -295,6 +302,25 @@ def _total_derive_y_pairs(terms: tuple):
                 yield key, coeff * w
             elif c == U:
                 yield (jd + 1, _bump(powers, _JETS[1], 1), expvec), coeff * w
+
+
+def _y_chain(terms, n: int, shift) -> list:
+    """``(D_y + shift)^j`` of a term or pair sequence for j = 0..n, ``shift``
+    a constant one; each step is merged once into nonzero pairs, unsorted."""
+    chain = [terms]
+    for _ in range(n):
+        prev = chain[-1]
+        acc = _accumulate({}, _total_derive_y_pairs(prev))
+        if shift:
+            _accumulate(acc, _product_pairs(shift, prev))
+        chain.append([kc for kc in acc.items() if kc[1]])
+    return chain
+
+
+def _contract_pairs(coefficients, derivatives):
+    """Unmerged pairs of ``sum_j a_j * derivatives[j]``, all sequences of pairs."""
+    for a, d in zip(coefficients, derivatives):
+        yield from _product_pairs(a, d)
 
 
 class ExpPolyExpr:
@@ -405,36 +431,27 @@ class ExpPolyExpr:
         if not self.terms:
             return "0"
         chunks = []
-        for m in self.terms:
-            body = _render_body(m)
-            coeff = m.coeff
-            if not chunks:
-                sign = "-" if coeff < 0 else ""
-            else:
-                sign = " - " if coeff < 0 else " + "
-            mag = abs(coeff)
-            if body:
-                text = body if mag == 1 else f"{mag}*{body}"
-            else:
-                text = str(mag)
-            chunks.append(sign + text)
-        return "".join(chunks)
+        for key, coeff in self.terms:
+            n, d = abs(coeff.numerator), coeff.denominator
+            mag, body = str(n) if d == 1 else f"{n}/{d}", _render_body(key)
+            text = (body if n == d else f"{mag}*{body}") if body else mag
+            chunks.append((" - " if coeff.numerator < 0 else " + ") + text)
+        text = "".join(chunks)
+        return text[3:] if text[1] == "+" else "-" + text[3:]
 
     def __repr__(self):
         return f"ExpPolyExpr({self.render()})"
 
 
-def _render_body(m: Monomial) -> str:
+def _render_body(key: tuple) -> str:
+    """The factors of a shape key, e.g. ``exp(-1/2*y)*y^2*u_1``."""
     parts = []
-    for c, w in m.expvec:
-        if w == 1:
-            parts.append(f"exp({c.name})")
-        elif w == -1:
-            parts.append(f"exp(-{c.name})")
-        else:
-            parts.append(f"exp({w}*{c.name})")
-    for c, p in m.powers:
-        parts.append(c.name if p == 1 else f"{c.name}^{p}")
+    for c, w in key[2]:
+        n, d = w.numerator, w.denominator
+        scale = f"{n}/{d}*" if d != 1 else "" if n == 1 else "-" if n == -1 else f"{n}*"
+        parts.append(f"exp({scale}{_NAMES[c]})")
+    for c, p in key[1]:
+        parts.append(_NAMES[c] if p == 1 else f"{_NAMES[c]}^{p}")
     return "*".join(parts)
 
 
@@ -461,14 +478,8 @@ class LinearDiffOp:
 
     def apply_shifted(self, theta: ExpPolyExpr, shift: ExpPolyExpr) -> ExpPolyExpr:
         """Apply with D_y replaced by (D_y + shift), shift a constant expression."""
-        derivatives = [theta]
-        for _ in range(self.order):
-            terms = derivatives[-1].terms
-            pairs = _total_derive_y_pairs(terms)
-            if shift.terms:
-                pairs = itertools.chain(pairs, _product_pairs(shift.terms, terms))
-            derivatives.append(_merged(pairs))
-        return self.contract(derivatives)
+        chain = _y_chain(theta.terms, self.order, shift.terms)
+        return _merged(_contract_pairs([a.terms for a in self.coefficients], chain))
 
     def contract(self, derivatives: Sequence[ExpPolyExpr]) -> ExpPolyExpr:
         """sum_j a_j * derivatives[j], merged once.
@@ -479,11 +490,8 @@ class LinearDiffOp:
         """
         if len(derivatives) < len(self.coefficients):
             raise ValueError("contract needs D_y^j theta for j up to the operator order")
-        return _merged(
-            pair
-            for a, d in zip(self.coefficients, derivatives)
-            for pair in _product_pairs(a.terms, d.terms)
-        )
+        coefficients = [a.terms for a in self.coefficients]
+        return _merged(_contract_pairs(coefficients, [d.terms for d in derivatives]))
 
     def __eq__(self, other):
         return isinstance(other, LinearDiffOp) and self.coefficients == other.coefficients

@@ -216,7 +216,7 @@ class _Parser:
             out = _cleared(ExpPolyExpr.one())[1]
             for _ in range(k):
                 out = out * scaled
-            return _checked_coefficients(_divided(out, d**k))
+            return _checked_coefficients(_divided(out.terms, d**k))
         return base
 
     # atom := rational | coordinate | "exp" "(" expr ")" | "(" expr ")"

@@ -82,15 +82,15 @@ class TestDefect:
         assert not is_symmetry(E("y*u_1"), HEAT)
 
 
-def reference_defect(eta, rhs):
+def reference_defect(eta, rhs, shift=ExpPolyExpr.zero()):
     """eta'[G] - G_*[eta] from the public operations on the unscaled
     ``Fraction`` expressions: eta's linearization contracted with D_y^j G,
-    minus G's linearization applied to eta."""
+    minus G's linearization applied to eta with D_y + shift for D_y."""
     op = eta.frechet()
     derivatives = [rhs]
     for _ in range(op.order):
         derivatives.append(derivatives[-1].total_derive_y())
-    return op.contract(derivatives) - rhs.frechet().apply(eta)
+    return op.contract(derivatives) - rhs.frechet().apply_shifted(eta, shift)
 
 
 def only_fractions(e):
@@ -135,6 +135,26 @@ class TestIntegerNumerators:
         defect = symmetry_defect(eta, eq)
         assert defect == reference_defect(eta, eq.rhs)
         assert only_fractions(defect)
+
+    @INTEGER_NUMERATORS
+    @given(
+        rational_characteristics(),
+        rational_equations(),
+        st.sampled_from([ExpPolyExpr.zero(), engine._PARAM_SHIFT]),
+        SMALL_RATIONALS,
+        SMALL_RATIONALS,
+    )
+    def test_shifted_defect_is_one_sorted_sum(self, eta, eq, shift, p, q):
+        defect = engine._shifted_defect(eta, eq, shift)
+        assert defect == reference_defect(eta, eq.rhs, shift)
+        assert only_fractions(defect) and all(m.coeff for m in defect.terms)
+        keys = [m.key for m in defect.terms]
+        assert keys == sorted(set(keys))
+        # p*G + q*u_1 is a symmetry of every autonomous equation: its pairs
+        # cancel to an exact zero, and adding it leaves a defect unchanged
+        zero, symmetric = ExpPolyExpr.zero(), eq.rhs.scale(p) + E("u_1").scale(q)
+        assert engine._shifted_defect(symmetric, eq, zero).is_zero()
+        assert engine._shifted_defect(eta + symmetric, eq, zero) == symmetry_defect(eta, eq)
 
     @INTEGER_NUMERATORS
     @given(rational_equations(), st.sampled_from([F(0), F(1, 2), F(-5, 3), F(2)]))

@@ -432,3 +432,65 @@ class TestAgainstReferenceCalculus:
         exp_wy = ExpPolyExpr.exponential(Y, w)
         lhs = exp_wy * op.apply_shifted(h, ExpPolyExpr.constant(w))
         assert lhs == op.apply(exp_wy * h)
+
+
+def reference_render(e):
+    """The text form written out term by term with ``Fraction`` comparisons
+    and ``str``: sign, then magnitude unless it is 1 before a body."""
+    if e.is_zero():
+        return "0"
+    out = []
+    for i, m in enumerate(e.terms):
+        factors = []
+        for c, w in m.expvec:
+            if w == 1:
+                factors.append(f"exp({c.name})")
+            elif w == -1:
+                factors.append(f"exp(-{c.name})")
+            else:
+                factors.append(f"exp({w}*{c.name})")
+        factors += [c.name if p == 1 else f"{c.name}^{p}" for c, p in m.powers]
+        body = "*".join(factors)
+        mag = abs(m.coeff)
+        text = str(mag) if not body else body if mag == 1 else f"{mag}*{body}"
+        if i == 0:
+            out.append("-" + text if m.coeff < 0 else text)
+        else:
+            out.append((" - " if m.coeff < 0 else " + ") + text)
+    return "".join(out)
+
+
+@st.composite
+def rendered_monomials(draw):
+    # all powers and weights may be zero, which gives a bare constant
+    powers = {c: draw(st.sampled_from([0, 0, 1, 2])) for c in (Y, U, jet(1), jet(3))}
+    weights = st.sampled_from([F(0), F(0), F(1), F(-1), F(1, 2), F(-3, 2), F(4)])
+    expvec = {c: draw(weights) for c in (Y, U)}
+    coeff = draw(st.sampled_from([F(-3), F(-1), F(-1, 2), F(1), F(2, 3), F(7)]))
+    return Monomial(coeff, powers, expvec)
+
+
+class TestRender:
+    @CALCULUS
+    @given(st.lists(rendered_monomials(), max_size=5).map(ExpPolyExpr))
+    def test_matches_the_reference_formatter(self, e):
+        assert e.render() == reference_render(e)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "0",
+            "1",
+            "-1",
+            "-3/2",
+            "-exp(-u)",
+            "exp(u) - 1",
+            "-u_1 + 1/2*u",
+            "-3/2*exp(-1/2*y)*u_1 + exp(y) - 2*exp(4*u)*y^2",
+            "u_1 - u - 7/3",
+        ],
+    )
+    def test_leading_and_inner_signs(self, text):
+        e = E(text)
+        assert e.render() == reference_render(e)
+        assert E(e.render()) == e

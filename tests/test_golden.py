@@ -60,6 +60,14 @@ CASES = {
          "--check", "(1/2*u + 2/3*u_1 - y)^3", "--check", "u_1", "--check", "exp(3/8*u)"],
         0,
     ),
+    # a defect of 1305 terms, then leading negative signs, a bare negative
+    # constant and a fractional negative weight; "--check=" lets a
+    # characteristic start with "-"
+    "check_large_power": (
+        ["--eq", "u_t = u_3 + u*u_1", "--check", "(u + u_1 + u_2 + u_3 + y)^6",
+         "--check=-exp(-u)", "--check=-1", "--check=-3/2*exp(-1/2*y)*u_1"],
+        0,
+    ),
     "criterion_unresolved_declared_weights": (
         ["--eq", "u_t = u_2 + u", "--mode", "criterion", "--lambda", "none"],
         0,
