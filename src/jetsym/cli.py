@@ -53,9 +53,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--eq", required=True, help="equation text, e.g. 'u_t = u_2'")
     p.add_argument("--order", type=int, default=3, help="order cap for characteristics")
     p.add_argument("--ydeg", type=int, default=3, help="maximal power of y in the ansatz")
-    p.add_argument(
-        "--jetdeg", type=int, default=2, help="maximal total degree in jet coordinates"
-    )
+    p.add_argument("--jetdeg", type=int, default=2, help="maximal total degree in jet coordinates")
     p.add_argument(
         "--lambda",
         dest="lam",
@@ -82,9 +80,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         default=None,
         help="write the JSON report to PATH ('-' for stdout instead of the text report)",
     )
-    p.add_argument(
-        "--timing", action="store_true", help="include wall-clock timing in the report"
-    )
+    p.add_argument("--timing", action="store_true", help="include wall-clock timing in the report")
     return p
 
 
@@ -101,19 +97,14 @@ def _weight(text: str) -> Fraction:
 
 def config_from_args(args) -> RunConfig:
     lam = args.lam.strip()
-    if lam == "auto":
-        lambda_mode, weights = "auto", ()
-    elif lam == "none":
-        lambda_mode, weights = "none", ()
+    if lam in ("auto", "none"):
+        lambda_mode, weights = lam, ()
     else:
         weights = tuple(_weight(part) for part in lam.split(",") if part.strip())
         lambda_mode = "explicit"
-    mode = args.mode
-    if args.check and mode != "check":
-        mode = "check"
     return RunConfig(
         equation=args.eq,
-        mode=mode,
+        mode="check" if args.check else args.mode,
         order_cap=args.order,
         y_degree=args.ydeg,
         jet_degree=args.jetdeg,
@@ -136,10 +127,11 @@ def _write_json(path: str, payload: bytes):
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # argparse reads a --lambda value such as -1/2 as an option: join it on to
-    # --lambda or an abbreviation of it (no other option starts with --l)
+    # argparse reads a value such as -1/2 or -exp(-u) as an option: join it on to
+    # --lambda, --check or an abbreviation (no other option starts with --l or --c)
     for i, opt in reversed(list(enumerate(argv[:-1]))):
-        if len(opt) > 2 and "--lambda".startswith(opt) and re.match(r"-[^A-Za-z-]", argv[i + 1]):
+        prefix = len(opt) > 2 and ("--lambda".startswith(opt) or "--check".startswith(opt))
+        if prefix and re.match(r"-[^-]", argv[i + 1]):
             argv[i : i + 2] = [opt + "=" + argv[i + 1]]
     args = build_arg_parser().parse_args(argv)
     try:
@@ -149,9 +141,7 @@ def main(argv=None) -> int:
         code = exit_code_for(err)
         print(f"jetsym: error: {err}", file=sys.stderr)
         if args.json:
-            payload = (
-                json.dumps(error_to_dict(err, code), indent=2) + "\n"
-            ).encode("utf-8")
+            payload = (json.dumps(error_to_dict(err, code), indent=2) + "\n").encode("utf-8")
             try:
                 _write_json(args.json, payload)
             except OSError as io_err:

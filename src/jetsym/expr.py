@@ -27,14 +27,15 @@ Coefficients are cleared of their denominators where the arithmetic is
 heavy.  The kernel (``_accumulate``, ``_merged``, ``_y_chain`` and the
 ``_*_pairs`` generators) uses only ``*``, ``+`` and truthiness on
 coefficients, so it runs unchanged on ``int`` numerators: the symmetry
-defect and the assembly in ``engine`` and the power expansion in
-``parser`` take ``(d, d*e)`` from :func:`_cleared`, work on the ``int``
-coefficients of ``d*e``, and divide the result once with
-:func:`_divided`.  An exponential weight stays a ``Fraction`` and
-multiplies into such coefficients exactly.  The boundary rule: every
-expression that this module's constructors, ``parser`` or ``engine``
-return holds only ``Fraction`` coefficients, since an ``int`` divided by
-an ``int`` downstream would give a float.
+defect and the assembly in ``engine``, and the power expansion in
+``parser`` (one key product per multiset of base terms, summed in one
+dict), take ``(d, d*e)`` from :func:`_cleared`, work on the ``int``
+coefficients of ``d*e``, and divide the result once with :func:`_divided`.
+An exponential weight stays a ``Fraction`` and multiplies into such
+coefficients exactly.  The boundary rule: every expression that this
+module's constructors, ``parser`` or ``engine`` return holds only
+``Fraction`` coefficients, since an ``int`` divided by an ``int``
+downstream would give a float.
 """
 
 from __future__ import annotations
@@ -184,6 +185,7 @@ class Monomial(tuple):
 
 
 _new_monomial = tuple.__new__
+_ONE_KEY = (0, (), ())  # the shape key of a constant
 
 
 def _accumulate(acc: dict, pairs: Iterable) -> dict:
@@ -240,6 +242,8 @@ def _add_pairs(x: tuple, y: tuple) -> tuple:
         return x
     if not x:
         return y
+    if len(x) == 1:
+        x, y = y, x
     if len(y) == 1:
         c, v = y[0]
         return _bump(x, c, v)
@@ -388,6 +392,9 @@ class ExpPolyExpr:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
+        for a, b in ((self, other), (other, self)):
+            if len(b.terms) == 1 and b.terms[0][0] == _ONE_KEY:  # times a constant
+                return a.scale(b.terms[0][1])
         return _merged(_product_pairs(self.terms, other.terms))
 
     __rmul__ = __mul__
@@ -418,7 +425,7 @@ class ExpPolyExpr:
 
     def depends_on(self, c: Coord) -> bool:
         """True iff ``c`` occurs with nonzero power or exponential weight."""
-        return any(m.power(c) or m.weight(c) for m in self.terms)
+        return any(cc == c for (_, pw, ev), _ in self.terms for cc, _ in pw + ev)
 
     def frechet(self) -> "LinearDiffOp":
         """Linearization: the operator sum_j (d self / d u_(j)) D_y^j."""
@@ -586,9 +593,7 @@ def canonical_exp_poly(e: ExpPolyExpr, selected: Sequence[Coord]) -> ExpPolyElem
         powers = {c: p for c, p in m.powers if c not in selected}
         expvec = {c: wv for c, wv in m.expvec if c not in selected}
         table.setdefault(j, []).append(Monomial(m.coeff, powers, expvec))
-    return ExpPolyElement(
-        selected, weights, {j: ExpPolyExpr(ms) for j, ms in table.items()}
-    )
+    return ExpPolyElement(selected, weights, {j: ExpPolyExpr(ms) for j, ms in table.items()})
 
 
 def combine(coeffs: Sequence, exprs: Sequence[ExpPolyExpr]) -> ExpPolyExpr:

@@ -16,11 +16,13 @@ The argument of ``exp`` must simplify to a rational multiple of a single
 not contain y, t or exponentials; that restriction is reported as a scope
 error, not a syntax error.
 
-Powers are expanded by repeated multiplication, on the base's integer
-numerators over their common denominator, so two caps refuse a power
-with a scope error before any expansion: an exponent above MAX_EXPONENT,
-and a power whose expansion could exceed MAX_POWER_TERMS terms.  An
-n-term base to the k has at most C(n+k-1, k) terms.
+A power ``b^k`` of an n-term base is expanded in one pass over the at
+most C(n+k-1, k) multisets of k base terms: each gives one term, with a
+multinomial times the product of the base's integer numerators as its
+coefficient, and the sum is divided once by their common denominator to
+the k.  Two caps refuse a power with a scope error before any expansion:
+an exponent above MAX_EXPONENT, and a power whose expansion could exceed
+MAX_POWER_TERMS terms.
 
 Numerals and coefficients are capped too, with a scope error: a numeral
 of more than MAX_NUMERAL_DIGITS digits is refused by its text, before it
@@ -37,7 +39,7 @@ from math import comb
 
 from .engine import EvolutionEquation
 from .errors import ParseError, ScopeError
-from .expr import ExpPolyExpr, T, _cleared, _divided, coord_by_name
+from .expr import _ONE_KEY, ExpPolyExpr, T, _add_pairs, _cleared, _divided, coord_by_name
 
 _OPS = "+-*^()="
 
@@ -82,102 +84,107 @@ def _refuse_rational(x: Fraction):
     )
 
 
-class _Lexer:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = []
-        self._scan()
+def _expanded(terms: tuple, k: int) -> list:
+    """The sorted nonzero ``(key, coeff)`` pairs of ``(sum of terms)^k``, int coefficients:
+    per multiset of k terms, their product times the multinomial ``k!/(k_1!...k_n!)``."""
+    n, acc = len(terms), {} if k else {_ONE_KEY: 1}
+    powers = [  # powers[j][m]: the m-th power of term j; a one-term base needs only the k-th
+        {m: ((m * jd, tuple((c, m * p) for c, p in pw), tuple((c, m * w) for c, w in ev)), a**m)
+         for m in range(1 if n > 1 else k, k + 1)}
+        for (jd, pw, ev), a in terms
+    ]
 
-    def _scan(self):
-        i, text = 0, self.text
-        n = len(text)
-        while i < n:
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch in _OPS:
-                self.tokens.append(("op", ch, i))
-                i += 1
-                continue
-            if ch.isdigit():
-                j = i
-                while j < n and text[j].isdigit():
-                    j += 1
-                num = _numeral(text, i, j)
-                den = 1
-                if j < n and text[j] == "/" and j + 1 < n and text[j + 1].isdigit():
-                    k = j + 1
-                    while k < n and text[k].isdigit():
-                        k += 1
-                    den = _numeral(text, j + 1, k)
-                    if den == 0:
-                        raise ParseError("zero denominator", position=j + 1)
-                    j = k
-                self.tokens.append(("num", Fraction(num, den), i))
-                i = j
-                continue
-            if ch.isalpha() or ch == "_":
-                j = i
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                self.tokens.append(("name", text[i:j], i))
-                i = j
-                continue
-            raise ParseError(
-                f"unexpected character {ch!r}", position=i, expected=("token",)
-            )
-        self.tokens.append(("end", "", n))
+    def grow(start, r, jd, pw, ev, coeff):
+        # each term taken has a positive multiplicity, so the depth is at most k
+        for j in range(start, n):
+            for m in range(1 if j + 1 < n else r, r + 1):
+                (mjd, mpw, mev), a = powers[j][m]
+                key = (jd + mjd, _add_pairs(pw, mpw), _add_pairs(ev, mev))
+                if m < r:
+                    grow(j + 1, r - m, *key, coeff * comb(r, m) * a)
+                else:
+                    acc[key] = acc.get(key, 0) + coeff * a
+
+    if k:
+        grow(0, k, 0, (), (), 1)
+    return sorted(kc for kc in acc.items() if kc[1])
+
+
+def _tokens(text: str) -> list:
+    """``(kind, value, position)`` triples of ``text``, ending with an ``end`` token."""
+    tokens, i, n = [], 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in _OPS:
+            tokens.append(("op", ch, i))
+            i += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            num = _numeral(text, i, j)
+            den = 1
+            if j < n and text[j] == "/" and j + 1 < n and text[j + 1].isdigit():
+                k = j + 1
+                while k < n and text[k].isdigit():
+                    k += 1
+                den = _numeral(text, j + 1, k)
+                if den == 0:
+                    raise ParseError("zero denominator", position=j + 1)
+                j = k
+            tokens.append(("num", Fraction(num, den), i))
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(("name", text[i:j], i))
+            i = j
+            continue
+        raise ParseError(f"unexpected character {ch!r}", position=i, expected=("token",))
+    tokens.append(("end", "", n))
+    return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
-        self.tokens = _Lexer(text).tokens
-        self.pos = 0
+        self.tokens, self.pos = _tokens(text), 0
 
     def peek(self):
         return self.tokens[self.pos]
 
     def advance(self):
-        tok = self.tokens[self.pos]
         self.pos += 1
-        return tok
+        return self.tokens[self.pos - 1]
 
     def expect_op(self, op: str):
         kind, value, at = self.peek()
         if kind == "op" and value == op:
             return self.advance()
-        raise ParseError(
-            f"expected {op!r}", position=at, expected=(op,)
-        )
-
-    def fail(self, message, expected=()):
-        _, _, at = self.peek()
-        raise ParseError(message, position=at, expected=expected)
+        raise ParseError(f"expected {op!r}", position=at, expected=(op,))
 
     # expr := term (("+"|"-") term)*
     def expr(self) -> ExpPolyExpr:
-        terms = list(self.term().terms)
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                rhs = self.term()
-                terms.extend((rhs if value == "+" else -rhs).terms)
-            else:
-                return ExpPolyExpr(terms)
+        first, terms = self.term(), []
+        while self.peek()[:2] in (("op", "+"), ("op", "-")):
+            sign = self.advance()[1]
+            rhs = self.term()
+            terms.extend((rhs if sign == "+" else -rhs).terms)
+        # a single term is canonical already, so only a sum is merged
+        return ExpPolyExpr(first.terms + tuple(terms)) if terms else first
 
     # term := factor ("*" factor)*
     def term(self) -> ExpPolyExpr:
         out = self.factor()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value == "*":
-                self.advance()
-                out = out * self.factor()
-            else:
-                return out
+        while self.peek()[:2] == ("op", "*"):
+            self.advance()
+            out = out * self.factor()
+        return out
 
     # factor := ("+"|"-") factor | power
     def factor(self) -> ExpPolyExpr:
@@ -213,10 +220,7 @@ class _Parser:
                 )
             # expanded on int numerators: (d*base)^k, divided by d^k once
             d, scaled = _cleared(_checked_coefficients(base))
-            out = _cleared(ExpPolyExpr.one())[1]
-            for _ in range(k):
-                out = out * scaled
-            return _checked_coefficients(_divided(out.terms, d**k))
+            return _checked_coefficients(_divided(_expanded(scaled.terms, k), d**k))
         return base
 
     # atom := rational | coordinate | "exp" "(" expr ")" | "(" expr ")"
@@ -253,8 +257,9 @@ class _Parser:
                 position=at,
                 expected=("u", "u_1..u_9", "y", "t", "exp", "number"),
             )
-        self.fail(
+        raise ParseError(
             "expected a number, coordinate, 'exp(', or '('",
+            position=at,
             expected=("number", "coordinate", "exp(", "("),
         )
 

@@ -471,6 +471,17 @@ class TestErrorCodes:
         assert code == 0
         assert (code, data) == run_json(tmp_path, args + ["--lambda", "-1/2"])
 
+    @pytest.mark.parametrize("spelling", ["--check", "--che", "--c"])
+    @pytest.mark.parametrize("char", ["-exp(-u)", "-3/2*u_1", "-y*u_1"])
+    def test_negative_characteristic(self, tmp_path, spelling, char):
+        # a characteristic that starts with a minus sign is joined on to
+        # --check or its abbreviation, as in --check=-exp(-u)
+        args = ["--eq", "u_t = u_2 + u_1^2"]
+        code, data = run_json(tmp_path, args + [spelling, char], "separate.json")
+        assert code == 0
+        assert data["checks"][0]["characteristic"] == char
+        assert (code, data) == run_json(tmp_path, args + ["--check=" + char])
+
     def test_option_after_lambda_refused(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--eq", "u_t = u_2", "--lambda", "--mode", "solve"])

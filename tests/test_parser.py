@@ -1,5 +1,6 @@
 """Grammar coverage, error positions, and render/parse round trips."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -187,11 +188,35 @@ class TestPowerCaps:
 
 
 POSITIVE_RATIONALS = st.fractions(min_value=F(1, 9), max_value=9, max_denominator=9)
+SIGNED_RATIONALS = st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool)
+# (text, powers, exponential weights) of the base terms
+SHAPES = [
+    ("1", {}, {}),
+    ("u", {U: 1}, {}),
+    ("u^2", {U: 2}, {}),
+    ("u^3", {U: 3}, {}),
+    ("y", {Y: 1}, {}),
+    ("y*u_1", {Y: 1, jet(1): 1}, {}),
+    ("exp(y)", {}, {Y: 1}),
+    ("exp(-y)", {}, {Y: -1}),
+    ("exp(-1/2*y)*u_1", {jet(1): 1}, {Y: F(-1, 2)}),
+    ("exp(u)", {}, {U: 1}),
+    ("exp(-2*u)*u", {U: 1}, {U: -2}),
+]
+
+
+def repeated_product(base, k):
+    """The reference for ``base^k``: k multiplications by the base."""
+    out = ExpPolyExpr.one()
+    for _ in range(k):
+        out = out * base
+    return out
 
 
 class TestPowerOnIntegerNumerators:
-    """A power is expanded on the base's int numerators and divided once; it
-    must equal repeated multiplication and hold only Fraction coefficients."""
+    """A power is expanded in one multinomial pass on the base's int numerators
+    and divided once; it must equal repeated multiplication and hold only
+    Fraction coefficients."""
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(POSITIVE_RATIONALS, POSITIVE_RATIONALS, st.integers(0, 6))
@@ -204,11 +229,70 @@ class TestPowerOnIntegerNumerators:
             + ExpPolyExpr.monomial(c, {jet(1): 1})
             + ExpPolyExpr.coordinate(Y)
         )
-        expected = ExpPolyExpr.one()
-        for _ in range(k):
-            expected = expected * base
-        assert parsed == expected
+        assert parsed == repeated_product(base, k)
         assert all(type(m.coeff) is F for m in parsed.terms)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(st.tuples(SIGNED_RATIONALS, st.sampled_from(SHAPES)), max_size=6),
+        st.integers(0, 5),
+    )
+    def test_matches_repeated_multiplication(self, summands, k):
+        # shapes repeat and overlap (u, u^2, u^3; exp(y) against exp(-y)), so
+        # distinct multisets meet on one key and may cancel there
+        text = " + ".join(f"{c.numerator}/{c.denominator}*{s[0]}" for c, s in summands)
+        base = sum(
+            (ExpPolyExpr.monomial(c, powers, weights) for c, (_, powers, weights) in summands),
+            ExpPolyExpr.zero(),
+        )
+        parsed = parse_expression(f"({text or '0'})^{k}")
+        assert parsed == repeated_product(base, k)
+        assert all(type(m.coeff) is F for m in parsed.terms)
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("(0)^0", "1"),
+            ("(u - u)^0", "1"),
+            ("(0)^3", "0"),
+            ("(y - y)^2", "0"),
+            ("(3/2)^0", "1"),
+            ("(-3/2)^3", "-27/8"),
+            ("(2 - 1/2)^2", "9/4"),
+        ],
+    )
+    def test_constant_and_zero_bases(self, text, expected):
+        assert parse_expression(text).render() == expected
+
+    def test_like_keys_merge_and_cancel(self):
+        # u^4 comes from {u, u^3} (2*1*(-2)) and from {u^2, u^2} (2^2): 0
+        assert parse_expression("(u + 2*u^2 - 2*u^3)^2") == parse_expression(
+            "u^2 + 4*u^3 - 8*u^5 + 4*u^6"
+        )
+        # exp(y)*exp(-y) meets the constant key: 2*1*(-2) + 2^2 = 0
+        assert parse_expression("(exp(y) - 2*exp(-y) + 2)^2").render() == (
+            "4*exp(-2*y) - 8*exp(-y) + 4*exp(y) + exp(2*y)"
+        )
+
+    def test_wide_base_to_the_first(self):
+        # one level per positive multiplicity: a 1600-term base to the
+        # power 1 recurses once, not once per term
+        text = " + ".join(f"u^{a}*u_1^{b}" for a in range(40) for b in range(40))
+        start = time.perf_counter()
+        parsed = parse_expression(f"({text})^1")
+        assert time.perf_counter() - start < 10
+        assert parsed == parse_expression(text)
+        assert len(parsed.terms) == 1600
+
+    def test_ninety_term_square(self):
+        pairs = [(a, b) for a in range(9) for b in range(10)]
+        text = " + ".join(f"{2 * a - 2 * b + 1}/{a + b + 1}*u^{a}*u_1^{b}" for a, b in pairs)
+        base = parse_expression(text)
+        assert len(base.terms) == 90
+        start = time.perf_counter()
+        parsed = parse_expression(f"({text})^2")
+        assert time.perf_counter() - start < 10
+        assert parsed == repeated_product(base, 2)
 
 
 class TestNumeralCaps:
