@@ -5,18 +5,19 @@ characteristics exp(w*y) * y^a * m, this module assembles the linear
 determining system (the defect of a generic combination must vanish
 identically in jet and y monomials) and solves it exactly.  Only the
 y-free system ``S`` over the jet monomials m is assembled, once, with the
-exponential weight w kept as a polynomial unknown.  ``S(w)`` has full
-column rank at generic w (the top power of w in the defect of a kernel
-vector is ``-G_{u_d}`` times its top coefficient), so once its constant
-entries, units of Q[w], are eliminated, the last pivot of the core left,
-a maximal minor, locates every candidate weight; every kernel at a fixed
-w is read off the Taylor expansion of S there.  Since G is y-free, the
-y^a columns add nothing new: differentiating
-L(exp(w*y) m) = exp(w*y) L_w(m) in w gives the cell of row block y^b and
-column y^a * m as C(a, b) * S^(a-b)(w), so the kernel at w is the set of
-Jordan chains of S(lambda) at w, of length at most the y-degree plus one
-(:func:`kernel_at`), read off one recorded elimination of ``S(w)`` per
-weight that every chain level and every caller reuses.
+exponential weight w kept as a polynomial unknown, ``(D_y + w)^j``
+expanded by binomials and the cells kept as integer lists over one
+denominator.  ``S(w)`` has full column rank at generic w (the top power of
+w in the defect of a kernel vector is ``-G_{u_d}`` times its top
+coefficient), so once its constant entries, units of Q[w], are
+eliminated, the last pivot of the core left, a maximal minor, locates
+every candidate weight; every kernel at a fixed w is read off the Taylor
+expansion of S there.  Since G is y-free, the y^a columns add nothing new:
+differentiating L(exp(w*y) m) = exp(w*y) L_w(m) in w gives the cell of
+row block y^b and column y^a * m as C(a, b) * S^(a-b)(w), so the kernel
+at w is the set of Jordan chains of S(lambda) at w, of length at most the
+y-degree plus one (:func:`kernel_at`), read off one recorded elimination
+of ``S(w)`` per weight that every chain level and every caller reuses.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Optional, Sequence
 
 from .errors import EmptyAnsatzError, ScopeError
@@ -50,6 +51,7 @@ from .linalg import (
     RatMatrix,
     UniPoly,
     _frac,
+    _int_taylor,
     _kernel_basis,
     normalize_vector,
     nullspace,
@@ -67,11 +69,13 @@ class EvolutionEquation:
 
     The defects run on ``D_G * G``, with ``D_G`` the lcm of G's coefficient
     denominators, so that their arithmetic is on ``int``s.  The equation
-    keeps ``D_G``, the terms of the linearization of ``-D_G * G`` and the
-    total y-derivatives of ``D_G * G``, each computed once; ``rhs`` is G.
+    keeps ``D_G``, the total y-derivatives of ``D_G * G`` and, in
+    ``_shifted_frechet[e]``, the part of ``lambda^e`` of the linearization
+    ``sum_j a_j (D_y + lambda)^j`` of ``-D_G * G``: ``sum_i C(i+e, i) a_(i+e)
+    D_y^i``, each computed once; ``rhs`` is G.
     """
 
-    __slots__ = ("rhs", "order", "_denominator", "_minus_frechet", "_scaled_derivatives")
+    __slots__ = ("rhs", "order", "_denominator", "_shifted_frechet", "_scaled_derivatives")
 
     def __init__(self, rhs: ExpPolyExpr):
         for c in (T, Y, PARAM):
@@ -85,7 +89,10 @@ class EvolutionEquation:
         self.rhs = rhs
         self.order = d
         self._denominator, scaled = _cleared(rhs)
-        self._minus_frechet = tuple(a.terms for a in _cleared(-rhs)[1].frechet().coefficients)
+        a = [c.terms for c in _cleared(-rhs)[1].frechet().coefficients]
+        self._shifted_frechet = tuple(
+            [[(k, comb(i + e, i) * c) for k, c in a[i + e]] for i in range(d + 1 - e)] for e in range(d + 1)
+        )
         self._scaled_derivatives = (scaled,)
 
     def _scaled_rhs_derivatives(self, n: int) -> tuple:
@@ -115,26 +122,22 @@ def symmetry_defect(eta: ExpPolyExpr, eq: EvolutionEquation) -> ExpPolyExpr:
     ``D_eta * eta`` and ``D_G * G``, both with ``int`` coefficients, and
     divided by ``D_eta * D_G`` once.
     """
-    return _shifted_defect(eta, eq, ExpPolyExpr.zero())
-
-
-def _shifted_defect(eta: ExpPolyExpr, eq: EvolutionEquation, shift: ExpPolyExpr) -> ExpPolyExpr:
-    """The defect with D_y + shift for D_y in G_*[eta], sorted and divided once."""
-    d, acc = _defect_pairs(eta, eq, shift)
+    d, acc = _defect_pairs(eta, eq)[:2]  # the chain is freed before the sort
     return _divided(sorted(kc for kc in acc.items() if kc[1]), d)
 
 
-def _defect_pairs(eta: ExpPolyExpr, eq: EvolutionEquation, shift: ExpPolyExpr) -> tuple:
-    """``(d, acc)``: ``d`` times the shifted defect as an unsorted ``{key: int}``
-    dict (cancelled keys keep a zero), into which go the unmerged pairs of
-    ``d eta/d u_l * D_y^l G`` and of ``(-d G/d u_j) * (D_y + shift)^j eta``."""
+def _defect_pairs(eta: ExpPolyExpr, eq: EvolutionEquation) -> tuple:
+    """``(d, acc, chain)``: ``d`` times the defect as an unsorted ``{key: int}``
+    dict (cancelled keys keep a zero) of the pairs of ``d eta/d u_l * D_y^l G``
+    and ``(-d G/d u_j) * D_y^j eta``, and the ``D_y^j (d * eta)``, j <= order."""
     d, scaled = _cleared(eta)
     terms = scaled.terms
     ders = eq._scaled_rhs_derivatives(scaled.order())
     partials = [_partial_pairs(terms, jet(l)) for l in range(len(ders))]
     acc = _accumulate({}, _contract_pairs(partials, [g.terms for g in ders]))
-    _accumulate(acc, _contract_pairs(eq._minus_frechet, _y_chain(terms, eq.order, shift.terms)))
-    return d * eq._denominator, acc
+    chain = _y_chain(terms, eq.order, ())
+    _accumulate(acc, _contract_pairs(eq._shifted_frechet[0], chain))
+    return d * eq._denominator, acc, chain
 
 
 def is_symmetry(eta: ExpPolyExpr, eq: EvolutionEquation) -> bool:
@@ -226,14 +229,16 @@ class DeterminingSystem:
 
     One row per jet/y monomial occurring in any generator defect; the
     entry in column l is that monomial's coefficient in the defect of
-    exp(w*y) times generator l, with the common exp factor divided out.
-    Entries are ``UniPoly`` polynomials in the weight w; ``taylor``
-    expands them at a fixed weight, ``S(w)`` itself being the first term.
+    exp(w*y) times generator l, with the common exp factor divided out, a
+    polynomial in the weight w.  A cell holds the integer coefficients of
+    the system's one denominator times it, ascending by degree; ``rows``
+    and ``taylor`` divide, the scan and :func:`kernel_at` read integers.
     """
 
     generators: tuple
     row_shapes: tuple
-    _cells: tuple = field(repr=False)  # per row, (column, entry) of its nonzeros, columns ascending
+    _cells: tuple = field(repr=False)  # per row, (column, int list) of its nonzeros, columns ascending
+    _denominator: int = field(repr=False)
     # weight -> _WeightState, each published once complete
     _weight_states: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # every system keeps the weight as an unknown; perfbench/tracer.py reads this
@@ -242,77 +247,80 @@ class DeterminingSystem:
     @cached_property
     def rows(self) -> tuple:
         """Dense rows of ``UniPoly`` entries, built on first read; the pipeline
-        reads only the cells.  Every empty cell shares the immutable zero."""
-        zero, rows = UniPoly.zero(), []
-        for cells in map(dict, self._cells):
-            rows.append(tuple(cells.get(j, zero) for j in range(len(self.generators))))
-        return tuple(rows)
+        reads only the cells.  Equal cells share one immutable ``UniPoly``, and
+        every empty cell the zero."""
+        zero, d, n = UniPoly.zero(), self._denominator, len(self.generators)
+        distinct = {tuple(p) for cells in self._cells for _, p in cells}  # each divided once
+        polys = {c: UniPoly._from_fractions([Fraction(x, d) for x in c]) for c in distinct}
+        rows = [{j: polys[tuple(p)] for j, p in cells} for cells in self._cells]
+        return tuple(tuple(row.get(j, zero) for j in range(n)) for row in rows)
 
     def taylor(self, w, count: int) -> list:
         """S_p = S^(p)(w)/p! for p < count, each as ``{column: [(row, entry), ...]}``.
 
         Only the nonzero cells are expanded, and only nonzero entries kept.
         """
-        out = [{} for _ in range(count)]
+        scale, out = self._expansion(_frac(w))
+        out = (out + [{}] * count)[:count]
+        return [{j: [(i, Fraction(x, scale)) for i, x in c] for j, c in s_p.items()} for s_p in out]
+
+    def _expansion(self, w: Fraction) -> tuple:
+        """``(scale, s)``: ``s`` holds ``scale`` times each ``S_p``, p <= n, the top cell
+        degree, as ``int``s; ``scale`` is the denominator times ``b**n`` at ``w = a/b``."""
+        a, b = w.numerator, w.denominator
+        n = max((len(coeffs) for cells in self._cells for _, coeffs in cells), default=1) - 1
+        out = [{} for _ in range(n + 1)]
         for i, cells in enumerate(self._cells):
-            for j, p in cells:
-                for s_p, x in zip(out, p.taylor(w, count)):
+            for j, coeffs in cells:
+                for s_p, x in zip(out, _int_taylor(coeffs, a, b, n) if a else coeffs):
                     if x:
                         s_p.setdefault(j, []).append((i, x))
-        return out
-
-
-# The defect of exp(w*y)*gen, exp factor removed, is gen's with this shift:
-# for y-independent G, D_y^j (exp(w y) h) = exp(w y) (D_y + w)^j h, so it is
-# a polynomial in w, whose powers the parameter coordinate carries.
-_PARAM_SHIFT = _cleared(ExpPolyExpr.coordinate(PARAM))[1]  # int coefficient, like the kernel's
+        return self._denominator * b**n, out
 
 
 def determining_system(ansatz: AnsatzSpace, eq: EvolutionEquation) -> DeterminingSystem:
     """Assemble the constraint matrix of the ansatz's generators, weight unknown.
 
-    Any generators will do; a run assembles only its y-free ones, and
-    :func:`kernel_at` reads the kernel of every y-degree off that system.
+    For y-free G, ``D_y^j (exp(w y) h) = exp(w y) (D_y + w)^j h``: the defect
+    of exp(w*y) g, exp factor removed, is ``g'[G]`` plus ``w^e`` times
+    ``_shifted_frechet[e]`` applied to g, one accumulator per power e over
+    the one chain ``D_y^i g``, each read unsorted.  Column g is over ``d *
+    D_G``, ``d`` the lcm of g's denominators, scaled up to the lcm of these
+    (``D_G`` for monic generators).  Any generators will do; a run assembles
+    only its y-free ones, and :func:`kernel_at` reads every y-degree off it.
     """
-    # strip the parameter power (PARAM has the largest code, so it is the
-    # last power) out of each shape key; within one defect every (key,
-    # power) pair occurs once.  Each defect is read unsorted, then dropped.
-    cells = {}
-    for col, g in enumerate(ansatz.generators):
-        d, acc = _defect_pairs(g, eq, _PARAM_SHIFT)
-        for key, coeff in acc.items():
-            if not coeff:
-                continue
-            jd, powers, expvec = key
-            if powers and powers[-1][0] == PARAM:
-                deg, key = powers[-1][1], (jd, powers[:-1], expvec)
-            else:
-                deg = 0
-            cells.setdefault((key, col), {})[deg] = Fraction(coeff, d)
-    keys = sorted({key for key, _ in cells})
-    index = {key: i for i, key in enumerate(keys)}
-    row_cells = [[] for _ in keys]
+    gens, by_key = ansatz.generators, {}
+    denominator = eq._denominator * lcm(*(c.denominator for g in gens for _, c in g.terms))
+    for col, g in enumerate(gens):
+        d, acc, chain = _defect_pairs(g, eq)
+        up = denominator // d
+        cells = {key: [c * up] for key, c in acc.items() if c}
+        for e, ops in enumerate(eq._shifted_frechet[1:], 1):
+            for key, c in _accumulate({}, _contract_pairs(ops, chain)).items():
+                if c:
+                    cell = cells.setdefault(key, [])
+                    cell += [0] * (e - len(cell)) + [c * up]
+        for key, cell in cells.items():
+            by_key.setdefault(key, []).append((col, cell))
+    keys = sorted(by_key)
     # columns ascend within a row: the cells were found column by column
-    for (key, col), cell in cells.items():
-        p = UniPoly._from_fractions([cell.get(k, ZERO) for k in range(max(cell) + 1)])
-        row_cells[index[key]].append((col, p))
-    shapes = tuple(key[1:] for key in keys)
-    return DeterminingSystem(ansatz.generators, shapes, tuple(map(tuple, row_cells)))
+    cells = tuple(tuple(by_key[key]) for key in keys)
+    return DeterminingSystem(gens, tuple(key[1:] for key in keys), cells, denominator)
 
 
 class _WeightState:
-    """What :func:`kernel_at` keeps of ``S(lambda)`` at one weight w: the
-    ``S_p``, p >= 1, that can be nonzero, the :class:`Elimination` of ``S_0``,
-    its kernel, and in ``levels[j]`` a basis of the Jordan chains of length
-    at most j + 1, each a ``{(a, column): x_a}`` dict.  ``levels`` grows only
-    by whole tuples, so a concurrent reader never sees part of a level.
+    """What :func:`kernel_at` keeps of ``S(lambda)`` at one weight w, up to
+    a constant factor: the ``S_p``, p >= 1, that can be nonzero, the
+    :class:`Elimination` of ``S_0``, its kernel, and in ``levels[j]`` a
+    basis of the Jordan chains of length at most j + 1, each a ``{(a,
+    column): x_a}`` dict.  ``levels`` grows only by whole tuples, so a
+    concurrent reader never sees part of a level.
     """
 
     __slots__ = ("taylor", "record", "kernel", "levels")
 
     def __init__(self, system: DeterminingSystem, w):
-        count = max((len(p.coeffs) for cells in system._cells for _, p in cells), default=1)
-        s_0, *self.taylor = system.taylor(w, count)
+        s_0, *self.taylor = system._expansion(w)[1]
         s0 = [{} for _ in system._cells]
         for m, cells in s_0.items():
             for i, x in cells:

@@ -27,10 +27,11 @@ Coefficients are cleared of their denominators where the arithmetic is
 heavy.  The kernel (``_accumulate``, ``_merged``, ``_y_chain`` and the
 ``_*_pairs`` generators) uses only ``*``, ``+`` and truthiness on
 coefficients, so it runs unchanged on ``int`` numerators: the symmetry
-defect and the assembly in ``engine``, and the power expansion in
-``parser`` (one key product per multiset of base terms, summed in one
-dict), take ``(d, d*e)`` from :func:`_cleared`, work on the ``int``
-coefficients of ``d*e``, and divide the result once with :func:`_divided`.
+defect and the power expansion in ``parser`` (one key product per
+multiset of base terms, summed in one dict) take ``(d, d*e)`` from
+:func:`_cleared`, work on the ``int`` coefficients of ``d*e``, and divide
+the result once with :func:`_divided`; the assembly in ``engine`` keeps
+its integer cells over one denominator for the whole system.
 An exponential weight stays a ``Fraction`` and multiplies into such
 coefficients exactly.  The boundary rule: every expression that this
 module's constructors, ``parser`` or ``engine`` return holds only

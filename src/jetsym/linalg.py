@@ -17,11 +17,11 @@ read off one elimination.
 Over polynomials in the weight unknown, :func:`unit_core` eliminates the
 constant entries, units of Q[lambda], and the weight scan's Bareiss
 elimination and :func:`rank_modulo` run on the small core it leaves.
-Both :func:`unit_core` and :func:`poly_matrix_pivots` clear denominators
-first and hold every entry as one plain form: a list of integer
-coefficients, ascending by degree, ``[]`` for zero.  Every division in
-the Bareiss elimination is an exact ``divmod`` long division over Z, and
-one that leaves a remainder raises as the bug it would be.
+:func:`unit_core` and :func:`poly_matrix_pivots` hold every entry as a
+list of integer coefficients, ascending by degree, ``[]`` for zero: the
+determining system's own form, made from ``UniPoly`` rows by the latter.
+Every division in the Bareiss elimination is an exact ``divmod`` long
+division over Z, and one that leaves a remainder raises as the bug it would be.
 :func:`rank_modulo` eliminates over ``{column: entry}`` row dicts of
 rational polynomial residues, and reduces only the rows below each
 pivot, since the rows above never pivot again.
@@ -189,7 +189,7 @@ class RatMatrix:
 
 class Elimination:
     """Recorded sparse Gauss-Jordan elimination of ``{column: entry}`` rows
-    of nonzero ``Fraction``s, which are copied in.
+    of nonzero ``int`` or ``Fraction`` entries, copied in; it computes ``Fraction``s.
 
     Columns are taken in ascending order, each pivoting on the shortest
     pending row holding it (less fill-in; the reduced form is unique, so the
@@ -439,24 +439,6 @@ class UniPoly:
         for c in reversed(self.coeffs):
             out = out * x + c
         return out
-
-    def taylor(self, x, count: int) -> tuple:
-        """The Taylor coefficients p^(k)(x)/k! at x for k < count.
-
-        Each is the remainder of one synthetic division by ``(t - x)``,
-        whose quotient the next one divides.
-        """
-        x = _frac(x)
-        cs = list(self.coeffs)
-        if not x:
-            return tuple(cs[:count]) + (ZERO,) * (count - len(cs))
-        out = []
-        for _ in range(count):
-            acc = ZERO
-            for k in range(len(cs) - 1, -1, -1):
-                acc = cs[k] = acc * x + cs[k]
-            out.append(cs.pop(0) if cs else ZERO)
-        return tuple(out)
 
     def eval_matrix(self, m: RatMatrix) -> RatMatrix:
         """Horner evaluation at a square matrix."""
@@ -726,6 +708,17 @@ def _int_coeffs(p: UniPoly, scale: int) -> list:
     return [c.numerator * (scale // c.denominator) for c in p.coeffs]
 
 
+def _int_taylor(coeffs: list, a: int, b: int, n: int) -> list:
+    """``b**n`` times the Taylor coefficients at ``a/b`` of ``coeffs``, of degree
+    at most ``n``: Horner's rule for ``sum_k c_k b**(n-k) (a + b t)^k``, which
+    is ``b**n`` times the polynomial at ``a/b + t``, on integer lists."""
+    acc = []
+    for k in range(len(coeffs) - 1, -1, -1):
+        acc = [a * x + b * y for x, y in zip(acc + [0], [0] + acc)]
+        acc[0] += coeffs[k] * b ** (n - k)
+    return acc
+
+
 def _int_mul(a: list, b: list) -> list:
     """Product of two integer coefficient lists."""
     if not a or not b:
@@ -823,29 +816,27 @@ def poly_matrix_pivots(rows: Sequence[Sequence[UniPoly]]) -> list:
 def unit_core(rows: Sequence[dict], ncols: int) -> tuple:
     """Eliminate the nonzero constant entries of a polynomial matrix.
 
-    ``rows`` are ``{column: UniPoly}`` dicts of the nonzero entries.  A
-    nonzero constant is a unit of Q[lambda], so a Schur complement step on
-    it lowers the rank by one at every value of lambda, and modulo every
-    polynomial.  Each step pivots on the constant entry of least Markowitz
-    cost ``(r-1)*(c-1)``, ``r`` and ``c`` the entry counts of its row and
-    column, ties broken by (row, column), until no constant entry is left.
-    Returns ``(units, core)``: the step count and the dense ``UniPoly`` rows
-    left, over the remaining columns in ascending order, zero rows dropped;
-    so ``units + rank(core(w)) == rank(M(w))`` at every ``w``.
+    ``rows`` are ``{column: integer coefficient list}`` dicts of the nonzero
+    entries, left unmodified.  A nonzero constant is a unit of Q[lambda], so
+    a Schur complement step on it lowers the rank by one at every value of
+    lambda, and modulo every polynomial.  Each step pivots on the constant
+    entry of least Markowitz cost ``(r-1)*(c-1)``, ``r`` and ``c`` the entry
+    counts of its row and column, ties broken by (row, column), until no
+    constant entry is left.  Returns ``(units, core)``: the step count and
+    the dense ``UniPoly`` rows left, over the remaining columns in ascending
+    order, zero rows dropped; so ``units + rank(core(w)) == rank(M(w))``.
 
-    Each row is scaled to integer coefficient lists, as in
-    :func:`poly_matrix_pivots`.  A step replaces each row ``x`` holding the
-    pivot column by ``a*x - f*pivot_row``, ``a > 0`` the pivot (the pivot row
-    is negated if need be) and ``f`` the row's entry at its column, and
-    divides the row by the gcd of its coefficients; a constant row factor
-    changes no rank.  A column -> row-set index and a heap of the constant
-    entries by cost are kept up to date, so a step touches only the rows
-    holding its column and the columns of its row.
+    A step replaces each row ``x`` holding the pivot column by ``a*x -
+    f*pivot_row``, ``a > 0`` the pivot (the pivot row is negated if need be)
+    and ``f`` the row's entry at its column, and divides the row by the gcd
+    of its coefficients; a constant row factor changes no rank.  A column
+    -> row-set index and a heap of the constant entries by cost are kept up
+    to date, so a step touches only the rows holding its column and the
+    columns of its row.
     """
     mat, col_rows = {}, {j: set() for j in range(ncols)}
     for i, row in enumerate(rows):
-        scale = math.lcm(*(c.denominator for p in row.values() for c in p.coeffs))
-        mat[i] = {j: _int_coeffs(p, scale) for j, p in row.items() if p.coeffs}
+        mat[i] = {j: p for j, p in row.items() if p}
         for j in mat[i]:
             col_rows[j].add(i)
 

@@ -411,6 +411,19 @@ class TestErrorCodes:
         assert data["error"]["kind"] == "scope"
         assert "80080 generators" in data["error"]["message"]
 
+    def test_scope_error_just_above_the_generator_cap(self, tmp_path):
+        # C(9+1+4, 4) * 2 = 2002 generators, two above the cap: the KdV
+        # criterion at (9, 4, 1) is refused, where (9, 4, 0) runs
+        code, data = run_json(
+            tmp_path,
+            ["--eq", "u_t = u_3 + u*u_1", "--mode", "criterion", "--order", "9",
+             "--jetdeg", "4", "--ydeg", "1"],
+        )
+        assert code == 3
+        assert data["error"]["kind"] == "scope"
+        assert "2002 generators" in data["error"]["message"]
+        assert "the cap of 2000" in data["error"]["message"]
+
     @pytest.mark.parametrize(
         "args, words",
         [

@@ -4,6 +4,7 @@ import itertools
 import random
 import sys
 import threading
+from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
@@ -82,15 +83,15 @@ class TestDefect:
         assert not is_symmetry(E("y*u_1"), HEAT)
 
 
-def reference_defect(eta, rhs, shift=ExpPolyExpr.zero()):
+def reference_defect(eta, rhs):
     """eta'[G] - G_*[eta] from the public operations on the unscaled
     ``Fraction`` expressions: eta's linearization contracted with D_y^j G,
-    minus G's linearization applied to eta with D_y + shift for D_y."""
+    minus G's linearization applied to eta."""
     op = eta.frechet()
     derivatives = [rhs]
     for _ in range(op.order):
         derivatives.append(derivatives[-1].total_derive_y())
-    return op.contract(derivatives) - rhs.frechet().apply_shifted(eta, shift)
+    return op.contract(derivatives) - rhs.frechet().apply(eta)
 
 
 def only_fractions(e):
@@ -137,24 +138,18 @@ class TestIntegerNumerators:
         assert only_fractions(defect)
 
     @INTEGER_NUMERATORS
-    @given(
-        rational_characteristics(),
-        rational_equations(),
-        st.sampled_from([ExpPolyExpr.zero(), engine._PARAM_SHIFT]),
-        SMALL_RATIONALS,
-        SMALL_RATIONALS,
-    )
-    def test_shifted_defect_is_one_sorted_sum(self, eta, eq, shift, p, q):
-        defect = engine._shifted_defect(eta, eq, shift)
-        assert defect == reference_defect(eta, eq.rhs, shift)
+    @given(rational_characteristics(), rational_equations(), SMALL_RATIONALS, SMALL_RATIONALS)
+    def test_defect_is_one_sorted_sum(self, eta, eq, p, q):
+        defect = symmetry_defect(eta, eq)
+        assert defect == reference_defect(eta, eq.rhs)
         assert only_fractions(defect) and all(m.coeff for m in defect.terms)
         keys = [m.key for m in defect.terms]
         assert keys == sorted(set(keys))
         # p*G + q*u_1 is a symmetry of every autonomous equation: its pairs
         # cancel to an exact zero, and adding it leaves a defect unchanged
-        zero, symmetric = ExpPolyExpr.zero(), eq.rhs.scale(p) + E("u_1").scale(q)
-        assert engine._shifted_defect(symmetric, eq, zero).is_zero()
-        assert engine._shifted_defect(eta + symmetric, eq, zero) == symmetry_defect(eta, eq)
+        symmetric = eq.rhs.scale(p) + E("u_1").scale(q)
+        assert symmetry_defect(symmetric, eq).is_zero()
+        assert symmetry_defect(eta + symmetric, eq) == symmetry_defect(eta, eq)
 
     @INTEGER_NUMERATORS
     @given(rational_equations(), st.sampled_from([F(0), F(1, 2), F(-5, 3), F(2)]))
@@ -173,6 +168,29 @@ class TestIntegerNumerators:
                 ExpPolyExpr.zero(),
             )
             assert column == exp_minus_w * reference_defect(exp_w * g, eq.rhs)
+
+
+    def test_rational_generators_share_one_denominator(self):
+        # the pipeline's generators are monic; these have denominators 3, 1,
+        # 7 and 2 over D_G = 15, so each column is scaled up to 15 * 42
+        eq = parse_equation("u_t = u_2 - 1/3*u + 2/5*u_1")
+        gens = tuple(E(t) for t in ("2/3*u_1", "5*u*u_1", "-1/7", "3/2*u", "u_2"))
+        ansatz = replace(build_ansatz(2, 0, 2), generators=gens)
+        system = determining_system(ansatz, eq)
+        assert system._denominator == 630
+        for w in (F(0), F(1, 2)):
+            exp_w, exp_minus_w = ExpPolyExpr.exponential(Y, w), ExpPolyExpr.exponential(Y, -w)
+            for j, g in enumerate(gens):
+                column = sum(
+                    (
+                        ExpPolyExpr.monomial(row[j].eval(w), dict(powers), dict(expvec))
+                        for row, (powers, expvec) in zip(system.rows, system.row_shapes)
+                    ),
+                    ExpPolyExpr.zero(),
+                )
+                assert column == exp_minus_w * reference_defect(exp_w * g, eq.rhs)
+            reference = reference_system(replace(ansatz, weights=(w,)), eq)
+            assert kernel_at(system, w, 0) == nullspace(reference)
 
 
 class TestLieBracket:

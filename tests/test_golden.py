@@ -20,6 +20,8 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 CASES = {
     "criterion_heat": (["--eq", "u_t = u_2", "--mode", "criterion"], 0),
     "criterion_decay": (["--eq", "u_t = u_2 - u", "--mode", "criterion"], 0),
+    # D_G = 4: candidates -1/2, 0, 1/2, and the chains at fractional weights
+    "criterion_rational_decay": (["--eq", "u_t = u_2 - 1/4*u", "--mode", "criterion"], 0),
     # a chain of length 2 at the nonzero weight 1: exp(y), exp(y)*y
     "criterion_double_weight": (
         ["--eq", "u_t = u_2 - 2*u_1 + u", "--mode", "criterion", "--order", "2",

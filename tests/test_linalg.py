@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +21,7 @@ from jetsym.linalg import (
     _int_cross,
     _int_exact_div,
     _int_mul,
+    _int_taylor,
     _poly_exact_div,
     char_poly,
     generalized_eigenspace,
@@ -258,6 +259,15 @@ def sparse_poly_rows(draw, entry):
     return rows, ncols
 
 
+def int_row(row):
+    """A ``{column: entry}`` row with each ``UniPoly`` entry as the integer
+    coefficient list of its multiple by the lcm of the row's denominators;
+    an integer list is kept as it is."""
+    polys = {j: p for j, p in row.items() if isinstance(p, UniPoly)}
+    scale = lcm(*(c.denominator for p in polys.values() for c in p.coeffs))
+    return {**row, **{j: _int_coeffs(p, scale) for j, p in polys.items()}}
+
+
 def is_constant(p):
     """Whether ``p`` has degree at most 0, the zero polynomial included."""
     return len(p.coeffs) <= 1
@@ -490,13 +500,16 @@ class TestUnitCore:
 
     @staticmethod
     def check_core(rows, ncols):
+        # unit_core reads integer coefficient lists: a row of UniPoly entries
+        # is scaled by the lcm of its denominators, a constant row factor
+        rows = [int_row(row) for row in rows]
         units, core = unit_core(rows, ncols)
         assert all(len(row) == ncols - units for row in core)
         assert not any(p.coeffs and is_constant(p) for row in core for p in row)
         assert all(any(p.coeffs for p in row) for row in core)
         for w in SAMPLE_WEIGHTS:
             whole = RatMatrix(
-                [[row[j].eval(w) if j in row else F(0) for j in range(ncols)] for row in rows],
+                [[UniPoly(row[j]).eval(w) if j in row else F(0) for j in range(ncols)] for row in rows],
                 cols=ncols,
             )
             reduced = RatMatrix([[p.eval(w) for p in row] for row in core], cols=ncols - units)
@@ -514,19 +527,19 @@ class TestUnitCore:
         self.check_core(*matrix)
 
     def test_least_markowitz_cost_then_row_and_column(self):
-        one, lam = UniPoly.one(), UniPoly([0, 1])
+        one, lam = [1], [0, 1]
         # every unit of [[1, 1], [lam, 1]] costs 1: (0, 0) goes first and
         # leaves 1 - lam, where (0, 1) would leave lam - 1
         assert unit_core([{0: one, 1: one}, {0: lam, 1: one}], 2) == (1, [[UniPoly([1, -1])]])
         # (1, 1) costs 1 and goes before (0, 0) and (0, 1), which cost 2
         assert unit_core([{0: one, 1: one, 2: lam}, {0: lam, 1: one}], 3) == (
-            1, [[UniPoly([1, -1]), lam]]
+            1, [[UniPoly([1, -1]), UniPoly(lam)]]
         )
 
     def test_no_unit_leaves_the_matrix(self):
-        lam = UniPoly([0, 1])
-        assert unit_core([{0: lam}, {}, {1: lam * lam}], 3) == (
-            0, [[lam, UniPoly.zero(), UniPoly.zero()], [UniPoly.zero(), lam * lam, UniPoly.zero()]]
+        lam, zero = UniPoly([0, 1]), UniPoly.zero()
+        assert unit_core([{0: [0, 1]}, {}, {1: [0, 0, 1]}], 3) == (
+            0, [[lam, zero, zero], [zero, lam * lam, zero]]
         )
 
     def test_scan_systems_shrink_to_small_cores(self):
@@ -940,15 +953,17 @@ class TestUniPolyBasics:
     @PROPERTY
     @given(
         st.one_of(POLY_ENTRY, RATIONAL_POLY_ENTRY, SHIFTED_POLY_ENTRY),
-        st.sampled_from((0, 1, F(-1, 2), F(3, 7))),
-        st.data(),
+        st.sampled_from((F(0), F(1), F(-1, 2), F(3, 7))),
+        st.integers(0, 2),
     )
-    def test_taylor_is_scaled_derivatives(self, p, x, data):
-        count = data.draw(st.integers(1, p.degree + 2))
-        expansion = p.taylor(x, count)
-        assert len(expansion) == count
+    def test_taylor_is_scaled_derivatives(self, p, x, slack):
+        # the integer expansion of D * p at x = a/b, scaled by b**n
+        scale = lcm(*(c.denominator for c in p.coeffs))
+        n = max(p.degree, 0) + slack
+        expansion = _int_taylor(_int_coeffs(p, scale), x.numerator, x.denominator, n)
+        assert len(expansion) == len(p.coeffs)
         for k, c in enumerate(expansion):
-            assert isinstance(c, Fraction) and c == p.eval(x) / factorial(k)
+            assert isinstance(c, int) and c == scale * x.denominator**n * p.eval(x) / factorial(k)
             p = p.derivative()
 
     def test_str(self):
