@@ -232,7 +232,7 @@ class DeterminingSystem:
     exp(w*y) times generator l, with the common exp factor divided out, a
     polynomial in the weight w.  A cell holds the integer coefficients of
     the system's one denominator times it, ascending by degree; ``rows``
-    and ``taylor`` divide, the scan and :func:`kernel_at` read integers.
+    divides, the scan and :func:`kernel_at` read integers.
     """
 
     generators: tuple
@@ -254,15 +254,6 @@ class DeterminingSystem:
         polys = {c: UniPoly._from_fractions([Fraction(x, d) for x in c]) for c in distinct}
         rows = [{j: polys[tuple(p)] for j, p in cells} for cells in self._cells]
         return tuple(tuple(row.get(j, zero) for j in range(n)) for row in rows)
-
-    def taylor(self, w, count: int) -> list:
-        """S_p = S^(p)(w)/p! for p < count, each as ``{column: [(row, entry), ...]}``.
-
-        Only the nonzero cells are expanded, and only nonzero entries kept.
-        """
-        scale, out = self._expansion(_frac(w))
-        out = (out + [{}] * count)[:count]
-        return [{j: [(i, Fraction(x, scale)) for i, x in c] for j, c in s_p.items()} for s_p in out]
 
     def _expansion(self, w: Fraction) -> tuple:
         """``(scale, s)``: ``s`` holds ``scale`` times each ``S_p``, p <= n, the top cell
@@ -462,7 +453,6 @@ class LambdaScan:
     residual_factors: tuple  # verified rational-root-free factors (UniPoly)
     generic_nullity: int  # kernel dimension at generic weight
     pivots: tuple  # Bareiss pivots of the unit_core core of S, not of S
-    kernels: tuple  # kernel basis at each candidate, over the y-free generators
 
     def describe(self) -> dict:
         return {
@@ -486,7 +476,7 @@ def lambda_candidates(
     of the core's fraction-free elimination, a maximal minor, vanishes
     wherever the rank drops.  Each of its squarefree factors is
     root-searched once, and every rational root is verified on the whole
-    system by the kernel ``kernel_at(system, w, 0)``, kept on the scan.  The
+    system by the kernel ``kernel_at(system, w, 0)``, kept on the system.  The
     rational-root-free parts of those factors are verified against the
     core's rank in the corresponding quotient ring and reported, never
     silently dropped.  The scan runs on the y-free system of the ansatz's
@@ -496,7 +486,7 @@ def lambda_candidates(
     """
     if system is None:
         system = determining_system(ansatz.with_y_degree(0), eq)
-    units, core = unit_core([dict(cells) for cells in system._cells], len(system.generators))
+    units, core = unit_core(system._cells, len(system.generators))
     ncols = len(system.generators) - units  # the core's columns
     pivots = poly_matrix_pivots(core)
     root_cands, residual_cands = set(), set()
@@ -505,12 +495,7 @@ def lambda_candidates(
         root_cands.update(r for r, _ in roots)
         if residual.degree >= 1:
             residual_cands.add(residual)
-    candidates, kernels = [], []
-    for w in sorted(root_cands):
-        kernel = kernel_at(system, w, 0)
-        if kernel:
-            candidates.append(w)
-            kernels.append(tuple(kernel))
+    candidates = [w for w in sorted(root_cands) if kernel_at(system, w, 0)]
     verified_residuals = {
         factor
         for f in residual_cands
@@ -522,7 +507,6 @@ def lambda_candidates(
         residual_factors=tuple(sorted(verified_residuals, key=UniPoly.sort_key)),
         generic_nullity=ncols - len(pivots),
         pivots=tuple(pivots),
-        kernels=tuple(kernels),
     )
 
 

@@ -17,9 +17,9 @@ read off one elimination.
 Over polynomials in the weight unknown, :func:`unit_core` eliminates the
 constant entries, units of Q[lambda], and the weight scan's Bareiss
 elimination and :func:`rank_modulo` run on the small core it leaves.
-:func:`unit_core` and :func:`poly_matrix_pivots` hold every entry as a
-list of integer coefficients, ascending by degree, ``[]`` for zero: the
-determining system's own form, made from ``UniPoly`` rows by the latter.
+:func:`unit_core`, :func:`poly_matrix_pivots` and :func:`rank_modulo`
+read every entry as a list of integer coefficients, ascending by degree,
+``[]`` for zero: the determining system's own form, read as it is kept.
 Every division in the Bareiss elimination is an exact ``divmod`` long
 division over Z, and one that leaves a remainder raises as the bug it would be.
 :func:`rank_modulo` eliminates over ``{column: entry}`` row dicts of
@@ -703,11 +703,6 @@ def _poly_exact_div(num: UniPoly, den: UniPoly) -> UniPoly:
 # by degree, without trailing zeros: ``[]`` is zero.
 
 
-def _int_coeffs(p: UniPoly, scale: int) -> list:
-    """Coefficients of ``scale * p``, where ``scale`` clears every denominator."""
-    return [c.numerator * (scale // c.denominator) for c in p.coeffs]
-
-
 def _int_taylor(coeffs: list, a: int, b: int, n: int) -> list:
     """``b**n`` times the Taylor coefficients at ``a/b`` of ``coeffs``, of degree
     at most ``n``: Horner's rule for ``sum_k c_k b**(n-k) (a + b t)^k``, which
@@ -765,7 +760,7 @@ def _int_exact_div(num: list, den: list) -> list:
     return q
 
 
-def poly_matrix_pivots(rows: Sequence[Sequence[UniPoly]]) -> list:
+def poly_matrix_pivots(rows: Sequence[Sequence[list]]) -> list:
     """Pivot polynomials of a division-free (Bareiss) elimination.
 
     Pivots are selected by lowest degree, ties broken by coefficient
@@ -774,17 +769,12 @@ def poly_matrix_pivots(rows: Sequence[Sequence[UniPoly]]) -> list:
     the generic rank is a root of at least one returned pivot (the last
     pivot is, up to sign, a maximal non-vanishing minor).
 
-    The elimination runs over Z on the integer coefficient lists of
-    ``D*M``, ``D`` the lcm of all coefficient denominators of ``M``.  Each
-    entry compared at step ``k`` (1-based) is a ``k``-minor of ``D*M``, that
-    is ``D**k`` times the same minor of ``M``; as ``D > 0`` their order, and
-    with it every pivot choice and row swap, is that of ``M``.  Pivot ``k``
-    is returned divided by ``D**k``.  Every entry is an integer minor, so
-    each division is exact over Z (Sylvester's identity); one that leaves a
-    remainder raises ``ArithmeticError`` as the bug it would be.
+    ``rows`` are dense rows of integer coefficient lists, left unmodified,
+    and the pivots are returned as ``UniPoly``.  Every entry is an integer
+    minor, so each division is exact over Z (Sylvester's identity); one
+    that leaves a remainder raises ``ArithmeticError`` as the bug it would be.
     """
-    scale = math.lcm(*(c.denominator for row in rows for x in row for c in x.coeffs))
-    mat = [[_int_coeffs(x, scale) for x in row] for row in rows]
+    mat = [list(row) for row in rows]
     ncols = len(rows[0]) if rows else 0
     pivots, prev = [], [1]
     for c in range(ncols):
@@ -807,23 +797,20 @@ def poly_matrix_pivots(rows: Sequence[Sequence[UniPoly]]) -> list:
             ]
         pivots.append(pivot)
         prev = pivot
-    return [
-        UniPoly._from_fractions([Fraction(x, scale**k) for x in p])
-        for k, p in enumerate(pivots, 1)
-    ]
+    return [UniPoly(p) for p in pivots]
 
 
-def unit_core(rows: Sequence[dict], ncols: int) -> tuple:
+def unit_core(rows: Sequence[Sequence[tuple]], ncols: int) -> tuple:
     """Eliminate the nonzero constant entries of a polynomial matrix.
 
-    ``rows`` are ``{column: integer coefficient list}`` dicts of the nonzero
-    entries, left unmodified.  A nonzero constant is a unit of Q[lambda], so
-    a Schur complement step on it lowers the rank by one at every value of
-    lambda, and modulo every polynomial.  Each step pivots on the constant
-    entry of least Markowitz cost ``(r-1)*(c-1)``, ``r`` and ``c`` the entry
-    counts of its row and column, ties broken by (row, column), until no
-    constant entry is left.  Returns ``(units, core)``: the step count and
-    the dense ``UniPoly`` rows left, over the remaining columns in ascending
+    ``rows`` hold ``(column, integer list)`` pairs, a determining system's
+    cells as it keeps them, left unmodified.  A nonzero constant is a unit of
+    Q[lambda], so a Schur complement step on it lowers the rank by one at every
+    value of lambda, and modulo every polynomial.  Each step pivots on the
+    constant entry of least Markowitz cost ``(r-1)*(c-1)``, ``r`` and ``c`` the
+    entry counts of its row and column, ties broken by (row, column), until no
+    constant entry is left.  Returns ``(units, core)``: the step count and the
+    dense rows of integer lists left, over the remaining columns in ascending
     order, zero rows dropped; so ``units + rank(core(w)) == rank(M(w))``.
 
     A step replaces each row ``x`` holding the pivot column by ``a*x -
@@ -836,7 +823,7 @@ def unit_core(rows: Sequence[dict], ncols: int) -> tuple:
     """
     mat, col_rows = {}, {j: set() for j in range(ncols)}
     for i, row in enumerate(rows):
-        mat[i] = {j: p for j, p in row.items() if p}
+        mat[i] = {j: p for j, p in row if p}
         for j in mat[i]:
             col_rows[j].add(i)
 
@@ -888,11 +875,7 @@ def unit_core(rows: Sequence[dict], ncols: int) -> tuple:
                 if len(mat[i][j]) == 1 and i not in hit_rows:
                     heapq.heappush(heap, (cost(i, j), i, j))
     cols = sorted(col_rows)
-    core = [
-        [UniPoly._from_fractions([Fraction(v) for v in row.get(j, ())]) for j in cols]
-        for row in mat.values()
-        if row
-    ]
+    core = [[row.get(j, []) for j in cols] for row in mat.values() if row]
     return ncols - len(col_rows), core
 
 
@@ -915,21 +898,21 @@ def _inverse_mod(a: UniPoly, modulus: UniPoly) -> UniPoly:
     return (s0 * inv_lead).divmod(modulus)[1]
 
 
-def rank_modulo(rows: Sequence[Sequence[UniPoly]], modulus: UniPoly) -> list:
+def rank_modulo(rows: Sequence[Sequence[list]], modulus: UniPoly) -> list:
     """Ranks of a polynomial matrix over the quotient rings by ``modulus``.
 
-    If a zero divisor turns up during elimination the modulus is split by
-    the discovered factor and both halves are processed, so the result is
-    a list of ``(factor, rank)`` pairs whose factors multiply to a
-    divisor-closed refinement of ``modulus``.  Rows are ``{column: residue}``
-    dicts holding only nonzero residues; the pivot is the first row, in
-    current order, that is nonzero at the column, as in the dense
-    Gauss-Jordan form, and only the rows below it are reduced: the rows
-    above never pivot again, so the ranks and splits found are the same.
+    If a zero divisor turns up during elimination the modulus is split by the
+    discovered factor and both halves are processed, so the result is a list of
+    ``(factor, rank)`` pairs whose factors multiply to a divisor-closed
+    refinement of ``modulus``.  Dense integer-list ``rows`` become dicts
+    ``{column: residue}`` of the nonzero residues; the pivot is the first row, in
+    current order, that is nonzero at the column, as in the dense Gauss-Jordan
+    form, and only the rows below it are reduced: the rows above never pivot
+    again, so the ranks and splits found are the same.
     """
     modulus = modulus.monic()
     zero = UniPoly.zero()
-    residues = ({j: e.divmod(modulus)[1] for j, e in enumerate(row) if e.coeffs} for row in rows)
+    residues = ({j: UniPoly(e).divmod(modulus)[1] for j, e in enumerate(row) if e} for row in rows)
     mat = [{j: x for j, x in row.items() if x.coeffs} for row in residues]
     ncols = len(rows[0]) if rows else 0
     try:
@@ -957,12 +940,9 @@ def rank_modulo(rows: Sequence[Sequence[UniPoly]], modulus: UniPoly) -> list:
             r += 1
         return [(modulus, r)]
     except _NeedsSplit as split:
+        # a factor of a nonzero residue: both parts are proper, monic factors
         g = split.factor
-        other = _poly_exact_div(modulus, g).monic()
-        out = rank_modulo(rows, g)
-        if other.degree > 0:
-            out.extend(rank_modulo(rows, other))
-        return out
+        return rank_modulo(rows, g) + rank_modulo(rows, _poly_exact_div(modulus, g))
 
 
 def squarefree_factors(p: UniPoly) -> list:

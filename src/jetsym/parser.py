@@ -12,17 +12,18 @@ Grammar (whitespace ignored):
     rational  :=  digits ("/" digits)?
 
 The argument of ``exp`` must simplify to a rational multiple of a single
-0-jet coordinate (t, y or u).  Equation right-hand sides additionally may
-not contain y, t or exponentials; that restriction is reported as a scope
-error, not a syntax error.
+0-jet coordinate (t, y or u); zero gives exp(0) = 1.  Equation
+right-hand sides additionally may not contain y, t or exponentials; that
+restriction is reported as a scope error, not a syntax error.
 
 A power ``b^k`` of an n-term base is expanded in one pass over the at
 most C(n+k-1, k) multisets of k base terms: each gives one term, with a
 multinomial times the product of the base's integer numerators as its
 coefficient, and the sum is divided once by their common denominator to
-the k.  Two caps refuse a power with a scope error before any expansion:
-an exponent above MAX_EXPONENT, and a power whose expansion could exceed
-MAX_POWER_TERMS terms.
+the k.  Three caps refuse with a scope error before any expansion: an
+exponent above MAX_EXPONENT, a power whose expansion could exceed
+MAX_POWER_TERMS terms, and a product of an m-term and an n-term factor
+with m*n above that cap.
 
 Numerals and coefficients are capped too, with a scope error: a numeral
 of more than MAX_NUMERAL_DIGITS digits is refused by its text, before it
@@ -183,7 +184,14 @@ class _Parser:
         out = self.factor()
         while self.peek()[:2] == ("op", "*"):
             self.advance()
-            out = out * self.factor()
+            rhs = self.factor()
+            m, n = len(out.terms), len(rhs.terms)
+            if m * n > MAX_POWER_TERMS:
+                raise ScopeError(
+                    f"a product of factors of {m} and {n} terms may expand to "
+                    f"{m * n} terms, above the cap of {MAX_POWER_TERMS}"
+                )
+            out = out * rhs
         return out
 
     # factor := ("+"|"-") factor | power
@@ -264,6 +272,8 @@ class _Parser:
         )
 
     def _exp_factor(self, inner: ExpPolyExpr, at: int) -> ExpPolyExpr:
+        if inner.is_zero():
+            return ExpPolyExpr.one()
         if len(inner.terms) == 1:
             m = inner.terms[0]
             if not m.expvec and len(m.powers) == 1 and m.powers[0][1] == 1:

@@ -436,11 +436,11 @@ def dependence_criterion_direct(
         weights, y_degree = basis.ansatz.weights, basis.ansatz.y_degree
     # The scan's generic nullity is always 0 (see the engine module), so its
     # candidates are every weight with a y-free kernel.
-    kernels = dict(zip(scan.candidates, scan.kernels))
     witness, method = None, "direct-exponential"
     for w in _preferred_weights(weights):
-        if w in kernels:
-            witness = ExpPolyExpr.exponential(Y, w) * combine(kernels[w][0], system.generators)
+        if w in scan.candidates:
+            kernel = kernel_at(system, w, 0)  # in a run, the scan left it on the system
+            witness = ExpPolyExpr.exponential(Y, w) * combine(kernel[0], system.generators)
             break
     if witness is None and y_degree >= 1:
         linear = ansatz.with_y_degree(1).generators

@@ -398,6 +398,17 @@ class TestErrorCodes:
         assert data["error"]["kind"] == "scope"
         assert "rational root search" in data["error"]["message"]
 
+    def test_scope_error_product_refused_quickly(self, tmp_path):
+        # two 3003-term powers, each under the power cap: multiplied out, the
+        # product has 184756 terms and takes a minute; it is refused instead
+        base = "(u + u_1 + u_2 + u_3 + u_4 + u_5 + u_6 + u_7 + u_8 + u_9 + y)"
+        code, data = run_json_subprocess(
+            tmp_path, ["--eq", "u_t = u_2", "--check", f"{base}^5*{base}^5"], timeout=10
+        )
+        assert code == 3
+        assert data["error"]["kind"] == "scope"
+        assert "factors of 3003 and 3003 terms" in data["error"]["message"]
+
     def test_scope_error_ansatz_too_large(self, tmp_path):
         # C(9+1+6, 6) * 10 = 80080 generators: refused before any is built,
         # where enumerating and assembling them would run for minutes

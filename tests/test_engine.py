@@ -238,7 +238,7 @@ class TestDeterminingSystem:
         a = build_ansatz(1, 0, 1)
         gens = [g.render() for g in a.generators]
         assert gens == ["1", "u", "u_1"]
-        s_0 = determining_system(a, HEAT).taylor(0, 1)[0]
+        s_0 = determining_system(a, HEAT)._expansion(F(0))[1][0]
         col = a.generators.index(E("u_1"))
         assert col not in s_0
 
@@ -252,7 +252,8 @@ class TestDeterminingSystem:
         labels = row_labels(system)
         row = next(i for i, x in enumerate(entries) if x != 0)
         assert labels[row] == "u_2"
-        assert system.taylor(0, 1)[0][col] == [(row, F(-2))]
+        scale, expansion = system._expansion(F(0))
+        assert [(i, F(x, scale)) for i, x in expansion[0][col]] == [(row, F(-2))]
 
     def test_symbolic_constant_entry(self):
         a = build_ansatz(0, 0, 0)
@@ -266,10 +267,10 @@ class TestDeterminingSystem:
         a = build_ansatz(0, 0, 0)
         system = determining_system(a, LINEAR_DECAY)
         # 1 - w^2 vanishes at w = 1, so S(1) has no entry and a kernel
-        assert system.taylor(1, 1) == [{}]
+        assert system._expansion(F(1))[1][0] == {}
         assert kernel_at(system, 1, 0) == [(F(1),)]
         # 1 - w^2 = -3 - 4*(w - 2) - (w - 2)^2
-        assert system.taylor(2, 4) == [{0: [(0, F(-3))]}, {0: [(0, F(-4))]}, {0: [(0, F(-1))]}, {}]
+        assert system._expansion(F(2)) == (1, [{0: [(0, -3)]}, {0: [(0, -4)]}, {0: [(0, -1)]}])
         assert kernel_at(system, 2, 0) == []
 
 
@@ -354,18 +355,18 @@ class TestSubstitutionMatchesFixedAssembly:
     def test_taylor_matches_dense_horner(self, eq, ydeg):
         system = determining_system(build_ansatz(3, ydeg, 2), eq)
         n = len(system.generators)
-        count = max(len(cell.coeffs) for row in system.rows for cell in row) + 1
+        count = max(len(cell.coeffs) for row in system.rows for cell in row)
         for w in SUBSTITUTION_WEIGHTS:
-            expansion = system.taylor(w, count)
+            scale, expansion = system._expansion(w)
             assert len(expansion) == count
-            for p, s_p in enumerate(expansion):
+            for p, s_p in enumerate(expansion + [{}]):
                 dense = [[F(0)] * n for _ in system.rows]
                 for col, cells in s_p.items():
                     assert 0 <= col < n and cells
                     assert [i for i, _ in cells] == sorted({i for i, _ in cells})
                     for i, x in cells:
-                        assert x and isinstance(x, Fraction)
-                        dense[i][col] = x
+                        assert x and isinstance(x, int)
+                        dense[i][col] = F(x, scale)
                 assert dense == dense_taylor(system, w, p)
 
     @pytest.mark.parametrize("ydeg", [0, 1, 2])
@@ -460,7 +461,7 @@ class TestWeightState:
         # the row is empty in S_0 and S_1, and only S_2 stops the chain at
         # length 2, so y^2*exp(y) is no symmetry
         system = determining_system(build_ansatz(0, 0, 0), parse_equation("u_t = u_2 - 2*u_1 + u"))
-        assert system.taylor(1, 2) == [{}, {}]
+        assert system._expansion(F(1))[1][:2] == [{}, {}]
         assert len(kernel_at(system, 1, 2)) == 2
 
     def test_heat_criterion_eliminates_s0_once(self, monkeypatch, tmp_path):
@@ -587,16 +588,22 @@ class TestLambdaCandidates:
         scan = lambda_candidates(build_ansatz(2, 0, 2), parse_equation(text))
         assert scan.generic_nullity == 0
 
-    def test_kernels_kept_per_candidate(self):
+    def test_kernels_kept_per_candidate(self, monkeypatch):
+        # the scan leaves the kernel at each candidate on the system, where
+        # kernel_at reads it back without eliminating again
         ansatz = build_ansatz(2, 0, 2)
-        scan = lambda_candidates(ansatz, LINEAR_DECAY)
-        assert len(scan.kernels) == len(scan.candidates)
-        for w, kernel in zip(scan.candidates, scan.kernels):
-            basis = solve_symmetries(build_ansatz(2, 0, 2, weights=(w,)), LINEAR_DECAY)
+        system = determining_system(ansatz, LINEAR_DECAY)
+        scan = lambda_candidates(ansatz, LINEAR_DECAY, system)
+        assert scan.candidates and set(scan.candidates) <= set(system._weight_states)
+        fixed = {
+            w: solve_symmetries(build_ansatz(2, 0, 2, weights=(w,)), LINEAR_DECAY).elements
+            for w in scan.candidates
+        }
+        monkeypatch.setattr(engine, "Elimination", None)  # no weight is eliminated again
+        for w in scan.candidates:
+            kernel = kernel_at(system, w, 0)
             exp_w = ExpPolyExpr.exponential(Y, w)
-            assert [exp_w * combine(v, ansatz.generators) for v in kernel] == list(
-                basis.elements
-            )
+            assert [exp_w * combine(v, ansatz.generators) for v in kernel] == list(fixed[w])
 
     def test_consistency_with_fixed_solves(self):
         for eq in (HEAT, LINEAR_DECAY, LINEAR_GROWTH, KDV):
@@ -608,10 +615,23 @@ class TestLambdaCandidates:
                 else:
                     assert not basis.elements
 
+    @pytest.mark.parametrize(
+        "text", ["u_t = u_2 - 1/3*u + 2/5*u_1", "u_t = u_2 + u", "u_t = u_3 + u*u_1"]
+    )
+    def test_scan_leaves_the_cells_unchanged(self, text):
+        # unit_core reads the system's own cell lists, and its core shares
+        # the lists it never touched with the system
+        ansatz, eq = build_ansatz(3, 0, 3), parse_equation(text)
+        system = determining_system(ansatz, eq)
+        before = [[(j, list(p)) for j, p in cells] for cells in system._cells]
+        lambda_candidates(ansatz, eq, system)
+        assert [[(j, list(p)) for j, p in cells] for cells in system._cells] == before
+        assert system._cells == determining_system(ansatz, eq)._cells
+
     def test_pivots_are_the_cores(self):
         ansatz = build_ansatz(3, 0, 2)
         system = determining_system(ansatz, LINEAR_GROWTH)
-        units, core = unit_core([dict(cells) for cells in system._cells], len(system.generators))
+        units, core = unit_core(system._cells, len(system.generators))
         scan = lambda_candidates(ansatz, LINEAR_GROWTH, system)
         assert scan.pivots == tuple(poly_matrix_pivots(core))
         assert len(scan.pivots) == len(core[0]) == len(system.generators) - units
@@ -629,10 +649,12 @@ def is_constant(p):
 
 
 def reference_lambda_scan(system):
-    """The per-pivot loop: one root search per pivot, and the squarefree
+    """The per-pivot loop on the whole system's integer cells, the system
+    times its denominator: one root search per pivot, and the squarefree
     factors of each pivot's rational-root-free residual as residual
     candidates; returns the verified candidates and residual factors."""
-    rows, ncols = system.rows, len(system.generators)
+    ncols = len(system.generators)
+    rows = [[dict(cells).get(j, []) for j in range(ncols)] for cells in system._cells]
     root_cands, residual_cands = set(), []
     for p in poly_matrix_pivots(rows):
         if is_constant(p):

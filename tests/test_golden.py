@@ -82,6 +82,12 @@ CASES = {
         4,
     ),
     "error_spectrum": (["--eq", "u_t = u_2 + u", "--mode", "criterion"], 5),
+    # D > 1: the scan's integer core and rank_modulo on the system times 15
+    "error_spectrum_rational": (
+        ["--eq", "u_t = u_2 - 1/3*u + 2/5*u_1", "--mode", "criterion", "--order", "9",
+         "--jetdeg", "3", "--ydeg", "5"],
+        5,
+    ),
 }
 
 

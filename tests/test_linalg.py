@@ -17,7 +17,6 @@ from jetsym.linalg import (
     _kernel_basis,
     _NeedsSplit,
     _decimal_digits,
-    _int_coeffs,
     _int_cross,
     _int_exact_div,
     _int_mul,
@@ -193,8 +192,8 @@ POLY_ENTRY = st.one_of(
     st.sampled_from((UniPoly.zero(),) + POLY_POOL),
     st.builds(UniPoly, st.lists(st.integers(-2, 2), max_size=3)),
 )
-# Rational coefficients, so that poly_matrix_pivots scales by a common
-# denominator D > 1; the scaled pool entries keep sort_key ties frequent.
+# Rational coefficients, cleared row by row before the integer
+# elimination; the scaled pool entries keep sort_key ties frequent.
 RATIONAL_POLY_ENTRY = st.one_of(
     st.just(UniPoly.zero()),
     st.builds(
@@ -265,7 +264,21 @@ def int_row(row):
     an integer list is kept as it is."""
     polys = {j: p for j, p in row.items() if isinstance(p, UniPoly)}
     scale = lcm(*(c.denominator for p in polys.values() for c in p.coeffs))
-    return {**row, **{j: _int_coeffs(p, scale) for j, p in polys.items()}}
+    return {**row, **{j: [int(c * scale) for c in p.coeffs] for j, p in polys.items()}}
+
+
+def integer_matrix(rows):
+    """Dense ``UniPoly`` rows, each times the lcm of its denominators (a
+    constant row factor), and the same rows as integer coefficient lists,
+    the form :func:`poly_matrix_pivots` and :func:`rank_modulo` read."""
+    scaled = [[p.scale(lcm(*(c.denominator for q in row for c in q.coeffs))) for p in row] for row in rows]
+    return scaled, [[[int(c) for c in p.coeffs] for p in row] for row in scaled]
+
+
+def dense_cells(system):
+    """The determining system's cells as dense rows of integer coefficient lists."""
+    n = len(system.generators)
+    return [[dict(cells).get(j, []) for j in range(n)] for cells in system._cells]
 
 
 def is_constant(p):
@@ -440,55 +453,53 @@ class TestPolySparseAgainstDense:
     @PROPERTY
     @given(poly_matrices())
     def test_pivots_match_dense(self, rows):
-        assert poly_matrix_pivots(rows) == dense_poly_matrix_pivots(rows)
+        scaled, ints = integer_matrix(rows)
+        assert scaled == rows
+        assert poly_matrix_pivots(ints) == dense_poly_matrix_pivots(rows)
 
     @PROPERTY
-    @given(poly_matrices(), st.sampled_from(MODULI))
+    @given(poly_matrices(st.one_of(POLY_ENTRY, RATIONAL_POLY_ENTRY)), st.sampled_from(MODULI))
     def test_rank_modulo_matches_dense(self, rows, modulus):
-        assert rank_modulo(rows, modulus) == dense_rank_modulo(rows, modulus)
+        scaled, ints = integer_matrix(rows)
+        assert rank_modulo(ints, modulus) == dense_rank_modulo(scaled, modulus)
+
+    def test_rows_are_left_unmodified(self):
+        lam, one = [0, 1], [1]
+        rows = [[lam, one], [one, lam], [lam, lam]]
+        before = [[list(x) for x in row] for row in rows]
+        poly_matrix_pivots(rows)
+        rank_modulo(rows, UniPoly([-1, 0, 1]))
+        assert rows == before
 
     def test_tie_breaks_follow_row_swaps(self):
         # step 1 swaps rows 0 and 2; rows 1 and 0 then tie at column 1 and
         # the dense order, [2, 1, 0], makes row 1 the pivot
         z, one, lam = UniPoly.zero(), UniPoly.one(), UniPoly([0, 1])
         rows = [[z, lam, one], [z, lam, z], [lam, z, z]]
-        pivots = poly_matrix_pivots(rows)
+        pivots = poly_matrix_pivots(integer_matrix(rows)[1])
         assert pivots == dense_poly_matrix_pivots(rows)
         assert pivots == [lam, lam * lam, lam * lam]
 
     @PROPERTY
-    @given(poly_matrices(RATIONAL_POLY_ENTRY))
-    def test_pivots_match_dense_rational_coefficients(self, rows):
-        assert poly_matrix_pivots(rows) == dense_poly_matrix_pivots(rows)
-
-    @PROPERTY
     @given(poly_matrices(SHIFTED_POLY_ENTRY))
     def test_pivots_match_dense_shifted_entries(self, rows):
-        assert poly_matrix_pivots(rows) == dense_poly_matrix_pivots(rows)
+        scaled, ints = integer_matrix(rows)
+        assert poly_matrix_pivots(ints) == dense_poly_matrix_pivots(scaled)
 
     @PROPERTY
     @given(graded_poly_matrices())
     def test_pivots_match_dense_monomial_entries(self, rows):
-        pivots = poly_matrix_pivots(rows)
-        assert pivots == dense_poly_matrix_pivots(rows)
+        scaled, ints = integer_matrix(rows)
+        pivots = poly_matrix_pivots(ints)
+        assert pivots == dense_poly_matrix_pivots(scaled)
         assert all(_is_monomial(p) for p in pivots)
-
-    def test_rational_scan_pivots_match_dense(self):
-        # coefficients -1/3 and 2/5: the integer elimination scales by D = 15
-        ansatz = build_ansatz(3, 0, 3)
-        eq = parse_equation("u_t = u_2 - 1/3*u + 2/5*u_1")
-        rows = determining_system(ansatz, eq).rows
-        assert {c.denominator for row in rows for p in row for c in p.coeffs} >= {3, 5}
-        pivots = poly_matrix_pivots(rows)
-        assert pivots == dense_poly_matrix_pivots(rows)
-        assert any(c.denominator > 1 for p in pivots for c in p.coeffs)
 
     def test_heat_scan_pivots_match_dense(self):
         ansatz = build_ansatz(4, 0, 3)
-        rows = determining_system(ansatz, parse_equation("u_t = u_2")).rows
+        rows = dense_cells(determining_system(ansatz, parse_equation("u_t = u_2")))
         pivots = poly_matrix_pivots(rows)
         assert len(pivots) == 56
-        assert pivots == dense_poly_matrix_pivots(rows)
+        assert pivots == dense_poly_matrix_pivots([[UniPoly(x) for x in row] for row in rows])
 
 
 SAMPLE_WEIGHTS = (F(0), F(1), F(-1), F(2), F(1, 2), F(-2, 3), F(3))
@@ -503,16 +514,16 @@ class TestUnitCore:
         # unit_core reads integer coefficient lists: a row of UniPoly entries
         # is scaled by the lcm of its denominators, a constant row factor
         rows = [int_row(row) for row in rows]
-        units, core = unit_core(rows, ncols)
+        units, core = unit_core([list(row.items()) for row in rows], ncols)
         assert all(len(row) == ncols - units for row in core)
-        assert not any(p.coeffs and is_constant(p) for row in core for p in row)
-        assert all(any(p.coeffs for p in row) for row in core)
+        assert not any(len(p) == 1 for row in core for p in row)
+        assert all(any(row) for row in core)
         for w in SAMPLE_WEIGHTS:
             whole = RatMatrix(
                 [[UniPoly(row[j]).eval(w) if j in row else F(0) for j in range(ncols)] for row in rows],
                 cols=ncols,
             )
-            reduced = RatMatrix([[p.eval(w) for p in row] for row in core], cols=ncols - units)
+            reduced = RatMatrix([[UniPoly(p).eval(w) for p in row] for row in core], cols=ncols - units)
             assert units + rank(reduced) == rank(whole)
         return units, core
 
@@ -530,17 +541,25 @@ class TestUnitCore:
         one, lam = [1], [0, 1]
         # every unit of [[1, 1], [lam, 1]] costs 1: (0, 0) goes first and
         # leaves 1 - lam, where (0, 1) would leave lam - 1
-        assert unit_core([{0: one, 1: one}, {0: lam, 1: one}], 2) == (1, [[UniPoly([1, -1])]])
+        assert unit_core([[(0, one), (1, one)], [(0, lam), (1, one)]], 2) == (1, [[[1, -1]]])
         # (1, 1) costs 1 and goes before (0, 0) and (0, 1), which cost 2
-        assert unit_core([{0: one, 1: one, 2: lam}, {0: lam, 1: one}], 3) == (
-            1, [[UniPoly([1, -1]), UniPoly(lam)]]
+        assert unit_core([[(0, one), (1, one), (2, lam)], [(0, lam), (1, one)]], 3) == (
+            1, [[[1, -1], lam]]
         )
 
     def test_no_unit_leaves_the_matrix(self):
-        lam, zero = UniPoly([0, 1]), UniPoly.zero()
-        assert unit_core([{0: [0, 1]}, {}, {1: [0, 0, 1]}], 3) == (
-            0, [[lam, zero, zero], [zero, lam * lam, zero]]
+        lam = [0, 1]
+        assert unit_core([[(0, lam)], [], [(1, [0, 0, 1])]], 3) == (
+            0, [[lam, [], []], [[], [0, 0, 1], []]]
         )
+
+    def test_cells_are_left_unmodified(self):
+        # a step on the unit -2 negates its row, then rescales and crosses
+        # the other rows: new lists, never the caller's
+        rows = [[(0, [-2]), (1, [0, 1])], [(0, [0, 1]), (1, [3, 1])], [(1, [1, 1]), (2, [0, 0, 1])]]
+        before = [[(j, list(p)) for j, p in row] for row in rows]
+        unit_core(rows, 3)
+        assert rows == before
 
     def test_scan_systems_shrink_to_small_cores(self):
         for text, caps, shape in [
@@ -565,14 +584,14 @@ class TestScanGrading:
         "equation, caps", [("u_t = u_2", (4, 0, 3)), ("u_t = u_3 + u*u_1", (3, 0, 3))]
     )
     def test_quasi_homogeneous_systems_have_monomial_entries_and_pivots(self, equation, caps):
-        rows = determining_system(build_ansatz(*caps), parse_equation(equation)).rows
-        assert all(_is_monomial(x) for row in rows for x in row if not x.is_zero())
-        pivots = poly_matrix_pivots(rows)
+        system = determining_system(build_ansatz(*caps), parse_equation(equation))
+        assert all(_is_monomial(x) for row in system.rows for x in row if not x.is_zero())
+        pivots = poly_matrix_pivots(dense_cells(system))
         assert pivots and all(_is_monomial(p) for p in pivots)
 
     def test_ungraded_system_has_a_polynomial_pivot(self):
-        rows = determining_system(build_ansatz(3, 0, 3), parse_equation("u_t = u_2 + u")).rows
-        assert not all(_is_monomial(p) for p in poly_matrix_pivots(rows))
+        system = determining_system(build_ansatz(3, 0, 3), parse_equation("u_t = u_2 + u"))
+        assert not all(_is_monomial(p) for p in poly_matrix_pivots(dense_cells(system)))
 
 
 class TestRref:
@@ -825,17 +844,12 @@ INT_COEFFS = st.lists(st.integers(-5, 5), max_size=4).map(
 class TestIntCoefficientLists:
     """The helpers :func:`poly_matrix_pivots` and :func:`unit_core` run on."""
 
-    def test_int_coeffs_clears_denominators(self):
-        p = UniPoly([F(1, 2), F(-2, 3), 0, 5])
-        assert _int_coeffs(p, 6) == [3, -4, 0, 30]
-        assert _int_coeffs(UniPoly.zero(), 7) == []
-
     @PROPERTY
     @given(INT_COEFFS, INT_COEFFS, INT_COEFFS, INT_COEFFS)
     def test_cross_matches_polynomial_arithmetic(self, a, x, f, y):
         expected = UniPoly(a) * UniPoly(x) - UniPoly(f) * UniPoly(y)
         assert UniPoly(_int_cross(a, x, f, y)) == expected
-        assert _int_mul(a, x) == _int_coeffs(UniPoly(a) * UniPoly(x), 1)
+        assert _int_mul(a, x) == [int(c) for c in (UniPoly(a) * UniPoly(x)).coeffs]
 
     @PROPERTY
     @given(INT_COEFFS, INT_COEFFS.filter(bool))
@@ -862,19 +876,13 @@ class TestIntCoefficientLists:
 
 class TestPolyMatrixPivots:
     def test_one_by_one(self):
-        p = UniPoly([-1, 0, 1])
-        assert poly_matrix_pivots([[p]]) == [p]
+        assert poly_matrix_pivots([[[-1, 0, 1]]]) == [UniPoly([-1, 0, 1])]
 
     def test_diagonal(self):
-        one = UniPoly.one()
-        lam = UniPoly([0, 1])
-        assert poly_matrix_pivots([[one, UniPoly.zero()], [UniPoly.zero(), lam]]) == [
-            one,
-            lam,
-        ]
+        assert poly_matrix_pivots([[[1], []], [[], [0, 1]]]) == [UniPoly.one(), UniPoly([0, 1])]
 
     def test_rank_drop_candidates(self):
-        lam = UniPoly([0, 1])
+        lam = [0, 1]
         pivots = poly_matrix_pivots([[lam, lam], [lam, lam]])
         assert len(pivots) == 1  # generic rank one
         roots = set()
@@ -883,11 +891,10 @@ class TestPolyMatrixPivots:
         assert Fraction(0) in roots
 
     def test_lowest_degree_pivot_preference(self):
-        lam = UniPoly([0, 1])
-        one = UniPoly.one()
+        lam, one = [0, 1], [1]
         pivots = poly_matrix_pivots([[lam, one], [one, lam]])
         # the degree-0 entry is chosen first even though it sits in row 1
-        assert pivots[0] == one
+        assert pivots[0] == UniPoly.one()
 
     def test_drop_set_containment_random(self):
         rng = random.Random(23)
@@ -901,7 +908,7 @@ class TestPolyMatrixPivots:
                 ]
                 for _ in range(rows)
             ]
-            pivots = poly_matrix_pivots(mat)
+            pivots = poly_matrix_pivots(integer_matrix(mat)[1])
             generic = len(pivots)
             cand = set()
             for p in pivots:
@@ -915,19 +922,18 @@ class TestPolyMatrixPivots:
 class TestRankModulo:
     def test_irreducible_modulus_rank_drop(self):
         mod = UniPoly([1, 0, 1])  # no rational roots
-        entry = UniPoly([1, 0, 1])
-        out = rank_modulo([[entry]], mod)
+        out = rank_modulo([[[1, 0, 1]]], mod)
         assert out == [(mod.monic(), 0)]
 
     def test_full_rank_modulo(self):
         mod = UniPoly([1, 0, 1])
-        out = rank_modulo([[UniPoly([2, 1])]], mod)
+        out = rank_modulo([[[2, 1]]], mod)
         assert out == [(mod.monic(), 1)]
 
     def test_splitting_modulus(self):
         # modulus (x^2 - 1) splits when the entry shares only one factor
         mod = UniPoly([-1, 0, 1])
-        entry = UniPoly([-1, 1])  # x - 1
+        entry = [-1, 1]  # x - 1
         out = dict((str(f), r) for f, r in rank_modulo([[entry]], mod))
         assert out["lambda - 1"] == 0
         assert out["lambda + 1"] == 1
@@ -960,7 +966,7 @@ class TestUniPolyBasics:
         # the integer expansion of D * p at x = a/b, scaled by b**n
         scale = lcm(*(c.denominator for c in p.coeffs))
         n = max(p.degree, 0) + slack
-        expansion = _int_taylor(_int_coeffs(p, scale), x.numerator, x.denominator, n)
+        expansion = _int_taylor([int(c * scale) for c in p.coeffs], x.numerator, x.denominator, n)
         assert len(expansion) == len(p.coeffs)
         for k, c in enumerate(expansion):
             assert isinstance(c, int) and c == scale * x.denominator**n * p.eval(x) / factorial(k)

@@ -95,6 +95,14 @@ class TestExpressions:
             parse_expression("exp(y^2)")
         with pytest.raises(ParseError):
             parse_expression("exp(u_1)")
+        with pytest.raises(ParseError):
+            parse_expression("exp(1)")
+
+    @pytest.mark.parametrize("text", ["exp(0*y)", "exp(y - y)", "exp(0)", "exp(0*u)"])
+    def test_exp_of_zero_is_one(self, text):
+        # zero is the zero multiple of y, and exp(0) = 1
+        assert parse_expression(text) == ExpPolyExpr.one()
+        assert parse_expression(f"3*{text}*u_1") == parse_expression("3*u_1")
 
     def test_jet_order_range(self):
         assert parse_expression("u_9").order() == 9
@@ -185,6 +193,24 @@ class TestPowerCaps:
         assert MAX_POWER_TERMS < 11440
         with pytest.raises(ScopeError):
             parse_expression("(1 + u + u_1 + u_2 + u_3 + u_4 + u_5 + u_6 + u_7 + y)^7")
+
+    def test_product_refused_before_multiplying(self):
+        # each factor is C(11+5-1, 5) = 3003 terms, under the power cap; their
+        # product may reach 3003^2 terms and is refused before it is formed
+        base = "(u + u_1 + u_2 + u_3 + u_4 + u_5 + u_6 + u_7 + u_8 + u_9 + y)"
+        with pytest.raises(ScopeError, match="factors of 3003 and 3003 terms may expand to 9018009 terms"):
+            parse_expression(f"{base}^5*{base}^5")
+        assert len(parse_expression(f"{base}^5").terms) == 3003
+        assert len(parse_expression(f"2*{base}^5*exp(y)").terms) == 3003
+
+    def test_product_cap_is_inclusive(self):
+        # 100 * 50 = MAX_POWER_TERMS terms are admitted, one factor term more is not
+        assert MAX_POWER_TERMS == 100 * 50
+        a = " + ".join(f"u^{i}*u_2^{j}" for i in range(10) for j in range(10))
+        b = " + ".join(f"u_1^{i}" for i in range(50))
+        assert len(parse_expression(f"({a})*({b})").terms) == 5000
+        with pytest.raises(ScopeError, match="factors of 100 and 51 terms"):
+            parse_expression(f"({a})*({b} + u_3)")
 
 
 POSITIVE_RATIONALS = st.fractions(min_value=F(1, 9), max_value=9, max_denominator=9)
