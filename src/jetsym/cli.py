@@ -1,5 +1,11 @@
 """Command-line front end.
 
+A run builds one document, the report of :func:`report.report_to_dict` or
+the error payload of :func:`report.error_to_dict`.  ``--json`` writes it
+as JSON; a successful run also writes its text report, a rendering of the
+same document, to stdout unless the JSON goes there.  An unwritable
+``--json`` path exits 1 and writes no text report.
+
 Exit codes: 0 success, 2 syntax error, 3 scope error, 4 closure
 violation, 5 unresolved spectrum, 1 anything else.
 """
@@ -7,7 +13,6 @@ violation, 5 unresolved spectrum, 1 anything else.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from fractions import Fraction
@@ -19,7 +24,14 @@ from .errors import (
     UnresolvedSpectrumError,
 )
 from .parser import parse_expression
-from .report import RunConfig, emit_report, error_to_dict, run_pipeline
+from .report import (
+    RunConfig,
+    error_to_dict,
+    human_text,
+    render,
+    report_to_dict,
+    run_pipeline,
+)
 
 EXIT_OK = 0
 EXIT_OTHER = 1
@@ -134,31 +146,22 @@ def main(argv=None) -> int:
         if prefix and re.match(r"-[^-]", argv[i + 1]):
             argv[i : i + 2] = [opt + "=" + argv[i + 1]]
     args = build_arg_parser().parse_args(argv)
+    # one document per run, the report or the error; every output renders it
     try:
-        cfg = config_from_args(args)
-        report = run_pipeline(cfg)
+        doc, code = report_to_dict(run_pipeline(config_from_args(args))), EXIT_OK
     except JetsymError as err:
         code = exit_code_for(err)
         print(f"jetsym: error: {err}", file=sys.stderr)
-        if args.json:
-            payload = (json.dumps(error_to_dict(err, code), indent=2) + "\n").encode("utf-8")
-            try:
-                _write_json(args.json, payload)
-            except OSError as io_err:
-                print(f"jetsym: error: {io_err}", file=sys.stderr)
-                return EXIT_OTHER
-        return code
+        doc = error_to_dict(err, code)
     try:
         if args.json:
-            _write_json(args.json, emit_report(report, "json"))
-            if args.json != "-":
-                sys.stdout.write(emit_report(report, "human").decode("utf-8"))
-        else:
-            sys.stdout.write(emit_report(report, "human").decode("utf-8"))
+            _write_json(args.json, render(doc, "json"))
+        if code == EXIT_OK and args.json != "-":
+            sys.stdout.write(human_text(doc))
     except OSError as io_err:
         print(f"jetsym: error: {io_err}", file=sys.stderr)
         return EXIT_OTHER
-    return EXIT_OK
+    return code
 
 
 if __name__ == "__main__":

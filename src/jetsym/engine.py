@@ -30,7 +30,6 @@ from typing import Optional, Sequence
 
 from .errors import EmptyAnsatzError, ScopeError
 from .expr import (
-    PARAM,
     T,
     Y,
     ExpPolyExpr,
@@ -78,7 +77,7 @@ class EvolutionEquation:
     __slots__ = ("rhs", "order", "_denominator", "_shifted_frechet", "_scaled_derivatives")
 
     def __init__(self, rhs: ExpPolyExpr):
-        for c in (T, Y, PARAM):
+        for c in (T, Y):
             if rhs.depends_on(c):
                 raise ScopeError(
                     f"evolution right-hand side must not depend on {c.name}"

@@ -52,7 +52,6 @@ from .linalg import ONE, ZERO, _frac
 
 KIND_INDEP = 0
 KIND_JET = 1
-KIND_PARAM = 2
 _SPAN = 64  # codes per kind; jet orders stay below it
 
 _BY_KEY = {}  # (kind, index) -> the one Coord
@@ -60,14 +59,13 @@ _NAMES = {}  # Coord -> its rendered name
 
 
 class Coord(int):
-    """A coordinate of the jet space (plus one internal spectral parameter).
+    """A coordinate of the jet space.
 
-    ``kind`` is one of independent variable, jet (``u_l`` with ``l >= 0``,
-    where ``u_0`` is the dependent variable itself), or the internal
-    parameter used by symbolic eigenvalue scans.  Each coordinate exists
+    ``kind`` is independent variable or jet (``u_l`` with ``l >= 0``,
+    where ``u_0`` is the dependent variable itself).  Each coordinate exists
     once and is the integer ``kind * 64 + index``, so coordinates hash,
     compare and sort as integers, in the order of ``(kind, index)``:
-    independents first, then jets by order, then the parameter.
+    independents first, then jets by order.
     """
 
     __slots__ = ()
@@ -115,7 +113,6 @@ T = _make(KIND_INDEP, 0, "t")
 Y = _make(KIND_INDEP, 1, "y")
 _JETS = tuple(_make(KIND_JET, l, f"u_{l}" if l else "u") for l in range(_SPAN))
 U = _JETS[0]
-PARAM = _make(KIND_PARAM, 0, "lambda")
 _NEXT_JET = dict(zip(_JETS, _JETS[1:]))  # u_l -> u_(l+1)
 
 
@@ -163,7 +160,7 @@ class Monomial(tuple):
             ev.append((c, w))
         if any(p < 0 for _, p in pw):
             raise ValueError("negative power")
-        jet_degree = sum(p for c, p in pw if U <= c < PARAM)
+        jet_degree = sum(p for c, p in pw if c >= U)
         return tuple.__new__(cls, ((jet_degree, pw, tuple(sorted(ev))), coeff))
 
     key = property(itemgetter(0))
@@ -280,7 +277,7 @@ def _product_pairs(xs: tuple, ys: tuple):
 
 def _partial_pairs(terms: tuple, c: Coord):
     """Pairs of d/dc: the power rule, then the exponential rule."""
-    drop = 1 if U <= c < PARAM else 0
+    drop = 1 if c >= U else 0
     for key, coeff in terms:
         jd, powers, expvec = key
         for i, (cc, p) in enumerate(powers):
@@ -300,7 +297,7 @@ def _total_derive_y_pairs(terms: tuple):
         for i, (c, p) in enumerate(powers):
             if c == Y:
                 yield (jd, _lower(powers, i), expvec), coeff * p
-            elif U <= c < PARAM:
+            elif c >= U:
                 yield (jd, _lower(powers, i, _NEXT_JET[c]), expvec), coeff * p
         for c, w in expvec:
             if c == Y:
@@ -420,7 +417,7 @@ class ExpPolyExpr:
         Dependence through an exponential weight on u counts as order 0.
         """
         return max(
-            (c.index for m in self.terms for c, _ in m.powers + m.expvec if U <= c < PARAM),
+            (c.index for m in self.terms for c, _ in m.powers + m.expvec if c >= U),
             default=-1,
         )
 
@@ -488,18 +485,6 @@ class LinearDiffOp:
         """Apply with D_y replaced by (D_y + shift), shift a constant expression."""
         chain = _y_chain(theta.terms, self.order, shift.terms)
         return _merged(_contract_pairs([a.terms for a in self.coefficients], chain))
-
-    def contract(self, derivatives: Sequence[ExpPolyExpr]) -> ExpPolyExpr:
-        """sum_j a_j * derivatives[j], merged once.
-
-        With ``derivatives[j] = D_y^j theta`` this is the operator applied to
-        theta, so callers that apply many operators to one theta compute its
-        derivatives once.
-        """
-        if len(derivatives) < len(self.coefficients):
-            raise ValueError("contract needs D_y^j theta for j up to the operator order")
-        coefficients = [a.terms for a in self.coefficients]
-        return _merged(_contract_pairs(coefficients, [d.terms for d in derivatives]))
 
     def __eq__(self, other):
         return isinstance(other, LinearDiffOp) and self.coefficients == other.coefficients

@@ -107,9 +107,6 @@ class RatMatrix:
         get = self._rows[i].get
         return tuple(get(j, ZERO) for j in range(self.cols))
 
-    def column(self, j: int) -> tuple:
-        return tuple(r.get(j, ZERO) for r in self._rows)
-
     def tolists(self) -> list:
         return [list(self.row(i)) for i in range(self.rows)]
 
@@ -347,37 +344,35 @@ class UniPoly:
     adopts ``Fraction`` coefficients that this package computed itself.
     """
 
-    __slots__ = ("coeffs", "var")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable = (), var: str = "lambda"):
+    def __init__(self, coeffs: Iterable = ()):
         cs = [_frac(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
-        self.var = var
 
     @classmethod
-    def _from_fractions(cls, coeffs: Iterable, var: str = "lambda") -> "UniPoly":
+    def _from_fractions(cls, coeffs: Iterable) -> "UniPoly":
         """Adopt ``Fraction`` coefficients unchecked, dropping trailing zeros."""
         cs = list(coeffs)
         while cs and not cs[-1]:
             cs.pop()
         p = object.__new__(cls)
         p.coeffs = tuple(cs)
-        p.var = var
         return p
 
     @classmethod
-    def zero(cls, var: str = "lambda") -> "UniPoly":
-        return cls._from_fractions((), var)
+    def zero(cls) -> "UniPoly":
+        return cls._from_fractions(())
 
     @classmethod
-    def one(cls, var: str = "lambda") -> "UniPoly":
-        return cls._from_fractions((ONE,), var)
+    def one(cls) -> "UniPoly":
+        return cls._from_fractions((ONE,))
 
     @classmethod
-    def constant(cls, c, var: str = "lambda") -> "UniPoly":
-        return cls._from_fractions((_frac(c),), var)
+    def constant(cls, c) -> "UniPoly":
+        return cls._from_fractions((_frac(c),))
 
     @property
     def degree(self) -> int:
@@ -404,32 +399,32 @@ class UniPoly:
     def __add__(self, other: "UniPoly") -> "UniPoly":
         n = max(len(self.coeffs), len(other.coeffs))
         return UniPoly._from_fractions(
-            (self.coeff(k) + other.coeff(k) for k in range(n)), self.var
+            (self.coeff(k) + other.coeff(k) for k in range(n))
         )
 
     def __sub__(self, other: "UniPoly") -> "UniPoly":
         n = max(len(self.coeffs), len(other.coeffs))
         return UniPoly._from_fractions(
-            (self.coeff(k) - other.coeff(k) for k in range(n)), self.var
+            (self.coeff(k) - other.coeff(k) for k in range(n))
         )
 
     def __neg__(self) -> "UniPoly":
-        return UniPoly._from_fractions((-c for c in self.coeffs), self.var)
+        return UniPoly._from_fractions((-c for c in self.coeffs))
 
     def __mul__(self, other: "UniPoly") -> "UniPoly":
         if self.is_zero() or other.is_zero():
-            return UniPoly.zero(self.var)
+            return UniPoly.zero()
         out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
-        return UniPoly._from_fractions(out, self.var)
+        return UniPoly._from_fractions(out)
 
     def scale(self, c) -> "UniPoly":
         c = _frac(c)
-        return UniPoly._from_fractions((c * a for a in self.coeffs), self.var)
+        return UniPoly._from_fractions((c * a for a in self.coeffs))
 
     def eval(self, x) -> Fraction:
         x = _frac(x)
@@ -466,17 +461,17 @@ class UniPoly:
             for i, c in enumerate(other.coeffs):
                 rem[k - d + i] -= f * c
             rem.pop()
-        return UniPoly._from_fractions(q, self.var), UniPoly._from_fractions(rem, self.var)
+        return UniPoly._from_fractions(q), UniPoly._from_fractions(rem)
 
     def monic(self) -> "UniPoly":
         if self.is_zero():
             return self
         inv = ONE / self.leading()
-        return UniPoly._from_fractions((c * inv for c in self.coeffs), self.var)
+        return UniPoly._from_fractions((c * inv for c in self.coeffs))
 
     def derivative(self) -> "UniPoly":
         return UniPoly._from_fractions(
-            (k * c for k, c in enumerate(self.coeffs) if k > 0), self.var
+            (k * c for k, c in enumerate(self.coeffs) if k > 0)
         )
 
     def gcd(self, other: "UniPoly") -> "UniPoly":
@@ -500,7 +495,7 @@ class UniPoly:
                 term = str(abs(c))
             else:
                 mag = "" if abs(c) == 1 else f"{abs(c)}*"
-                term = f"{mag}{self.var}" + (f"^{k}" if k > 1 else "")
+                term = f"{mag}lambda" + (f"^{k}" if k > 1 else "")
             if not parts:
                 parts.append(("-" if c < 0 else "") + term)
             else:
@@ -578,7 +573,7 @@ def rational_roots(p: UniPoly) -> tuple:
     # powers of the variable come off first
     zmult = 0
     while not work.is_zero() and work.coeff(0) == 0 and work.degree > 0:
-        work = UniPoly._from_fractions(work.coeffs[1:], p.var)
+        work = UniPoly._from_fractions(work.coeffs[1:])
         zmult += 1
     if zmult:
         roots.append((ZERO, zmult))
@@ -613,14 +608,14 @@ def rational_roots(p: UniPoly) -> tuple:
         for cand in sorted(cands):
             mult = 0
             while work.degree >= 1 and work.eval(cand) == 0:
-                work = work.divmod(UniPoly._from_fractions((-cand, ONE), p.var))[0]
+                work = work.divmod(UniPoly._from_fractions((-cand, ONE)))[0]
                 mult += 1
             if mult:
                 roots.append((cand, mult))
     roots.sort(key=lambda rm: rm[0])
-    residual = work.monic() if not work.is_zero() else UniPoly.one(p.var)
+    residual = work.monic() if not work.is_zero() else UniPoly.one()
     if residual.degree < 1:
-        residual = UniPoly.one(p.var)
+        residual = UniPoly.one()
     return roots, residual
 
 

@@ -3,9 +3,12 @@
 A run parses the equation, assembles one y-free symbolic determining system,
 resolves the exponential weights from it, solves it at those weights,
 optionally decomposes the shift action and decides the dependence
-criterion, and packages everything into a report whose JSON rendering
-is byte-stable for a fixed configuration.  All rationals
-are serialized as strings to avoid any precision loss.
+criterion, and packages everything into a :class:`Report`.
+:func:`report_to_dict` is the one place that turns those pipeline objects
+into strings: it builds the run's report document, whose JSON rendering is
+byte-stable for a fixed configuration, and :func:`human_text` lays out the
+same document's strings as the text report.  All rationals are serialized
+as strings to avoid any precision loss.
 """
 
 from __future__ import annotations
@@ -78,7 +81,7 @@ class RunConfig:
 
 @dataclass
 class Report:
-    """Structured pipeline output; see :func:`emit_report` for rendering."""
+    """Structured pipeline output; :func:`report_to_dict` renders it."""
 
     config: RunConfig
     equation: EvolutionEquation
@@ -312,72 +315,67 @@ def error_to_dict(err: JetsymError, exit_code: int) -> dict:
     return {"schema": SCHEMA_VERSION, "error": payload}
 
 
-def human_text(report: Report) -> str:
-    lines = []
-    cfg = report.config
-    lines.append(f"equation: u_t = {report.equation.rhs.render()} (order {report.equation.order})")
-    lines.append(
-        f"mode: {cfg.mode}   caps: order<={cfg.order_cap} y^<={cfg.y_degree} "
-        f"jets^<={cfg.jet_degree}   lambda: {cfg.lambda_mode}"
-    )
-    if report.checks is not None:
-        for entry in report.checks:
+def human_text(doc: dict) -> str:
+    """The text report: the strings of a :func:`report_to_dict` document, laid out."""
+    cfg, eq = doc["config"], doc["equation"]
+    lines = [
+        f"equation: u_t = {eq['rhs']} (order {eq['order']})",
+        f"mode: {cfg['mode']}   caps: order<={cfg['order_cap']} y^<={cfg['y_degree']} "
+        f"jets^<={cfg['jet_degree']}   lambda: {cfg['lambda_mode']}",
+    ]
+    if doc["checks"] is not None:
+        for entry in doc["checks"]:
             lines.append(
                 f"check {entry['characteristic']}: symmetry: "
                 f"{'true' if entry['symmetry'] else 'false'}"
                 + ("" if entry["symmetry"] else f"  (defect: {entry['defect']})")
             )
         return "\n".join(lines) + "\n"
-    if report.lambda_scan is not None:
-        scan = report.lambda_scan
-        cands = ", ".join(str(c) for c in scan.candidates) or "none"
-        lines.append(f"exponential weight candidates: {cands}")
-        for f in scan.residual_factors:
-            lines.append(f"  unresolved factor: {f}")
-    if report.basis is not None:
-        lines.append(f"basis ({len(report.basis.elements)} elements):")
-        for e in report.basis.elements:
-            lines.append(f"  {e.render()}")
+    scan = doc["lambda_scan"]
+    if scan is not None:
+        lines.append(
+            "exponential weight candidates: " + (", ".join(scan["candidates"]) or "none")
+        )
+        lines.extend(f"  unresolved factor: {f}" for f in scan["residual_factors"])
+    basis = doc["basis"]
+    if basis is not None:
+        lines.append(f"basis ({len(basis['elements'])} elements):")
+        lines.extend(f"  {e}" for e in basis["elements"])
         lines.append("dimension by order:")
-        lines.append("  q     : " + "  ".join(f"{q}" for q in range(len(report.basis.dims))))
-        lines.append("  dim   : " + "  ".join(f"{v}" for v in report.basis.dims))
-    if report.bounds:
-        for b in report.bounds:
-            status = "pass" if b.passed else "FAIL"
-            lines.append(f"bound {b.label} (q={b.q}): {b.value} <= {b.bound}  {status}")
-    if report.decomposition is not None:
-        decomp = report.decomposition
-        lines.append(f"blocks: {decomp.block_count}")
-        for b in decomp.blocks:
-            eig = ", ".join(
-                f"{c.name}={w}" for c, w in zip(decomp.selected.coords, b.eigenvalues)
-            )
-            members = "; ".join(el.reconstruct().render() for el in b.elements)
-            lines.append(f"  [{eig}] size {b.size}: {members}")
-    if report.verdict is not None:
-        v = report.verdict
-        if v.exists:
+        lines.append("  q     : " + "  ".join(str(q) for q in range(len(basis["dims"]))))
+        lines.append("  dim   : " + "  ".join(str(v) for v in basis["dims"]))
+    for b in doc["bounds"] or ():
+        status = "pass" if b["passed"] else "FAIL"
+        lines.append(f"bound {b['label']} (q={b['q']}): {b['value']} <= {b['bound']}  {status}")
+    if doc["blocks"] is not None:
+        lines.append(f"blocks: {doc['blocks']['count']}")
+        for b in doc["blocks"]["items"]:
+            eig = ", ".join(f"{c}={w}" for c, w in b["eigenvalues"].items())
+            lines.append(f"  [{eig}] size {b['size']}: {'; '.join(b['elements'])}")
+    v = doc["criterion"]
+    if v is not None:
+        if v["exists"]:
             lines.append(
-                f"criterion: {v.target.name}-dependent symmetry EXISTS; "
-                f"witness {v.witness_expression.render()} ({v.method})"
+                f"criterion: {v['target']}-dependent symmetry EXISTS; "
+                f"witness {v['witness']} ({v['method']})"
             )
         else:
-            lines.append(
-                f"criterion: no {v.target.name}-dependent symmetry within the ansatz"
-            )
-    for note in report.notes:
-        lines.append(f"note: {note}")
-    if report.elapsed_ms is not None:
-        lines.append(f"elapsed: {report.elapsed_ms} ms")
+            lines.append(f"criterion: no {v['target']}-dependent symmetry within the ansatz")
+    lines.extend(f"note: {note}" for note in doc["notes"])
+    if "timing_ms" in doc:
+        lines.append(f"elapsed: {doc['timing_ms']} ms")
     return "\n".join(lines) + "\n"
 
 
-def emit_report(report: Report, fmt: str = "json") -> bytes:
-    """Render a report; JSON output is byte-stable for a fixed config."""
+def render(doc: dict, fmt: str = "json") -> bytes:
+    """Render a report document; JSON output is byte-stable for a fixed config."""
     if fmt == "json":
-        return (
-            json.dumps(report_to_dict(report), indent=2, sort_keys=False) + "\n"
-        ).encode("utf-8")
+        return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
     if fmt == "human":
-        return human_text(report).encode("utf-8")
+        return human_text(doc).encode("utf-8")
     raise ValueError(f"unknown format {fmt!r}")
+
+
+def emit_report(report: Report, fmt: str = "json") -> bytes:
+    """Render a report object; see :func:`render`."""
+    return render(report_to_dict(report), fmt)

@@ -270,6 +270,18 @@ class TestDeterminism:
 
 
 class TestErrorCodes:
+    @pytest.mark.parametrize("eq", ["u_t = u_2", "u_t = u_2 +"])
+    def test_unwritable_json_path(self, tmp_path, capsys, eq):
+        # a successful run and a syntax error alike: exit 1, no text report
+        path = tmp_path / "missing" / "out.json"
+        assert main(["--eq", eq, "--json", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert lines and all(line.startswith("jetsym: error: ") for line in lines)
+        assert str(path) in lines[-1]
+        assert not path.exists()
+
     def test_syntax_error(self, tmp_path):
         code, data = run_json(tmp_path, ["--eq", "u_t = u_2 +"])
         assert code == 2

@@ -91,7 +91,8 @@ def reference_defect(eta, rhs):
     derivatives = [rhs]
     for _ in range(op.order):
         derivatives.append(derivatives[-1].total_derive_y())
-    return op.contract(derivatives) - rhs.frechet().apply(eta)
+    contracted = sum((a * d for a, d in zip(op.coefficients, derivatives)), ExpPolyExpr.zero())
+    return contracted - rhs.frechet().apply(eta)
 
 
 def only_fractions(e):

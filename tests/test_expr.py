@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from jetsym.errors import MixedTypeError
 from jetsym.expr import (
     KIND_JET,
-    PARAM,
     T,
     U,
     Y,
@@ -250,7 +249,7 @@ class TestHelpers:
 
 
 class TestCoordinates:
-    ALL = (T, Y, PARAM) + tuple(jet(l) for l in range(10))
+    ALL = (T, Y) + tuple(jet(l) for l in range(10))
 
     def test_one_object_per_coordinate(self):
         for l in range(10):
@@ -418,9 +417,7 @@ class TestAgainstReferenceCalculus:
         assert op.apply(theta) == reference_apply(op, theta)
 
     @CALCULUS
-    @given(operators, expressions(max_terms=3), st.one_of(
-        RATIONALS.map(ExpPolyExpr.constant), st.just(ExpPolyExpr.coordinate(PARAM))
-    ))
+    @given(operators, expressions(max_terms=3), RATIONALS.map(ExpPolyExpr.constant))
     def test_apply_shifted(self, op, theta, shift):
         assert op.apply_shifted(theta, shift) == reference_apply_shifted(op, theta, shift)
 

@@ -5,14 +5,18 @@ wrote for one command line, including the exit code's error payload for
 the failing runs.  A refactor that changes any answer, ordering or
 normalization shows up here as a byte difference.  For a few of those
 command lines, the ``.txt`` fixture holds the text report the same run
-writes to stdout without ``--json``.
+writes to stdout without ``--json``.  Every successful run writes its text
+report as a rendering of its JSON document, which the last test checks
+for each command line.
 """
 
+import json
 from pathlib import Path
 
 import pytest
 
 from jetsym.cli import main
+from jetsym.report import human_text
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -107,3 +111,12 @@ def test_text_report_matches_golden(name, capsys):
     argv, expected_code = CASES[name]
     assert main(argv) == expected_code
     assert capsys.readouterr().out.encode("utf-8") == (GOLDEN_DIR / f"{name}.txt").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(n for n, (_, code) in CASES.items() if code == 0))
+def test_text_report_renders_the_json_document(name, tmp_path, capsys):
+    argv, _ = CASES[name]
+    out = tmp_path / f"{name}.json"
+    assert main(argv + ["--json", str(out)]) == 0
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert capsys.readouterr().out == human_text(doc)

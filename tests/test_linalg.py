@@ -414,9 +414,6 @@ class TestSparseRepresentation:
         assert hash(sparse) == hash(built) == hash(m)
         assert sparse.tolists() == dense
         assert [sparse.row(i) for i in range(m.rows)] == [tuple(r) for r in dense]
-        assert [sparse.column(j) for j in range(m.cols)] == [
-            tuple(r[j] for r in dense) for j in range(m.cols)
-        ]
         assert all(sparse[i, j] == dense[i][j] for i in range(m.rows) for j in range(m.cols))
 
     def test_constructor_converts_and_drops_zeros(self):
