@@ -112,7 +112,7 @@ def config_from_args(args) -> RunConfig:
     if lam in ("auto", "none"):
         lambda_mode, weights = lam, ()
     else:
-        weights = tuple(_weight(part) for part in lam.split(",") if part.strip())
+        weights = tuple(_weight(part) for part in lam.split(","))
         lambda_mode = "explicit"
     return RunConfig(
         equation=args.eq,

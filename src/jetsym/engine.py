@@ -22,7 +22,7 @@ of ``S(w)`` per weight that every chain level and every caller reuses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import comb, factorial, lcm
@@ -34,9 +34,11 @@ from .expr import (
     Y,
     ExpPolyExpr,
     _accumulate,
+    _bump,
     _cleared,
     _contract_pairs,
     _divided,
+    _merged,
     _partial_pairs,
     _y_chain,
     all_jet_monomials,
@@ -44,7 +46,6 @@ from .expr import (
     jet,
 )
 from .linalg import (
-    ONE,
     ZERO,
     Elimination,
     RatMatrix,
@@ -148,23 +149,22 @@ def lie_bracket(eta1: ExpPolyExpr, eta2: ExpPolyExpr) -> ExpPolyExpr:
     return eta2.frechet().apply(eta1) - eta1.frechet().apply(eta2)
 
 
-# Generators C(q_max + 1 + jet_degree, jet_degree) * (y_degree + 1) above
-# which build_ansatz refuses the caps.  Only the y-free ones are assembled
-# and eliminated, once per weight; each y power adds one chain level, a
-# few columns carried through that elimination.  At 1,716 generators
-# (order 9, jet degree 3, y-degree 5) the KdV solve takes 0.35 s end to
-# end with --lambda none and 0.4 s with the weight scan, and the heat,
+# Generators y^a * m, C(q_max + 1 + jet_degree, jet_degree) * (y_degree + 1),
+# above which build_ansatz refuses the caps; only the monomials m are built,
+# assembled and eliminated, and each y power adds one chain level.  At 1,716
+# generators (order 9, jet degree 3, y-degree 5) the KdV solve takes 0.35 s
+# end to end with --lambda none and 0.4 s with the weight scan, and the heat,
 # potential Burgers and KdV criterion runs take 0.23 to 0.37 s (2-core VM).
 MAX_ANSATZ_GENERATORS = 2000
 
 
 @dataclass(frozen=True)
 class AnsatzSpace:
-    """Finite space of candidate characteristics exp(w*y) * g.
+    """Finite space of candidate characteristics exp(w*y) * y^a * m.
 
-    ``generators`` are the weight-free monomials g = y^a * (jet monomial)
-    and ``weights`` the sorted exponential weights w; the space is spanned
-    by every product, weights outermost.
+    ``generators`` are the jet monomials m alone, a <= ``y_degree`` and
+    ``weights`` are the sorted w; the products are ordered weights outermost
+    and the y power innermost, y^a * m at column ``m*(y_degree+1) + a``.
     """
 
     generators: tuple
@@ -173,31 +173,25 @@ class AnsatzSpace:
     jet_degree: int
     weights: tuple
 
-    def with_y_degree(self, y_degree: int) -> "AnsatzSpace":
-        """The ansatz of the same jet monomials and weights, up to y^y_degree."""
-        monomials = self.generators[:: self.y_degree + 1]
-        return replace(self, generators=_y_multiples(monomials, y_degree), y_degree=y_degree)
-
     def describe(self) -> dict:
         return {
             "q_max": self.q_max,
             "y_degree": self.y_degree,
             "jet_degree": self.jet_degree,
             "weights": [str(w) for w in self.weights],
-            "size": len(self.generators) * len(self.weights),
+            "size": len(self.generators) * (self.y_degree + 1) * len(self.weights),
         }
 
 
 def build_ansatz(
     q_max: int, y_degree: int, jet_degree: int, weights: Sequence = (0,)
 ) -> AnsatzSpace:
-    """Enumerate generators y^a m(u, ..., u_{q_max}) within the caps.
+    """The jet monomials m(u, ..., u_{q_max}) within the caps, with the y-degree.
 
-    Enumeration order: jet monomials by total degree (lower jets first),
-    then the y power; this order, inside ascending weights, is part of the
-    deterministic output contract.  Caps with more than
-    ``MAX_ANSATZ_GENERATORS`` generators raise ``ScopeError`` before any
-    is built.
+    Enumeration order: by total degree, lower jets first; with the y power
+    innermost inside ascending weights, it is part of the deterministic
+    output contract.  Caps with more than ``MAX_ANSATZ_GENERATORS``
+    generators y^a * m raise ``ScopeError`` before any monomial is built.
     """
     if min(q_max, y_degree, jet_degree) < 0:
         raise EmptyAnsatzError("ansatz caps must be non-negative")
@@ -210,16 +204,21 @@ def build_ansatz(
             f"the ansatz (q_max={q_max}, jet_degree={jet_degree}, y_degree={y_degree}) "
             f"has {size} generators, above the cap of {MAX_ANSATZ_GENERATORS}"
         )
-    gens = _y_multiples(all_jet_monomials(q_max, jet_degree), y_degree)
+    gens = tuple(all_jet_monomials(q_max, jet_degree))
     return AnsatzSpace(gens, q_max, y_degree, jet_degree, weight_list)
 
 
-def _y_multiples(monomials: Sequence, y_degree: int) -> tuple:
-    """y^a * m for each jet monomial m and a = 0..y_degree, the y power innermost."""
+def characteristic(vec: Sequence, monomials: Sequence, y_degree: int) -> ExpPolyExpr:
+    """``sum vec[m*(y_degree+1) + a] * y^a * m`` over :func:`kernel_at`'s columns,
+    merged once; y^a is added to the powers of m's terms, never multiplied out."""
     if not y_degree:
-        return tuple(monomials)
-    powers = [ExpPolyExpr.monomial(ONE, {Y: a}) for a in range(y_degree + 1)]
-    return tuple(m * p for m in monomials for p in powers)
+        return combine(vec, monomials)
+    step = y_degree + 1
+    return _merged(
+        ((jd, _bump(powers, Y, col % step) if col % step else powers, ev), c * x)
+        for col, c in enumerate(map(_frac, vec)) if c
+        for (jd, powers, ev), x in monomials[col // step].terms
+    )
 
 
 @dataclass(frozen=True)
@@ -277,7 +276,7 @@ def determining_system(ansatz: AnsatzSpace, eq: EvolutionEquation) -> Determinin
     the one chain ``D_y^i g``, each read unsorted.  Column g is over ``d *
     D_G``, ``d`` the lcm of g's denominators, scaled up to the lcm of these
     (``D_G`` for monic generators).  Any generators will do; a run assembles
-    only its y-free ones, and :func:`kernel_at` reads every y-degree off it.
+    its jet monomials, and :func:`kernel_at` reads every y-degree off it.
     """
     gens, by_key = ansatz.generators, {}
     denominator = eq._denominator * lcm(*(c.denominator for g in gens for _, c in g.terms))
@@ -352,9 +351,9 @@ def kernel_at(system: DeterminingSystem, w, y_degree: int) -> list:
     """Kernel at the weight w of the generators y^a * m, a <= y_degree.
 
     ``system`` is the y-free system ``S`` over the jet monomials m.  The
-    result is ``nullspace`` of the system those generators would assemble
-    at w, over the columns ``m*(y_degree+1) + a`` of :func:`build_ansatz`'s
-    order.  Row block y^b of that system has ``C(a, b) * S^(a-b)(w)`` in
+    result is ``nullspace`` of the system the products would assemble at
+    w, over the columns ``m*(y_degree+1) + a`` that :func:`characteristic`
+    reads.  Row block y^b of that system has ``C(a, b) * S^(a-b)(w)`` in
     column y^a * m, so with ``S_p = S^(p)(w)/p!`` and ``x_a`` the y^a block
     times ``a!``, a kernel vector is a Jordan chain of ``S(lambda)`` at w:
     ``sum_p S_p x_(b+p) = 0`` for every b.  ``S_0`` is eliminated once per
@@ -390,7 +389,7 @@ def kernel_at(system: DeterminingSystem, w, y_degree: int) -> list:
 
 @dataclass(frozen=True)
 class SymmetryBasis:
-    """Solved symmetry space: basis elements and the dimension series."""
+    """Solved symmetry space: elements exp(w*y) * :func:`characteristic`, and dimensions."""
 
     equation: EvolutionEquation
     ansatz: AnsatzSpace
@@ -414,29 +413,29 @@ def solve_symmetries(
     w, y_degree)``.  ``dims`` is read off those kernels: with ``k`` kernel
     vectors at a weight, the order-<=q part has dimension ``k - rank`` of
     the kernel's coordinates on the generators of order above q, one
-    ``rref`` of the ``k x n`` transposed kernel per weight.  ``system`` is
-    the y-free system of the ansatz's jet monomials,
-    ``determining_system(ansatz.with_y_degree(0), eq)``, when the caller
-    has already assembled it; it is assembled here only when none is given.
+    ``rref`` of the ``k x n`` transposed kernel per weight; y^a * m has the
+    order of m.  ``system`` is the y-free system of the ansatz's jet
+    monomials, ``determining_system(ansatz, eq)``, when the caller has
+    already assembled it; it is assembled here only when none is given.
     """
     if system is None:
-        system = determining_system(ansatz.with_y_degree(0), eq)
-    gens = ansatz.generators
-    n = len(gens)
+        system = determining_system(ansatz, eq)
+    gens, y_degree = ansatz.generators, ansatz.y_degree
     # a kernel vector lies in the order-<=q subspace when its coordinates on
     # the higher-order generators vanish; with K^T's columns taken by
     # descending order those generators are a leading block of n - count_q
     # columns, whose rank is the number of pivots inside it
-    gen_orders = [g.order() for g in gens]
+    gen_orders = [g.order() for g in gens for _ in range(y_degree + 1)]
+    n = len(gen_orders)
     by_order = sorted(range(n), key=gen_orders.__getitem__, reverse=True)  # stable
     counts = [sum(1 for o in gen_orders if o <= q) for q in range(ansatz.q_max + 1)]
     elements, dims = [], [0] * len(counts)
     for w in ansatz.weights:
-        kernel = kernel_at(system, w, ansatz.y_degree)
+        kernel = kernel_at(system, w, y_degree)
         if not kernel:
             continue  # full column rank: no order-<=q block has a kernel either
         exp_w = ExpPolyExpr.exponential(Y, w)
-        elements.extend(exp_w * combine(vec, gens) for vec in kernel)
+        elements.extend(exp_w * characteristic(vec, gens, y_degree) for vec in kernel)
         kernel_t = [{c: v[j] for c, j in enumerate(by_order) if v[j]} for v in kernel]
         _, pivots = rref(RatMatrix._from_sparse(kernel_t, n))
         for q, count in enumerate(counts):
@@ -484,7 +483,7 @@ def lambda_candidates(
     assembled it.  The weights the ansatz declares play no part.
     """
     if system is None:
-        system = determining_system(ansatz.with_y_degree(0), eq)
+        system = determining_system(ansatz, eq)
     units, core = unit_core(system._cells, len(system.generators))
     ncols = len(system.generators) - units  # the core's columns
     pivots = poly_matrix_pivots(core)

@@ -119,10 +119,10 @@ def run_pipeline(cfg: RunConfig) -> Report:
         _stamp(report, started)
         return report
 
-    # the one enumeration and the one assembly of the run, of its y-free
-    # generators; every kernel is read off it as Jordan chains
+    # the one enumeration and the one assembly of the run, of its jet
+    # monomials; every kernel is read off it as Jordan chains
     caps = build_ansatz(cfg.order_cap, cfg.y_degree, cfg.jet_degree)
-    system = engine.determining_system(caps.with_y_degree(0), eq)
+    system = engine.determining_system(caps, eq)
     scan = None
     if cfg.lambda_mode == "none":
         weights = (ZERO,)

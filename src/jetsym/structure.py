@@ -27,6 +27,7 @@ from .engine import (
     LambdaScan,
     SymmetryBasis,
     build_ansatz,
+    characteristic,
     determining_system,
     is_symmetry,
     kernel_at,
@@ -443,8 +444,7 @@ def dependence_criterion_direct(
             witness = ExpPolyExpr.exponential(Y, w) * combine(kernel[0], system.generators)
             break
     if witness is None and y_degree >= 1:
-        linear = ansatz.with_y_degree(1).generators
-        elements = (combine(vec, linear) for vec in kernel_at(system, ZERO, 1))
+        elements = (characteristic(v, system.generators, 1) for v in kernel_at(system, ZERO, 1))
         witness = next((e for e in elements if e.depends_on(target)), None)
         method = "direct-linear"
     if witness is not None:

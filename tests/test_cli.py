@@ -468,6 +468,15 @@ class TestErrorCodes:
         code, data = run_json(tmp_path, ["--eq", "u_t = u_2", "--lambda", "0,x"])
         assert code == 2
 
+    @pytest.mark.parametrize("lam", ["", ",", "1,,2", "1,"])
+    def test_empty_lambda_entry_refused(self, tmp_path, lam):
+        # an empty entry names no weight; dropped, "" would run as --lambda
+        # none while the report said "lambda_mode": "explicit"
+        code, data = run_json(tmp_path, ["--eq", "u_t = u_2", "--lambda", lam])
+        assert code == 2
+        assert data["error"]["kind"] == "syntax"
+        assert "bad --lambda entry ''" in data["error"]["message"]
+
     def test_exponent_lambda_refused_at_once(self, tmp_path):
         # read as a numeral, 1e10000000 is a 10-million-digit integer
         code, data = run_json_subprocess(

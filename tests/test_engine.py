@@ -16,6 +16,7 @@ from jetsym.cli import main
 from jetsym.engine import (
     EvolutionEquation,
     build_ansatz,
+    characteristic,
     check_dimension_bounds,
     determining_system,
     is_symmetry,
@@ -155,7 +156,7 @@ class TestIntegerNumerators:
     @INTEGER_NUMERATORS
     @given(rational_equations(), st.sampled_from([F(0), F(1, 2), F(-5, 3), F(2)]))
     def test_assembly_equals_the_fraction_reference(self, eq, w):
-        system = determining_system(build_ansatz(2, 1, 2), eq)
+        system = y_multiples_system(build_ansatz(2, 1, 2), eq)
         assert all(type(c) is Fraction for row in system.rows for p in row for c in p.coeffs)
         # column j read back as an expression is exp(-w*y) times the defect
         # of exp(w*y) * generator j
@@ -215,7 +216,8 @@ class TestLieBracket:
 class TestBuildAnsatz:
     def test_affine_enumeration(self):
         a = build_ansatz(0, 1, 1, weights=(0,))
-        assert [g.render() for g in a.generators] == ["1", "y", "u", "y*u"]
+        assert [g.render() for g in a.generators] == ["1", "u"]
+        assert [g.render() for g in y_multiples(a)] == ["1", "y", "u", "y*u"]
 
     def test_first_order_enumeration(self):
         a = build_ansatz(1, 0, 1, weights=(0,))
@@ -224,6 +226,23 @@ class TestBuildAnsatz:
     def test_pure_exponential(self):
         a = build_ansatz(0, 0, 0, weights=(2,))
         assert [g.render() for g in weighted_generators(a)] == ["exp(2*y)"]
+
+    @pytest.mark.parametrize("q", range(5))
+    @pytest.mark.parametrize("jetdeg", range(4))
+    def test_generators_are_the_jet_monomials(self, q, jetdeg):
+        # every monic jet monomial of order <= q and degree <= jetdeg, once,
+        # at every y-degree: a y power is a column index, never a generator
+        count = comb(q + 1 + jetdeg, jetdeg)
+        for ydeg in range(4):
+            for weights in ((0,), (1, F(-1, 2), 0)):
+                a = build_ansatz(q, ydeg, jetdeg, weights=weights)
+                gens = a.generators
+                assert len(gens) == len(set(gens)) == count
+                for g in gens:
+                    (m,) = g.terms
+                    assert m.coeff == 1 and not m.expvec and not g.depends_on(Y)
+                    assert g.order() <= q and m.key[0] <= jetdeg
+                assert a.describe()["size"] == count * (ydeg + 1) * len(weights)
 
     def test_empty_weights_rejected(self):
         with pytest.raises(EmptyAnsatzError):
@@ -244,9 +263,8 @@ class TestDeterminingSystem:
         assert col not in s_0
 
     def test_single_constraint_from_y_u1(self):
-        a = build_ansatz(1, 1, 1)
-        system = determining_system(a, HEAT)
-        col = a.generators.index(E("y*u_1"))
+        system = y_multiples_system(build_ansatz(1, 1, 1), HEAT)
+        col = system.generators.index(E("y*u_1"))
         entries = [row[col].eval(0) for row in system.rows]
         nonzero = [x for x in entries if x != 0]
         assert nonzero == [F(-2)]
@@ -283,9 +301,21 @@ def row_labels(system):
     ]
 
 
+def y_multiples(ansatz):
+    """Every y^a * m of the ansatz's jet monomials m, a <= its y-degree, the
+    y power innermost, multiplied out: the columns of :func:`kernel_at`."""
+    powers = [ExpPolyExpr.monomial(F(1), {Y: a}) for a in range(ansatz.y_degree + 1)]
+    return tuple(m * p for m in ansatz.generators for p in powers)
+
+
+def y_multiples_system(ansatz, eq):
+    """The determining system of the products y^a * m themselves."""
+    return determining_system(replace(ansatz, generators=y_multiples(ansatz)), eq)
+
+
 def weighted_generators(ansatz):
-    """Every exp(w*y) * g of the ansatz, weights outermost."""
-    return [ExpPolyExpr.exponential(Y, w) * g for w in ansatz.weights for g in ansatz.generators]
+    """Every exp(w*y) * y^a * m of the ansatz, weights outermost."""
+    return [ExpPolyExpr.exponential(Y, w) * g for w in ansatz.weights for g in y_multiples(ansatz)]
 
 
 def reference_system(ansatz, eq):
@@ -346,7 +376,7 @@ class TestSubstitutionMatchesFixedAssembly:
     @pytest.mark.parametrize("ydeg", [0, 1, 2])
     @pytest.mark.parametrize("eq", SUBSTITUTION_EQUATIONS, ids=repr)
     def test_kernel_of_substitution(self, eq, ydeg):
-        system = determining_system(build_ansatz(3, ydeg, 2), eq)
+        system = y_multiples_system(build_ansatz(3, ydeg, 2), eq)
         for w in SUBSTITUTION_WEIGHTS:
             reference = reference_system(build_ansatz(3, ydeg, 2, weights=(w,)), eq)
             assert kernel_at(system, w, 0) == nullspace(reference)
@@ -354,7 +384,7 @@ class TestSubstitutionMatchesFixedAssembly:
     @pytest.mark.parametrize("ydeg", [0, 1, 2])
     @pytest.mark.parametrize("eq", SUBSTITUTION_EQUATIONS, ids=repr)
     def test_taylor_matches_dense_horner(self, eq, ydeg):
-        system = determining_system(build_ansatz(3, ydeg, 2), eq)
+        system = y_multiples_system(build_ansatz(3, ydeg, 2), eq)
         n = len(system.generators)
         count = max(len(cell.coeffs) for row in system.rows for cell in row)
         for w in SUBSTITUTION_WEIGHTS:
@@ -427,9 +457,31 @@ class TestChainKernel:
         # exp(y) and y*exp(y) are a chain of length 2, and no chain is longer
         eq = parse_equation("u_t = u_2 - 2*u_1 + u")
         system = determining_system(build_ansatz(0, 0, 1), eq)
-        gens = build_ansatz(0, ydeg, 1).generators
+        gens = y_multiples(build_ansatz(0, ydeg, 1))
         elements = [combine(v, gens).render() for v in kernel_at(system, 1, ydeg)]
         assert elements == ["1", "y"][: ydeg + 1]
+
+
+class TestCharacteristic:
+    """A kernel vector over the columns ``m*(y_degree+1) + a`` is read back as
+    an expression without building y^a * m; the reference combines the
+    multiplied-out products."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(0, 2), st.integers(0, 3), st.integers(0, 2), st.booleans(), st.data()
+    )
+    def test_equals_combine_of_the_y_multiples(self, q, ydeg, jetdeg, sums, data):
+        ansatz = build_ansatz(q, ydeg, jetdeg)
+        if sums:  # rational, several terms, and sharing monomials
+            gens = tuple(g.scale(F(2, 3)) + E("u_1^2 - 1/5") for g in ansatz.generators)
+            ansatz = replace(ansatz, generators=gens)
+        n = len(ansatz.generators) * (ydeg + 1)
+        entries = st.one_of(st.just(F(0)), SMALL_RATIONALS)
+        vec = data.draw(st.lists(entries, min_size=n, max_size=n))
+        element = characteristic(vec, ansatz.generators, ydeg)
+        assert element == combine(vec, y_multiples(ansatz))
+        assert only_fractions(element)
 
 
 ORDER_EQUATIONS = [HEAT, parse_equation("u_t = u_2 - 2*u_1 + u"), SUBSTITUTION_EQUATIONS[-1]]
@@ -538,7 +590,7 @@ class TestSolveSymmetries:
         ]
         for eq, ansatz in configs:
             basis = solve_symmetries(ansatz, eq)
-            gens = list(ansatz.generators)
+            gens = list(y_multiples(ansatz))
             k = len(gens)
             kernel_vectors = []
             for e in basis.elements:
