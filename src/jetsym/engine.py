@@ -11,8 +11,9 @@ denominator.  ``S(w)`` has full column rank at generic w (the top power of
 w in the defect of a kernel vector is ``-G_{u_d}`` times its top
 coefficient), so once its constant entries, units of Q[w], are
 eliminated, the last pivot of the core left, a maximal minor, locates
-every candidate weight; every kernel at a fixed w is read off the Taylor
-expansion of S there.  Since G is y-free, the y^a columns add nothing new:
+every candidate weight, and its radical ``P / gcd(P, P')`` is root-searched
+once; every kernel at a fixed w is read off the Taylor expansion of S
+there.  Since G is y-free, the y^a columns add nothing new:
 differentiating L(exp(w*y) m) = exp(w*y) L_w(m) in w gives the cell of
 row block y^b and column y^a * m as C(a, b) * S^(a-b)(w), so the kernel
 at w is the set of Jordan chains of S(lambda) at w, of length at most the
@@ -53,13 +54,13 @@ from .linalg import (
     _frac,
     _int_taylor,
     _kernel_basis,
+    _poly_exact_div,
     normalize_vector,
     nullspace,
     poly_matrix_pivots,
     rank_modulo,
     rational_roots,
     rref,
-    squarefree_factors,
     unit_core,
 )
 
@@ -472,13 +473,14 @@ def lambda_candidates(
     is the unit count plus that of the small core left.  ``S(w)`` has full
     column rank at generic w (see the module docstring), so the last pivot
     of the core's fraction-free elimination, a maximal minor, vanishes
-    wherever the rank drops.  Each of its squarefree factors is
-    root-searched once, and every rational root is verified on the whole
-    system by the kernel ``kernel_at(system, w, 0)``, kept on the system.  The
-    rational-root-free parts of those factors are verified against the
-    core's rank in the corresponding quotient ring and reported, never
-    silently dropped.  The scan runs on the y-free system of the ansatz's
-    jet monomials: a weight with a chain has an eigenvector, so the y powers
+    wherever the rank drops.  Its radical ``P / gcd(P, P')``, which has
+    each of its roots once, is root-searched once, and every rational root
+    is verified on the whole system by the kernel ``kernel_at(system, w,
+    0)``, kept on the system.  One :func:`rank_modulo` splits the radical's
+    rational-root-free residual into coprime parts of uniform core rank,
+    and the parts where that rank drops are reported, never silently
+    dropped.  The scan runs on the y-free system of the ansatz's jet
+    monomials: a weight with a chain has an eigenvector, so the y powers
     add no weight.  ``system`` is that system when the caller has already
     assembled it.  The weights the ansatz declares play no part.
     """
@@ -487,22 +489,15 @@ def lambda_candidates(
     units, core = unit_core(system._cells, len(system.generators))
     ncols = len(system.generators) - units  # the core's columns
     pivots = poly_matrix_pivots(core)
-    root_cands, residual_cands = set(), set()
-    for f in squarefree_factors(pivots[-1]) if pivots else ():
-        roots, residual = rational_roots(f)
-        root_cands.update(r for r, _ in roots)
-        if residual.degree >= 1:
-            residual_cands.add(residual)
-    candidates = [w for w in sorted(root_cands) if kernel_at(system, w, 0)]
-    verified_residuals = {
-        factor
-        for f in residual_cands
-        for factor, rank_mod in rank_modulo(core, f)
-        if rank_mod < ncols
-    }
+    last = pivots[-1] if pivots else UniPoly.one()  # the empty core's determinant
+    radical = _poly_exact_div(last, last.gcd(last.derivative())).monic()
+    roots, residual = rational_roots(radical)
+    parts = rank_modulo(core, residual) if residual.degree >= 1 else []
     return LambdaScan(
-        candidates=tuple(candidates),
-        residual_factors=tuple(sorted(verified_residuals, key=UniPoly.sort_key)),
+        candidates=tuple(w for w, _ in roots if kernel_at(system, w, 0)),
+        residual_factors=tuple(
+            sorted((f for f, rank in parts if rank < ncols), key=UniPoly.sort_key)
+        ),
         generic_nullity=ncols - len(pivots),
         pivots=tuple(pivots),
     )

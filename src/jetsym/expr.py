@@ -114,6 +114,7 @@ Y = _make(KIND_INDEP, 1, "y")
 _JETS = tuple(_make(KIND_JET, l, f"u_{l}" if l else "u") for l in range(_SPAN))
 U = _JETS[0]
 _NEXT_JET = dict(zip(_JETS, _JETS[1:]))  # u_l -> u_(l+1)
+_BY_NAME = {name: c for c, name in _NAMES.items()}
 
 
 def jet(l: int) -> Coord:
@@ -124,17 +125,8 @@ def jet(l: int) -> Coord:
 
 
 def coord_by_name(name: str):
-    if name == "t":
-        return T
-    if name == "y":
-        return Y
-    if name == "u":
-        return U
-    if name.startswith("u_"):
-        suffix = name[2:]
-        if suffix.isdigit() and 1 <= int(suffix) < _SPAN:
-            return jet(int(suffix))
-    return None
+    """The coordinate rendered exactly as ``name``, or None."""
+    return _BY_NAME.get(name)
 
 
 class Monomial(tuple):

@@ -559,24 +559,20 @@ MAX_ROOT_CANDIDATES = 10_000
 def rational_roots(p: UniPoly) -> tuple:
     """All rational roots with multiplicities, plus the rational-root-free residual.
 
-    Uses the primitive integer form and divisor enumeration of the leading
-    and trailing coefficients, so the search is complete for rational roots.
-    The residual is returned monic.  A leading or trailing coefficient
-    above ``10**12``, or more than ``MAX_ROOT_CANDIDATES`` candidates
-    ``+-p/q``, raises ``ScopeError`` instead of a search that would not
-    finish.
+    The root 0 comes off first, as one slice at the first nonzero
+    coefficient; the rest uses the primitive integer form and divisor
+    enumeration of its leading and trailing coefficients, so the search is
+    complete for rational roots.  The residual is returned monic, and is 1
+    when every root is rational.  A leading or trailing coefficient above
+    ``10**12``, or more than ``MAX_ROOT_CANDIDATES`` candidates ``+-p/q``,
+    raises ``ScopeError`` instead of a search that would not finish.
     """
     if p.is_zero():
         raise ZeroPolynomialError("root search on zero polynomial")
-    roots = []
-    work = p
     # powers of the variable come off first
-    zmult = 0
-    while not work.is_zero() and work.coeff(0) == 0 and work.degree > 0:
-        work = UniPoly._from_fractions(work.coeffs[1:])
-        zmult += 1
-    if zmult:
-        roots.append((ZERO, zmult))
+    zmult = next(k for k, c in enumerate(p.coeffs) if c)
+    work = UniPoly._from_fractions(p.coeffs[zmult:])
+    roots = [(ZERO, zmult)] if zmult else []
     if work.degree >= 1:
         den_lcm = math.lcm(*(c.denominator for c in work.coeffs))
         ints = [int(c * den_lcm) for c in work.coeffs]
@@ -613,10 +609,7 @@ def rational_roots(p: UniPoly) -> tuple:
             if mult:
                 roots.append((cand, mult))
     roots.sort(key=lambda rm: rm[0])
-    residual = work.monic() if not work.is_zero() else UniPoly.one()
-    if residual.degree < 1:
-        residual = UniPoly.one()
-    return roots, residual
+    return roots, work.monic()  # a nonzero constant's is 1
 
 
 def generalized_eigenspace(m: RatMatrix, lam) -> list:
@@ -939,19 +932,3 @@ def rank_modulo(rows: Sequence[Sequence[list]], modulus: UniPoly) -> list:
         g = split.factor
         return rank_modulo(rows, g) + rank_modulo(rows, _poly_exact_div(modulus, g))
 
-
-def squarefree_factors(p: UniPoly) -> list:
-    """Distinct squarefree factors of ``p`` (monic, nonconstant)."""
-    if p.degree < 1:
-        return []
-    work = p.monic()
-    out = []
-    while work.degree >= 1:
-        g = work.gcd(work.derivative())
-        sqfree = _poly_exact_div(work, g).monic() if g.degree >= 1 else work
-        if sqfree.degree >= 1 and sqfree not in out:
-            out.append(sqfree)
-        if g.degree < 1:
-            break
-        work = g
-    return out

@@ -43,6 +43,10 @@ from .errors import ParseError, ScopeError
 from .expr import _ONE_KEY, ExpPolyExpr, T, _add_pairs, _cleared, _divided, coord_by_name
 
 _OPS = "+-*^()="
+# ASCII only: str.isdigit() and int() also take superscript and Arabic-Indic digits
+_DIGITS = "0123456789"
+_NAME_START = "_abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+_NAME_CHARS = _NAME_START + _DIGITS
 
 MAX_EXPONENT = 64
 MAX_POWER_TERMS = 5000
@@ -123,15 +127,15 @@ def _tokens(text: str) -> list:
             tokens.append(("op", ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             num = _numeral(text, i, j)
             den = 1
-            if j < n and text[j] == "/" and j + 1 < n and text[j + 1].isdigit():
+            if j < n and text[j] == "/" and j + 1 < n and text[j + 1] in _DIGITS:
                 k = j + 1
-                while k < n and text[k].isdigit():
+                while k < n and text[k] in _DIGITS:
                     k += 1
                 den = _numeral(text, j + 1, k)
                 if den == 0:
@@ -140,9 +144,9 @@ def _tokens(text: str) -> list:
             tokens.append(("num", Fraction(num, den), i))
             i = j
             continue
-        if ch.isalpha() or ch == "_":
+        if ch in _NAME_START:
             j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
+            while j < n and text[j] in _NAME_CHARS:
                 j += 1
             tokens.append(("name", text[i:j], i))
             i = j
@@ -249,8 +253,9 @@ class _Parser:
                 inner = self.expr()
                 self.expect_op(")")
                 return self._exp_factor(inner, at)
-            order = value[2:]
-            if value.startswith("u_") and order.isdigit() and int(order) > 9:
+            # u_10, u_11, ...: names are ASCII, so isdigit() reads only 0-9
+            order = value[2:] if value.startswith("u_") else ""
+            if len(order) > 1 and order.isdigit() and order[0] != "0":
                 raise ParseError(
                     f"jet order out of range in {value!r}",
                     position=at,

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import jetsym
 from jetsym import engine, report, structure
@@ -119,24 +120,42 @@ class TestWeightScanOnce:
 
 
 class TestRootSearchOnce:
-    def test_one_search_per_factor_of_the_last_pivot(self, tmp_path, monkeypatch):
-        # all 15 scan pivots are constants times lambda^k*(lambda^2 - c); only
-        # the last one is searched, and its squarefree factors are
-        # lambda^3 - c*lambda and lambda
-        calls = []
-        original = engine.rational_roots
+    @pytest.mark.parametrize(
+        "rhs, exit_code, radical",
+        [
+            # all 15 scan pivots are constants times lambda^k*(lambda^2 - c)
+            ("u_2 - 720720/2399627*u", 5, "lambda^3 - 720720/2399627*lambda"),
+            ("u_2 - u", 0, "lambda^3 - lambda"),
+            ("u_2", 0, "lambda"),
+            ("u_4 + 3*u_2 + 2*u", 5, "lambda^5 + 3*lambda^3 + 2*lambda"),
+        ],
+    )
+    def test_one_search_of_the_radical_of_the_last_pivot(
+        self, tmp_path, monkeypatch, rhs, exit_code, radical
+    ):
+        # the last pivot P carries lambda^4 or more; only its radical
+        # P/gcd(P, P') is searched, once per scan
+        calls, scans = [], []
+        search, scan = engine.rational_roots, engine.lambda_candidates
 
-        def counting(p):
+        def counting_search(p):
             calls.append(p)
-            return original(p)
+            return search(p)
 
-        monkeypatch.setattr(engine, "rational_roots", counting)
-        code, data = run_json(
-            tmp_path, ["--eq", "u_t = u_2 - 720720/2399627*u", "--mode", "criterion"]
-        )
-        assert code == 5
-        assert data["error"]["factors"] == ["lambda^2 - 720720/2399627"]
-        assert [str(p) for p in calls] == ["lambda^3 - 720720/2399627*lambda", "lambda"]
+        def recording_scan(*args):
+            scans.append(scan(*args))
+            return scans[-1]
+
+        monkeypatch.setattr(engine, "rational_roots", counting_search)
+        monkeypatch.setattr(engine, "lambda_candidates", recording_scan)
+        monkeypatch.setattr(structure, "lambda_candidates", recording_scan)
+        code, data = run_json(tmp_path, ["--eq", f"u_t = {rhs}", "--mode", "criterion"])
+        assert code == exit_code
+        assert len(scans) == 1
+        last = scans[0].pivots[-1]
+        assert last.degree >= 4
+        assert calls == [last.divmod(last.gcd(last.derivative()))[0].monic()]
+        assert str(calls[0]) == radical
 
 
 class TestOneAssembly:
@@ -315,6 +334,27 @@ class TestErrorCodes:
         code, data = run_json(tmp_path, ["--eq", "u_t = u_2"] + extra)
         assert code == 3
         assert data["error"]["kind"] == "scope"
+
+    @pytest.mark.parametrize(
+        "extra, exit_code",
+        [
+            (["--eq", "u_t = u_\u00b2"], 2),
+            (["--eq", "u_t = u_2 + \u00b2*u"], 2),
+            (["--eq", "u_t = u_\u0663"], 2),
+            (["--eq", "u_t = \u0663*u_2"], 2),
+            (["--eq", "u_t = u_01"], 2),
+            (["--eq", "u_t = u_2 + u_" + "1" * 5000], 2),
+            (["--check", "u_" + "1" * 5000], 2),
+            (["--check", "u_002"], 2),
+            (["--target", "u_" + "1" * 5000], 3),
+            (["--target", "u_\u00b2"], 3),
+        ],
+    )
+    def test_non_ascii_digits_and_long_jet_names(self, tmp_path, extra, exit_code):
+        # each used to raise ValueError from int(), or to read u_01 as u_1
+        code, data = run_json(tmp_path, ["--eq", "u_t = u_2"] + extra)
+        assert code == exit_code
+        assert data["error"]["exit_code"] == exit_code
 
     @pytest.mark.parametrize("mode", ["structure", "criterion"])
     def test_scope_error_target_t(self, tmp_path, mode):
@@ -545,3 +585,40 @@ class TestErrorCodes:
         data = json.loads(path.read_text(encoding="utf-8"))
         assert set(data) == {"schema", "error"}
         assert data["error"]["exit_code"] == 2
+
+
+# operators, ASCII digits and coordinates, with superscript and Arabic-Indic
+# digits and non-ASCII letters among them
+CLI_TEXT = st.lists(
+    st.sampled_from(
+        ("+", "-", "*", "^", "/", ",", "(", ")", " ", "0", "1", "2", "9", "u_", "u",
+         "y", "t", "exp(", "\u00b2", "\u0663", "\u00e9", "\u03bb")
+    ),
+    max_size=10,
+).map("".join)
+SMALL_CAPS = ["--order", "1", "--jetdeg", "1", "--ydeg", "1"]
+
+
+class TestNeverRaises:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            lambda text: ["--eq", "u_t = " + text],
+            lambda text: ["--eq", "u_t = u_2", "--check=" + text],
+            lambda text: ["--eq", "u_t = u_2", "--mode", "criterion", "--lambda=" + text],
+            lambda text: ["--eq", "u_t = u_2", "--mode", "criterion", "--target=" + text],
+        ],
+        ids=["eq", "check", "lambda", "target"],
+    )
+    @settings(
+        max_examples=60, deadline=None, derandomize=True, database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(text=CLI_TEXT)
+    def test_one_document_and_a_known_exit_code(self, tmp_path, argv, text):
+        path = tmp_path / "out.json"
+        path.unlink(missing_ok=True)
+        code = main(argv(text) + SMALL_CAPS + ["--json", str(path)])
+        assert code in range(6)
+        data = json.loads(path.read_text(encoding="utf-8"))
+        assert ("error" in data) == (code != 0)

@@ -39,7 +39,6 @@ from jetsym.linalg import (
     rational_roots,
     rref,
     solve as lin_solve,
-    squarefree_factors,
     unit_core,
 )
 from jetsym.parser import parse_equation, parse_expression
@@ -695,10 +694,34 @@ class TestLambdaCandidates:
         scan = lambda_candidates(build_ansatz(0, 0, 0), KDV)
         assert (scan.candidates, scan.pivots, scan.generic_nullity) == ((), (), 0)
 
+    def test_each_irrational_root_in_one_residual_factor(self):
+        # the last pivot carries (lambda^2 + 1)^2 (lambda^2 + 2): its radical's
+        # residual has a uniform core rank, so it is one factor, and the
+        # repeated lambda^2 + 1 is not listed on its own as well
+        eq = parse_equation("u_t = u_6 + 4*u_4 + 5*u_2 + 2*u")
+        scan = lambda_candidates(build_ansatz(3, 0, 2), eq)
+        last = scan.pivots[-1]
+        assert last.divmod(UniPoly([1, 0, 1]) * UniPoly([1, 0, 1]))[1].is_zero()
+        assert scan.candidates == (0,)
+        assert scan.residual_factors == (UniPoly([2, 0, 3, 0, 1]),)
+
 
 def is_constant(p):
     """Whether ``p`` has degree at most 0, the zero polynomial included."""
     return len(p.coeffs) <= 1
+
+
+def squarefree_factors(p):
+    """The distinct radicals of ``p``, ``gcd(p, p')``, the gcd of that and its
+    derivative, and so on: monic, squarefree and nonconstant."""
+    out, work = [], p.monic()
+    while work.degree >= 1:
+        g = work.gcd(work.derivative())
+        radical = work.divmod(g)[0].monic()
+        if radical not in out:
+            out.append(radical)
+        work = g
+    return out
 
 
 def reference_lambda_scan(system):

@@ -34,7 +34,6 @@ from jetsym.linalg import (
     rref,
     solve,
     solve_columns,
-    squarefree_factors,
     unit_core,
 )
 from jetsym.parser import parse_equation
@@ -947,11 +946,6 @@ class TestUniPolyBasics:
         a = UniPoly([-1, 0, 1])  # (x-1)(x+1)
         b = UniPoly([1, 2, 1])  # (x+1)^2
         assert a.gcd(b) == UniPoly([1, 1])
-
-    def test_squarefree_factors(self):
-        p = UniPoly([1, 2, 1]) * UniPoly([1, 0, 1])
-        factors = squarefree_factors(p)
-        assert UniPoly([1, 1]) in factors
 
     @PROPERTY
     @given(

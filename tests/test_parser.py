@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jetsym.errors import ParseError, ScopeError
-from jetsym.expr import ExpPolyExpr, U, Y, jet
+from jetsym.expr import ExpPolyExpr, U, Y, coord_by_name, jet
 from jetsym.parser import (
     MAX_COEFFICIENT_BITS,
     MAX_EXPONENT,
@@ -110,7 +110,8 @@ class TestExpressions:
             parse_expression("u_12")
         with pytest.raises(ParseError):
             parse_expression("u_0")
-        for text in ("u_63", "u_64", "u_100"):
+        # int() would refuse the 5000 digits: the name is refused by its text
+        for text in ("u_63", "u_64", "u_100", "u_" + "1" * 5000):
             with pytest.raises(ParseError, match="jet order out of range"):
                 parse_expression(text)
 
@@ -118,6 +119,20 @@ class TestExpressions:
         with pytest.raises(ParseError) as info:
             parse_expression("u + w")
         assert info.value.position == 4
+
+    @pytest.mark.parametrize("text", ["u_01", "u_002"])
+    def test_coordinate_names_are_exact(self, text):
+        # the name of u_1 is "u_1" alone: no leading zeros
+        with pytest.raises(ParseError, match="unknown name"):
+            parse_expression(text)
+        assert coord_by_name(text) is None
+
+    @pytest.mark.parametrize("text", ["u_\u00b2", "\u00b2*u", "u_\u0663", "\u0663*u_2", "\u00e9*u"])
+    def test_digits_and_names_are_ascii(self, text):
+        # superscript and Arabic-Indic digits and non-ASCII letters are no
+        # token; int() would read the "\u0663" of u_\u0663 as 3
+        with pytest.raises(ParseError, match="unexpected character"):
+            parse_expression(text)
 
     def test_zero_denominator(self):
         with pytest.raises(ParseError):
