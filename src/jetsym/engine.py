@@ -34,14 +34,12 @@ from .expr import (
     T,
     Y,
     ExpPolyExpr,
-    _accumulate,
     _bump,
     _cleared,
-    _contract_pairs,
+    _codec,
     _divided,
+    _largest_power,
     _merged,
-    _partial_pairs,
-    _y_chain,
     all_jet_monomials,
     combine,
     jet,
@@ -73,12 +71,15 @@ class EvolutionEquation:
     keeps ``D_G``, the total y-derivatives of ``D_G * G`` and, in
     ``_shifted_frechet[e]``, the part of ``lambda^e`` of the linearization
     ``sum_j a_j (D_y + lambda)^j`` of ``-D_G * G``: ``sum_i C(i+e, i) a_(i+e)
-    D_y^i``, each computed once; ``rhs`` is G.
+    D_y^i``, each computed once and packed once per field width
+    (:meth:`_packing`); ``rhs`` is G.
     """
 
-    __slots__ = ("rhs", "order", "_denominator", "_shifted_frechet", "_scaled_derivatives")
+    __slots__ = ("rhs", "order", "_denominator", "_shifted_frechet", "_scaled_derivatives", "_packings")
 
     def __init__(self, rhs: ExpPolyExpr):
+        if any(m.expvec for m in rhs.terms):  # the packed defects rely on it
+            raise ScopeError("exponential right-hand sides are not supported")
         for c in (T, Y):
             if rhs.depends_on(c):
                 raise ScopeError(
@@ -95,6 +96,7 @@ class EvolutionEquation:
             [[(k, comb(i + e, i) * c) for k, c in a[i + e]] for i in range(d + 1 - e)] for e in range(d + 1)
         )
         self._scaled_derivatives = (scaled,)
+        self._packings = {}  # codec -> (derivatives, shifted linearization), packed
 
     def _scaled_rhs_derivatives(self, n: int) -> tuple:
         """D_y^j (D_G * G) for j = 0..n, on ints, each computed once per equation."""
@@ -107,6 +109,23 @@ class EvolutionEquation:
                 grown.append(grown[-1].total_derive_y())
             self._scaled_derivatives = ders = tuple(grown)
         return ders[: n + 1]
+
+    def _packing(self, etas, n: int) -> tuple:
+        """``(codec, ders, frechet)`` for the defects of ``etas``, all of order
+        at most n.  The codec's fields hold the largest power in ``etas``, plus
+        the largest in ``D_y^l (D_G * G)`` for l <= n, plus the chain length d;
+        ``ders`` holds those derivatives and ``frechet`` the
+        ``_shifted_frechet``, both packed once per codec."""
+        ders = self._scaled_rhs_derivatives(max(n, 0))
+        largest = max(_largest_power(g.terms) for g in ders)
+        codec = _codec(max((_largest_power(e.terms) for e in etas), default=0) + largest + self.order)
+        packed = self._packings.get(codec)
+        if packed is None or len(packed[0]) < len(ders):
+            packed = self._packings[codec] = (
+                [codec.groups(g.terms).get((), []) for g in ders],  # G has no exponentials
+                [[codec.groups(a).get((), []) for a in ops] for ops in self._shifted_frechet],
+            )
+        return (codec,) + packed
 
     def __eq__(self, other):
         return isinstance(other, EvolutionEquation) and self.rhs == other.rhs
@@ -123,22 +142,26 @@ def symmetry_defect(eta: ExpPolyExpr, eq: EvolutionEquation) -> ExpPolyExpr:
     ``D_eta * eta`` and ``D_G * G``, both with ``int`` coefficients, and
     divided by ``D_eta * D_G`` once.
     """
-    d, acc = _defect_pairs(eta, eq)[:2]  # the chain is freed before the sort
-    return _divided(sorted(kc for kc in acc.items() if kc[1]), d)
+    packing = eq._packing((eta,), eta.order())
+    d, groups = _defect_pairs(eta, eq, packing)[:2]  # the chains are freed before the sort
+    return _divided(packing[0].unpacked(groups), d)
 
 
-def _defect_pairs(eta: ExpPolyExpr, eq: EvolutionEquation) -> tuple:
-    """``(d, acc, chain)``: ``d`` times the defect as an unsorted ``{key: int}``
-    dict (cancelled keys keep a zero) of the pairs of ``d eta/d u_l * D_y^l G``
-    and ``(-d G/d u_j) * D_y^j eta``, and the ``D_y^j (d * eta)``, j <= order."""
+def _defect_pairs(eta: ExpPolyExpr, eq: EvolutionEquation, packing: tuple) -> tuple:
+    """``(d, groups, chains)`` on the codec of ``packing``, per exponential
+    part of eta: in ``groups``, ``d`` times the defect as an unsorted ``{key:
+    int}`` dict (cancelled keys keep a zero) of the products ``d eta/d u_l *
+    D_y^l G`` and ``(-d G/d u_j) * D_y^j eta``, and in ``chains`` the
+    ``D_y^j (d * eta)``, j <= order, all packed."""
+    codec, ders, frechet = packing
     d, scaled = _cleared(eta)
-    terms = scaled.terms
-    ders = eq._scaled_rhs_derivatives(scaled.order())
-    partials = [_partial_pairs(terms, jet(l)) for l in range(len(ders))]
-    acc = _accumulate({}, _contract_pairs(partials, [g.terms for g in ders]))
-    chain = _y_chain(terms, eq.order, ())
-    _accumulate(acc, _contract_pairs(eq._shifted_frechet[0], chain))
-    return d * eq._denominator, acc, chain
+    n = scaled.order()
+    groups, chains = {}, {}
+    for ev, terms in codec.groups(scaled.terms).items():
+        acc = codec.contract({}, ders, [codec.partial(terms, ev, jet(l)) for l in range(n + 1)])
+        chains[ev] = chain = codec.chain(terms, ev, eq.order)
+        groups[ev] = codec.contract(acc, frechet[0], chain)
+    return d * eq._denominator, groups, chains
 
 
 def is_symmetry(eta: ExpPolyExpr, eq: EvolutionEquation) -> bool:
@@ -276,26 +299,33 @@ def determining_system(ansatz: AnsatzSpace, eq: EvolutionEquation) -> Determinin
     ``_shifted_frechet[e]`` applied to g, one accumulator per power e over
     the one chain ``D_y^i g``, each read unsorted.  Column g is over ``d *
     D_G``, ``d`` the lcm of g's denominators, scaled up to the lcm of these
-    (``D_G`` for monic generators).  Any generators will do; a run assembles
-    its jet monomials, and :func:`kernel_at` reads every y-degree off it.
+    (``D_G`` for monic generators).  The system has one packing: every row
+    key stays packed until all columns are in, and is unpacked and sorted
+    once.  Any generators will do; a run assembles its jet monomials, and
+    :func:`kernel_at` reads every y-degree off it.
     """
     gens, by_key = ansatz.generators, {}
     denominator = eq._denominator * lcm(*(c.denominator for g in gens for _, c in g.terms))
+    packing = eq._packing(gens, max((g.order() for g in gens), default=-1))  # one codec
+    codec, frechet = packing[0], packing[2]
     for col, g in enumerate(gens):
-        d, acc, chain = _defect_pairs(g, eq)
+        d, groups, chains = _defect_pairs(g, eq, packing)
         up = denominator // d
-        cells = {key: [c * up] for key, c in acc.items() if c}
-        for e, ops in enumerate(eq._shifted_frechet[1:], 1):
-            for key, c in _accumulate({}, _contract_pairs(ops, chain)).items():
-                if c:
-                    cell = cells.setdefault(key, [])
-                    cell += [0] * (e - len(cell)) + [c * up]
-        for key, cell in cells.items():
-            by_key.setdefault(key, []).append((col, cell))
-    keys = sorted(by_key)
-    # columns ascend within a row: the cells were found column by column
-    cells = tuple(tuple(by_key[key]) for key in keys)
-    return DeterminingSystem(gens, tuple(key[1:] for key in keys), cells, denominator)
+        for ev, acc in groups.items():
+            cells = {key: [c * up] for key, c in acc.items() if c}
+            for e, ops in enumerate(frechet[1:], 1):
+                for key, c in codec.contract({}, ops, chains[ev]).items():
+                    if c:
+                        cell = cells.setdefault(key, [])
+                        cell += [0] * (e - len(cell)) + [c * up]
+            rows = by_key.setdefault(ev, {})
+            for key, cell in cells.items():
+                rows.setdefault(key, []).append((col, cell))
+    # one unpacking and sort of the row keys; columns ascend within a row,
+    # as the cells were found column by column
+    keyed = codec.unpacked(by_key)
+    cells = tuple(tuple(columns) for _, columns in keyed)
+    return DeterminingSystem(gens, tuple(key[1:] for key, _ in keyed), cells, denominator)
 
 
 class _WeightState:

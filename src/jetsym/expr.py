@@ -19,13 +19,17 @@ monomial is the tuple ``(key, coeff)`` with the shape key
 ``(jet_degree, powers, expvec)`` of sparse ``(coord, value)`` pairs sorted
 by coordinate, so terms hash and compare as plain tuples of integers.  The
 key merges like terms and is the term order: an operation adds its pairs
-into one dict and sorts only its result, once (a defect's ``D_y`` chain
-stays unsorted merged pairs).  The pairs stay sparse because a dense
-exponent vector would sort ``u_1`` before ``y*u_1``, changing the order.
+into one dict and sorts only its result, once.  The pairs stay sparse
+because a dense exponent vector would sort ``u_1`` before ``y*u_1``,
+changing the order.  Inside the derivative kernel, and only there, a
+term's powers are packed into one ``int`` of fixed-width fields
+(:class:`_Codec`, whose ``chain`` is the one ``D_y`` chain): products,
+partial and total derivatives are integer additions on it, and only the
+nonzero results are unpacked into shape keys and sorted.
 
 Coefficients are cleared of their denominators where the arithmetic is
-heavy.  The kernel (``_accumulate``, ``_merged``, ``_y_chain`` and the
-``_*_pairs`` generators) uses only ``*``, ``+`` and truthiness on
+heavy.  The kernel (``_accumulate``, ``_merged``, ``_product_pairs`` and
+:class:`_Codec`) uses only ``*``, ``+`` and truthiness on
 coefficients, so it runs unchanged on ``int`` numerators: the symmetry
 defect and the power expansion in ``parser`` (one key product per
 multiset of base terms, summed in one dict) take ``(d, d*e)`` from
@@ -113,7 +117,6 @@ T = _make(KIND_INDEP, 0, "t")
 Y = _make(KIND_INDEP, 1, "y")
 _JETS = tuple(_make(KIND_JET, l, f"u_{l}" if l else "u") for l in range(_SPAN))
 U = _JETS[0]
-_NEXT_JET = dict(zip(_JETS, _JETS[1:]))  # u_l -> u_(l+1)
 _BY_NAME = {name: c for c, name in _NAMES.items()}
 
 
@@ -187,13 +190,16 @@ def _accumulate(acc: dict, pairs: Iterable) -> dict:
     return acc
 
 
+def _expr(pairs: Iterable) -> "ExpPolyExpr":
+    """The expression of sorted, merged, nonzero ``(key, coeff)`` pairs."""
+    e = object.__new__(ExpPolyExpr)
+    e.terms = tuple(_new_monomial(Monomial, kc) for kc in pairs)
+    return e
+
+
 def _merged(pairs: Iterable) -> "ExpPolyExpr":
     """The sum of ``(key, coeff)`` pairs: like keys merged once, then sorted once."""
-    e = object.__new__(ExpPolyExpr)
-    e.terms = tuple(
-        _new_monomial(Monomial, kc) for kc in sorted(_accumulate({}, pairs).items()) if kc[1]
-    )
-    return e
+    return _expr(kc for kc in sorted(_accumulate({}, pairs).items()) if kc[1])
 
 
 def _cleared(e: "ExpPolyExpr") -> tuple:
@@ -210,9 +216,7 @@ def _cleared(e: "ExpPolyExpr") -> tuple:
 def _divided(pairs: Iterable, d: int) -> "ExpPolyExpr":
     """The sorted nonzero ``(key, coeff)`` pairs divided by ``d``, as an expression
     with ``Fraction`` coefficients: the way back from :func:`_cleared`."""
-    out = object.__new__(ExpPolyExpr)
-    out.terms = tuple(_new_monomial(Monomial, (k, Fraction(c, d))) for k, c in pairs)
-    return out
+    return _expr((k, Fraction(c, d)) for k, c in pairs)
 
 
 def _bump(pairs: tuple, c: Coord, delta) -> tuple:
@@ -247,19 +251,6 @@ def _add_pairs(x: tuple, y: tuple) -> tuple:
     return tuple(sorted(acc.items()))
 
 
-def _lower(pairs: tuple, i: int, up=None) -> tuple:
-    """Pairs with the power at position ``i`` lowered by one and, when given,
-    the power of ``up`` (the next coordinate after it) raised by one."""
-    c, p = pairs[i]
-    rest = pairs[i + 1 :]
-    if up is not None:
-        if rest and rest[0][0] == up:
-            rest = ((up, rest[0][1] + 1),) + rest[1:]
-        else:
-            rest = ((up, 1),) + rest
-    return pairs[:i] + ((c, p - 1),) + rest if p > 1 else pairs[:i] + rest
-
-
 def _product_pairs(xs: tuple, ys: tuple):
     """``(key, coeff)`` pairs of the product of two term tuples, unmerged."""
     for (xd, xp, xe), xc in xs:
@@ -267,54 +258,118 @@ def _product_pairs(xs: tuple, ys: tuple):
             yield (xd + yd, _add_pairs(xp, yp), _add_pairs(xe, ye)), xc * yc
 
 
-def _partial_pairs(terms: tuple, c: Coord):
-    """Pairs of d/dc: the power rule, then the exponential rule."""
-    drop = 1 if c >= U else 0
-    for key, coeff in terms:
-        jd, powers, expvec = key
-        for i, (cc, p) in enumerate(powers):
-            if cc == c:
-                yield (jd - drop, _lower(powers, i), expvec), coeff * p
-                break
-        for cc, w in expvec:
-            if cc == c:
-                yield key, coeff * w
-                break
+def _largest_power(terms) -> int:
+    """The largest power in a sequence of terms, 0 for none."""
+    return max((p for (_, powers, _), _ in terms for _, p in powers), default=0)
 
 
-def _total_derive_y_pairs(terms: tuple):
-    """Pairs of D_y = d/dy + sum_l u_(l+1) d/d u_l, unmerged."""
-    for key, coeff in terms:
-        jd, powers, expvec = key
-        for i, (c, p) in enumerate(powers):
-            if c == Y:
-                yield (jd, _lower(powers, i), expvec), coeff * p
-            elif c >= U:
-                yield (jd, _lower(powers, i, _NEXT_JET[c]), expvec), coeff * p
-        for c, w in expvec:
-            if c == Y:
-                yield key, coeff * w
-            elif c == U:
-                yield (jd + 1, _bump(powers, _JETS[1], 1), expvec), coeff * w
+_FIELDS = (T, Y) + _JETS  # field f of a packed key holds the power of _FIELDS[f]
+_FIELD = {c: f for f, c in enumerate(_FIELDS)}
+_CODECS = {}  # field width -> its one _Codec
 
 
-def _y_chain(terms, n: int, shift) -> list:
-    """``(D_y + shift)^j`` of a term or pair sequence for j = 0..n, ``shift``
-    a constant one; each step is merged once into nonzero pairs, unsorted."""
-    chain = [terms]
-    for _ in range(n):
-        prev = chain[-1]
-        acc = _accumulate({}, _total_derive_y_pairs(prev))
-        if shift:
-            _accumulate(acc, _product_pairs(shift, prev))
-        chain.append([kc for kc in acc.items() if kc[1]])
-    return chain
+def _codec(bound: int) -> "_Codec":
+    """The codec whose fields hold every power up to ``bound``: as many bits
+    as ``bound`` has, plus a guard bit."""
+    width = bound.bit_length() + 1
+    return _CODECS.get(width) or _CODECS.setdefault(width, _Codec(width))
 
 
-def _contract_pairs(coefficients, derivatives):
-    """Unmerged pairs of ``sum_j a_j * derivatives[j]``, all sequences of pairs."""
-    for a, d in zip(coefficients, derivatives):
-        yield from _product_pairs(a, d)
+class _Codec:
+    """The packed kernel: a term's powers as one ``int`` key of W-bit fields.
+
+    Field f, bits ``f*W`` up to ``(f+1)*W``, holds the power of
+    ``_FIELDS[f]`` (t, y, u, u_1, ...).  A product of terms adds their keys,
+    ``d/dz`` subtracts the unit of z's field and a ``D_y`` step moves a unit
+    from a jet's field to the next one's (from y's, it only subtracts).
+    Neither derivative changes a term's exponential part, so terms are
+    grouped by it, ``{expvec: [(key, coeff)]}``, and only powers are packed.
+    """
+
+    __slots__ = ("width", "mask", "units", "steps")
+
+    def __init__(self, width: int):
+        self.width, self.mask = width, (1 << width) - 1
+        self.units = units = tuple(1 << (width * f) for f in range(len(_FIELDS) + 1))
+        # D_y moves a unit from field f to field f + 1, and from y (field 1) away
+        self.steps = (0, -units[1]) + tuple(units[f + 1] - units[f] for f in range(2, len(_FIELDS)))
+
+    def groups(self, terms) -> dict:
+        """``{expvec: [(packed key, coeff)]}`` of terms."""
+        units, out = self.units, {}
+        for (_, pw, ev), a in terms:
+            out.setdefault(ev, []).append((sum(p * units[_FIELD[c]] for c, p in pw), a))
+        return out
+
+    def chain(self, terms: list, expvec: tuple, n: int, shift=0) -> list:
+        """``(D_y + shift)^j`` of packed terms with exponential part ``expvec``
+        for j = 0..n, ``shift`` a constant; each step is merged once into
+        nonzero pairs, unsorted.  ``exp(w*y)`` adds w to the shift and
+        ``exp(mu*u)`` contributes ``mu * u_1``."""
+        weights = dict(expvec)
+        wy, wu = weights.get(Y, 0) + shift, weights.get(U, 0)
+        width, mask, steps, u_1 = self.width, self.mask, self.steps, self.units[_FIELD[_JETS[1]]]
+        chain = [terms]
+        for _ in range(n):
+            acc = {}
+            get = acc.get
+            for k, c in chain[-1]:
+                r, f = k >> width, 1  # t, field 0, is a constant under D_y
+                while r:
+                    p = r & mask
+                    if p:
+                        key = k + steps[f]
+                        acc[key] = get(key, 0) + c * p
+                    r >>= width
+                    f += 1
+                if wy:
+                    acc[k] = get(k, 0) + c * wy
+                if wu:
+                    key = k + u_1
+                    acc[key] = get(key, 0) + c * wu
+            chain.append([kc for kc in acc.items() if kc[1]])
+        return chain
+
+    def partial(self, terms: list, expvec: tuple, c: Coord) -> list:
+        """``d/dc`` of packed terms with exponential part ``expvec``, unmerged:
+        the power rule, then the exponential rule."""
+        f = _FIELD[c]
+        shift, mask, unit, w = self.width * f, self.mask, self.units[f], dict(expvec).get(c)
+        out = [(k - unit, a * p) for k, a in terms if (p := k >> shift & mask)]
+        return out + [(k, a * w) for k, a in terms] if w else out
+
+    @staticmethod
+    def contract(acc: dict, coefficients, derivatives) -> dict:
+        """Add ``sum_j coefficients[j] * derivatives[j]`` of packed pairs into
+        ``acc``, the dict of their exponential parts' sum; cancelled keys keep a 0."""
+        get = acc.get
+        for a, d in zip(coefficients, derivatives):
+            for ka, ca in a:
+                for kd, cd in d:
+                    key = ka + kd
+                    acc[key] = get(key, 0) + ca * cd
+        return acc
+
+    def unpacked(self, groups: dict) -> list:
+        """The ``(key, value)`` pairs of ``{expvec: {packed key: value}}`` with a
+        true value, as canonical shape keys, sorted."""
+        width, mask = self.width, self.mask
+        out = []
+        for ev, acc in groups.items():
+            for k, c in acc.items():
+                if c:
+                    powers, jd, f = [], 0, 0
+                    while k:
+                        p = k & mask
+                        if p:
+                            powers.append((_FIELDS[f], p))
+                            if f > 1:
+                                jd += p
+                        k >>= width
+                        f += 1
+                    out.append(((jd, tuple(powers), ev), c))
+        out.sort()
+        return out
 
 
 class ExpPolyExpr:
@@ -334,7 +389,7 @@ class ExpPolyExpr:
     @classmethod
     def constant(cls, c) -> "ExpPolyExpr":
         c = _frac(c)
-        return cls([Monomial(c, {}, {})]) if c else cls()
+        return _expr(((_ONE_KEY, c),) if c else ())
 
     @classmethod
     def one(cls) -> "ExpPolyExpr":
@@ -342,7 +397,7 @@ class ExpPolyExpr:
 
     @classmethod
     def coordinate(cls, c: Coord) -> "ExpPolyExpr":
-        return cls([Monomial(ONE, {c: 1}, {})])
+        return _expr((((1 if c >= U else 0, ((c, 1),), ()), ONE),))
 
     @classmethod
     def exponential(cls, c: Coord, weight) -> "ExpPolyExpr":
@@ -397,21 +452,26 @@ class ExpPolyExpr:
         Both the power rule and the exponential rule apply:
         d/dz (exp(w z) z^k M) = w exp(w z) z^k M + k exp(w z) z^(k-1) M.
         """
-        return _merged(_partial_pairs(self.terms, c))
+        codec = _codec(_largest_power(self.terms))
+        return _expr(codec.unpacked({
+            ev: _accumulate({}, codec.partial(terms, ev, c)) for ev, terms in codec.groups(self.terms).items()
+        }))
 
     def total_derive_y(self) -> "ExpPolyExpr":
         """Total y-derivative: D_y = d/dy + sum_l u_(l+1) d/d u_(l), merged once."""
-        return _merged(_total_derive_y_pairs(self.terms))
+        codec = _codec(_largest_power(self.terms) + 1)
+        return _expr(codec.unpacked({
+            ev: dict(codec.chain(terms, ev, 1)[1]) for ev, terms in codec.groups(self.terms).items()
+        }))
 
     def order(self) -> int:
         """Highest jet order present; -1 for jet-free expressions.
 
         Dependence through an exponential weight on u counts as order 0.
         """
-        return max(
-            (c.index for m in self.terms for c, _ in m.powers + m.expvec if c >= U),
-            default=-1,
-        )
+        # a term's last power and last weight are on its highest coordinates
+        top = max((c for (_, pw, ev), _ in self.terms for c, _ in pw[-1:] + ev[-1:]), default=-1)
+        return top - U if top >= U else -1
 
     def depends_on(self, c: Coord) -> bool:
         """True iff ``c`` occurs with nonzero power or exponential weight."""
@@ -475,8 +535,18 @@ class LinearDiffOp:
 
     def apply_shifted(self, theta: ExpPolyExpr, shift: ExpPolyExpr) -> ExpPolyExpr:
         """Apply with D_y replaced by (D_y + shift), shift a constant expression."""
-        chain = _y_chain(theta.terms, self.order, shift.terms)
-        return _merged(_contract_pairs([a.terms for a in self.coefficients], chain))
+        if any(key != _ONE_KEY for key, _ in shift.terms):
+            raise ValueError(f"the shift {shift.render()} is not a constant")
+        largest = max((_largest_power(a.terms) for a in self.coefficients), default=0)
+        codec = _codec(_largest_power(theta.terms) + self.order + largest)
+        coefficients = [codec.groups(a.terms) for a in self.coefficients]
+        out = {}
+        for ev, terms in codec.groups(theta.terms).items():
+            chain = codec.chain(terms, ev, self.order, shift.terms[0][1] if shift.terms else 0)
+            for a, level in zip(coefficients, chain):
+                for a_ev, a_terms in a.items():
+                    codec.contract(out.setdefault(_add_pairs(a_ev, ev), {}), (a_terms,), (level,))
+        return _expr(codec.unpacked(out))
 
     def __eq__(self, other):
         return isinstance(other, LinearDiffOp) and self.coefficients == other.coefficients

@@ -16,11 +16,12 @@ The argument of ``exp`` must simplify to a rational multiple of a single
 right-hand sides additionally may not contain y, t or exponentials; that
 restriction is reported as a scope error, not a syntax error.
 
-A power ``b^k`` of an n-term base is expanded in one pass over the at
-most C(n+k-1, k) multisets of k base terms: each gives one term, with a
-multinomial times the product of the base's integer numerators as its
-coefficient, and the sum is divided once by their common denominator to
-the k.  Three caps refuse with a scope error before any expansion: an
+A power ``m^k`` of a one-term base multiplies its powers and weights by k
+and raises its coefficient to the k.  A power ``b^k`` of an n-term base
+is expanded in one pass over the at most C(n+k-1, k) multisets of k base
+terms: each gives one term, with a multinomial times the product of the
+base's integer numerators as its coefficient, and the sum is divided
+once by their common denominator to the k.  Three caps refuse with a scope error before any expansion: an
 exponent above MAX_EXPONENT, a power whose expansion could exceed
 MAX_POWER_TERMS terms, and a product of an m-term and an n-term factor
 with m*n above that cap.
@@ -40,7 +41,7 @@ from math import comb
 
 from .engine import EvolutionEquation
 from .errors import ParseError, ScopeError
-from .expr import _ONE_KEY, ExpPolyExpr, T, _add_pairs, _cleared, _divided, coord_by_name
+from .expr import _ONE_KEY, ExpPolyExpr, T, _add_pairs, _cleared, _divided, _expr, coord_by_name
 
 _OPS = "+-*^()="
 # ASCII only: str.isdigit() and int() also take superscript and Arabic-Indic digits
@@ -89,14 +90,19 @@ def _refuse_rational(x: Fraction):
     )
 
 
+def _raised(term: tuple, k: int) -> tuple:
+    """The ``(key, coeff)`` pair of a term to the power k >= 1: its powers and
+    weights times k, its coefficient to the k."""
+    (jd, pw, ev), a = term
+    return (k * jd, tuple((c, k * p) for c, p in pw), tuple((c, k * w) for c, w in ev)), a**k
+
+
 def _expanded(terms: tuple, k: int) -> list:
     """The sorted nonzero ``(key, coeff)`` pairs of ``(sum of terms)^k``, int coefficients:
     per multiset of k terms, their product times the multinomial ``k!/(k_1!...k_n!)``."""
     n, acc = len(terms), {} if k else {_ONE_KEY: 1}
-    powers = [  # powers[j][m]: the m-th power of term j; a one-term base needs only the k-th
-        {m: ((m * jd, tuple((c, m * p) for c, p in pw), tuple((c, m * w) for c, w in ev)), a**m)
-         for m in range(1 if n > 1 else k, k + 1)}
-        for (jd, pw, ev), a in terms
+    powers = [  # powers[j][m]: the m-th power of term j
+        {m: _raised(term, m) for m in range(1, k + 1)} for term in terms
     ]
 
     def grow(start, r, jd, pw, ev, coeff):
@@ -230,8 +236,11 @@ class _Parser:
                     f"a {n}-term base to the power {k} may expand to {bound} terms, "
                     f"above the cap of {MAX_POWER_TERMS}"
                 )
+            _checked_coefficients(base)
+            if n == 1 and k:  # one term is raised directly
+                return _checked_coefficients(_expr([_raised(base.terms[0], k)]))
             # expanded on int numerators: (d*base)^k, divided by d^k once
-            d, scaled = _cleared(_checked_coefficients(base))
+            d, scaled = _cleared(base)
             return _checked_coefficients(_divided(_expanded(scaled.terms, k), d**k))
         return base
 
@@ -325,6 +334,4 @@ def parse_equation(text: str) -> EvolutionEquation:
     p.expect_op("=")
     rhs = _checked_coefficients(p.expr())
     p.finish()
-    if any(m.expvec for m in rhs.terms):
-        raise ScopeError("exponential right-hand sides are not supported")
     return EvolutionEquation(rhs)

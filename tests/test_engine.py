@@ -9,7 +9,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from jetsym import engine
 from jetsym.cli import main
@@ -27,7 +27,7 @@ from jetsym.engine import (
     symmetry_defect,
 )
 from jetsym.errors import EmptyAnsatzError, ScopeError
-from jetsym.expr import U, Y, ExpPolyExpr, combine, jet, monomial_coordinates
+from jetsym.expr import U, Y, ExpPolyExpr, Monomial, combine, jet, monomial_coordinates
 from jetsym.linalg import (
     Elimination,
     RatMatrix,
@@ -83,16 +83,41 @@ class TestDefect:
         assert not is_symmetry(E("y*u_1"), HEAT)
 
 
+def reference_partial(e, c):
+    """d/dc term by term from ``Monomial``'s own fields: the power rule, then
+    the exponential rule."""
+    out = []
+    for m in e.terms:
+        p, w = m.power(c), m.weight(c)
+        if p:
+            out.append(Monomial(m.coeff * p, {**dict(m.powers), c: p - 1}, dict(m.expvec)))
+        if w:
+            out.append(Monomial(m.coeff * w, dict(m.powers), dict(m.expvec)))
+    return ExpPolyExpr(out)
+
+
 def reference_defect(eta, rhs):
-    """eta'[G] - G_*[eta] from the public operations on the unscaled
-    ``Fraction`` expressions: eta's linearization contracted with D_y^j G,
-    minus G's linearization applied to eta."""
-    op = eta.frechet()
-    derivatives = [rhs]
-    for _ in range(op.order):
-        derivatives.append(derivatives[-1].total_derive_y())
-    contracted = sum((a * d for a, d in zip(op.coefficients, derivatives)), ExpPolyExpr.zero())
-    return contracted - rhs.frechet().apply(eta)
+    """eta'[G] - G_*[eta] from term-by-term partial derivatives and products
+    alone, on the unscaled ``Fraction`` expressions: eta's linearization
+    contracted with D_y^j G, minus G's linearization contracted with D_y^j
+    eta, with D_y = d/dy + sum_l u_(l+1) d/du_l written out."""
+
+    def derivatives(e, n):
+        out = [e]
+        for _ in range(n):
+            e = out[-1]
+            out.append(sum(
+                (ExpPolyExpr.coordinate(jet(l + 1)) * reference_partial(e, jet(l)) for l in range(e.order() + 1)),
+                reference_partial(e, Y),
+            ))
+        return out
+
+    def contracted(a, b):
+        linearization = [reference_partial(a, jet(l)) for l in range(a.order() + 1)]
+        ders = derivatives(b, len(linearization) - 1)
+        return sum((c * d for c, d in zip(linearization, ders)), ExpPolyExpr.zero())
+
+    return contracted(eta, rhs) - contracted(rhs, eta)
 
 
 def only_fractions(e):
@@ -124,6 +149,24 @@ def rational_characteristics(draw):
     return sum(terms, ExpPolyExpr.zero())
 
 
+# atoms of the characteristics with high powers: products of up to three
+# reach u^130, and u_9 takes the chain up to u_11
+PACKED_ATOMS = (
+    "u^64", "u_1^64", "u^2", "u_1", "u_3", "u_9", "y", "y^3",
+    "exp(-u)", "exp(2/3*u)", "exp(1/2*y)",
+)
+
+
+@st.composite
+def high_power_characteristics(draw):
+    """Sums of rational multiples of products of PACKED_ATOMS."""
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        atoms = draw(st.lists(st.sampled_from(PACKED_ATOMS), min_size=1, max_size=3))
+        terms.append(E("*".join(atoms)).scale(draw(SMALL_RATIONALS.filter(bool))))
+    return sum(terms, ExpPolyExpr.zero())
+
+
 INTEGER_NUMERATORS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
@@ -134,6 +177,17 @@ class TestIntegerNumerators:
     @INTEGER_NUMERATORS
     @given(rational_characteristics(), rational_equations())
     def test_defect_equals_the_fraction_reference(self, eta, eq):
+        defect = symmetry_defect(eta, eq)
+        assert defect == reference_defect(eta, eq.rhs)
+        assert only_fractions(defect)
+
+    @INTEGER_NUMERATORS
+    @given(high_power_characteristics(), rational_equations())
+    # d/du of u*exp(-u) is (1 - u)*exp(-u): its power and exponential parts
+    # cancel if they land on one key
+    @example(E("u*exp(-u)*u_3"), HEAT)
+    @example(E("u*exp(-u)*u_3"), BURGERS)
+    def test_high_powers_and_exponentials(self, eta, eq):
         defect = symmetry_defect(eta, eq)
         assert defect == reference_defect(eta, eq.rhs)
         assert only_fractions(defect)
@@ -173,9 +227,11 @@ class TestIntegerNumerators:
 
     def test_rational_generators_share_one_denominator(self):
         # the pipeline's generators are monic; these have denominators 3, 1,
-        # 7 and 2 over D_G = 15, so each column is scaled up to 15 * 42
+        # 7 and 2 over D_G = 15, so each column is scaled up to 15 * 42; any
+        # generators will do, with y powers and exponentials in u too
         eq = parse_equation("u_t = u_2 - 1/3*u + 2/5*u_1")
-        gens = tuple(E(t) for t in ("2/3*u_1", "5*u*u_1", "-1/7", "3/2*u", "u_2"))
+        gens = tuple(E(t) for t in ("2/3*u_1", "5*u*u_1", "-1/7", "3/2*u", "u_2", "y^2*u_1",
+                                    "exp(-u)*u_2", "u*exp(-1/2*u)*u_3"))
         ansatz = replace(build_ansatz(2, 0, 2), generators=gens)
         system = determining_system(ansatz, eq)
         assert system._denominator == 630

@@ -74,6 +74,13 @@ CASES = {
          "--check=-exp(-u)", "--check=-1", "--check=-3/2*exp(-1/2*y)*u_1"],
         0,
     ),
+    # powers of u next to exp(-u) and exp(y/2): d/du's power and exponential
+    # parts, and the D_y terms of exp(-u), land on different keys
+    "check_exp_power": (
+        ["--eq", "u_t = u_2", "--check", "exp(1/2*y)*(u + u_1 + u_2 + exp(-u)*u_3)^5",
+         "--check", "u*exp(-u)*u_3"],
+        0,
+    ),
     "criterion_unresolved_declared_weights": (
         ["--eq", "u_t = u_2 + u", "--mode", "criterion", "--lambda", "none"],
         0,
