@@ -34,14 +34,12 @@ from .expr import (
     T,
     Y,
     ExpPolyExpr,
-    _bump,
     _cleared,
     _codec,
     _divided,
+    _expr,
     _largest_power,
-    _merged,
     all_jet_monomials,
-    combine,
     jet,
 )
 from .linalg import (
@@ -234,15 +232,15 @@ def build_ansatz(
 
 def characteristic(vec: Sequence, monomials: Sequence, y_degree: int) -> ExpPolyExpr:
     """``sum vec[m*(y_degree+1) + a] * y^a * m`` over :func:`kernel_at`'s columns,
-    merged once; y^a is added to the powers of m's terms, never multiplied out."""
-    if not y_degree:
-        return combine(vec, monomials)
+    merged once; the packed key of y^a is added to those of m's terms."""
     step = y_degree + 1
-    return _merged(
-        ((jd, _bump(powers, Y, col % step) if col % step else powers, ev), c * x)
-        for col, c in enumerate(map(_frac, vec)) if c
-        for (jd, powers, ev), x in monomials[col // step].terms
-    )
+    used = [(col % step, c, monomials[col // step].terms) for col, c in enumerate(map(_frac, vec)) if c]
+    codec = _codec(y_degree + max((_largest_power(terms) for _, _, terms in used), default=0))
+    ((y, _),) = codec.groups(ExpPolyExpr.coordinate(Y).terms)[()]
+    out = {}
+    for a, c, terms in used:
+        codec.product(out, {(): [(a * y, c)]}, codec.groups(terms))
+    return _expr(codec.unpacked(out))
 
 
 @dataclass(frozen=True)

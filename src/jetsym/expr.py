@@ -21,21 +21,22 @@ by coordinate, so terms hash and compare as plain tuples of integers.  The
 key merges like terms and is the term order: an operation adds its pairs
 into one dict and sorts only its result, once.  The pairs stay sparse
 because a dense exponent vector would sort ``u_1`` before ``y*u_1``,
-changing the order.  Inside the derivative kernel, and only there, a
-term's powers are packed into one ``int`` of fixed-width fields
-(:class:`_Codec`, whose ``chain`` is the one ``D_y`` chain): products,
-partial and total derivatives are integer additions on it, and only the
-nonzero results are unpacked into shape keys and sorted.
+changing the order.  Inside the kernel, and only there, a term's powers
+are packed into one ``int`` of fixed-width fields (:class:`_Codec`, whose
+``chain`` is the one ``D_y`` chain): products, powers, partial and total
+derivatives are integer additions on it, with the exponential parts
+summed by :func:`_weight_sum`, and only the nonzero results are unpacked
+into shape keys and sorted.
 
 Coefficients are cleared of their denominators where the arithmetic is
-heavy.  The kernel (``_accumulate``, ``_merged``, ``_product_pairs`` and
-:class:`_Codec`) uses only ``*``, ``+`` and truthiness on
-coefficients, so it runs unchanged on ``int`` numerators: the symmetry
-defect and the power expansion in ``parser`` (one key product per
-multiset of base terms, summed in one dict) take ``(d, d*e)`` from
-:func:`_cleared`, work on the ``int`` coefficients of ``d*e``, and divide
-the result once with :func:`_divided`; the assembly in ``engine`` keeps
-its integer cells over one denominator for the whole system.
+heavy.  The kernel (``_accumulate``, ``_merged`` and :class:`_Codec`)
+uses only ``*``, ``**``, ``+`` and truthiness on coefficients, so it runs
+unchanged on ``int`` numerators: a product, a power ``b^k`` (one key
+product per multiset of k base terms, summed in one dict) and the
+symmetry defect take ``(d, d*e)`` from :func:`_cleared`, work on the
+``int`` coefficients of ``d*e``, and divide the result once with
+:func:`_divided`; the assembly in ``engine`` keeps its integer cells over
+one denominator for the whole system.
 An exponential weight stays a ``Fraction`` and multiplies into such
 coefficients exactly.  The boundary rule: every expression that this
 module's constructors, ``parser`` or ``engine`` return holds only
@@ -47,7 +48,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
@@ -219,28 +220,12 @@ def _divided(pairs: Iterable, d: int) -> "ExpPolyExpr":
     return _expr((k, Fraction(c, d)) for k, c in pairs)
 
 
-def _bump(pairs: tuple, c: Coord, delta) -> tuple:
-    """Canonical power (or weight) pairs with the entry of ``c`` raised by ``delta``."""
-    for i, (cc, p) in enumerate(pairs):
-        if cc == c:
-            rest = pairs[i + 1 :]
-            return pairs[:i] + (((c, p + delta),) + rest if p + delta else rest)
-        if cc > c:
-            return pairs[:i] + ((c, delta),) + pairs[i:]
-    return pairs + ((c, delta),)
-
-
-def _add_pairs(x: tuple, y: tuple) -> tuple:
-    """Entrywise sum of two canonical sparse pair tuples, zeros dropped."""
+def _weight_sum(x: tuple, y: tuple) -> tuple:
+    """The canonical sum of two exponential parts, cancelled weights dropped."""
     if not y:
         return x
     if not x:
         return y
-    if len(x) == 1:
-        x, y = y, x
-    if len(y) == 1:
-        c, v = y[0]
-        return _bump(x, c, v)
     acc = dict(x)
     for c, v in y:
         v += acc.get(c, 0)
@@ -249,13 +234,6 @@ def _add_pairs(x: tuple, y: tuple) -> tuple:
         else:
             del acc[c]
     return tuple(sorted(acc.items()))
-
-
-def _product_pairs(xs: tuple, ys: tuple):
-    """``(key, coeff)`` pairs of the product of two term tuples, unmerged."""
-    for (xd, xp, xe), xc in xs:
-        for (yd, yp, ye), yc in ys:
-            yield (xd + yd, _add_pairs(xp, yp), _add_pairs(xe, ye)), xc * yc
 
 
 def _largest_power(terms) -> int:
@@ -283,7 +261,9 @@ class _Codec:
     ``d/dz`` subtracts the unit of z's field and a ``D_y`` step moves a unit
     from a jet's field to the next one's (from y's, it only subtracts).
     Neither derivative changes a term's exponential part, so terms are
-    grouped by it, ``{expvec: [(key, coeff)]}``, and only powers are packed.
+    grouped by it, ``{expvec: [(key, coeff)]}``, and only powers are packed;
+    a product sums two groups' exponential parts once, with
+    :func:`_weight_sum`.  This is the only code that adds two terms' powers.
     """
 
     __slots__ = ("width", "mask", "units", "steps")
@@ -349,6 +329,42 @@ class _Codec:
                     key = ka + kd
                     acc[key] = get(key, 0) + ca * cd
         return acc
+
+    @staticmethod
+    def product(out: dict, xs: dict, ys: dict) -> dict:
+        """Add the product of two grouped term sets ``{expvec: [(key, coeff)]}``
+        into ``out``, ``{expvec: {key: coeff}}``; cancelled keys keep a 0."""
+        for xe, x in xs.items():
+            for ye, y in ys.items():
+                _Codec.contract(out.setdefault(_weight_sum(xe, ye), {}), (x,), (y,))
+        return out
+
+    @staticmethod
+    def power(xs: dict, k: int) -> dict:
+        """``{expvec: {key: coeff}}`` of ``(sum of the grouped terms xs)^k`` in one
+        pass over the multisets of k terms: each gives their product times the
+        multinomial ``k!/(k_1!...k_n!)``; cancelled keys keep a 0."""
+        terms = [(ev, key, c) for ev, pairs in xs.items() for key, c in pairs]
+        n, out = len(terms), {} if k else {(): {0: 1}}
+        raised = [  # raised[j][m - 1]: the m-th power of term j
+            [(ev and tuple((z, m * w) for z, w in ev), m * key, c**m) for m in range(1, k + 1)]
+            for ev, key, c in terms
+        ]
+
+        def grow(start, r, ev, key, coeff):
+            # each term taken has a positive multiplicity, so the depth is at most k
+            for j in range(start, n):
+                for m in range(1 if j + 1 < n else r, r + 1):
+                    mev, mkey, a = raised[j][m - 1]
+                    if m < r:
+                        grow(j + 1, r - m, _weight_sum(ev, mev), key + mkey, coeff * comb(r, m) * a)
+                    else:
+                        acc = out.setdefault(_weight_sum(ev, mev), {})
+                        acc[key + mkey] = acc.get(key + mkey, 0) + coeff * a
+
+        if k:
+            grow(0, k, (), 0, 1)
+        return out
 
     def unpacked(self, groups: dict) -> list:
         """The ``(key, value)`` pairs of ``{expvec: {packed key: value}}`` with a
@@ -440,9 +456,21 @@ class ExpPolyExpr:
         for a, b in ((self, other), (other, self)):
             if len(b.terms) == 1 and b.terms[0][0] == _ONE_KEY:  # times a constant
                 return a.scale(b.terms[0][1])
-        return _merged(_product_pairs(self.terms, other.terms))
+        # on int numerators: (d*self)*(e*other), divided by d*e once
+        (d, x), (e, y) = _cleared(self), _cleared(other)
+        codec = _codec(_largest_power(x.terms) + _largest_power(y.terms))
+        return _divided(codec.unpacked(codec.product({}, codec.groups(x.terms), codec.groups(y.terms))), d * e)
 
     __rmul__ = __mul__
+
+    def __pow__(self, k: int) -> "ExpPolyExpr":
+        """self to the power k >= 0, expanded on ``int`` numerators: ``(d*self)^k``,
+        divided by ``d^k`` once."""
+        if k < 0:
+            raise ValueError(f"negative exponent {k}")
+        d, scaled = _cleared(self)
+        codec = _codec(k * _largest_power(self.terms))
+        return _divided(codec.unpacked(codec.power(codec.groups(scaled.terms), k)), d**k)
 
     # -- calculus -----------------------------------------------------
 
@@ -544,8 +572,7 @@ class LinearDiffOp:
         for ev, terms in codec.groups(theta.terms).items():
             chain = codec.chain(terms, ev, self.order, shift.terms[0][1] if shift.terms else 0)
             for a, level in zip(coefficients, chain):
-                for a_ev, a_terms in a.items():
-                    codec.contract(out.setdefault(_add_pairs(a_ev, ev), {}), (a_terms,), (level,))
+                codec.product(out, a, {ev: level})
         return _expr(codec.unpacked(out))
 
     def __eq__(self, other):

@@ -16,15 +16,12 @@ The argument of ``exp`` must simplify to a rational multiple of a single
 right-hand sides additionally may not contain y, t or exponentials; that
 restriction is reported as a scope error, not a syntax error.
 
-A power ``m^k`` of a one-term base multiplies its powers and weights by k
-and raises its coefficient to the k.  A power ``b^k`` of an n-term base
-is expanded in one pass over the at most C(n+k-1, k) multisets of k base
-terms: each gives one term, with a multinomial times the product of the
-base's integer numerators as its coefficient, and the sum is divided
-once by their common denominator to the k.  Three caps refuse with a scope error before any expansion: an
-exponent above MAX_EXPONENT, a power whose expansion could exceed
-MAX_POWER_TERMS terms, and a product of an m-term and an n-term factor
-with m*n above that cap.
+A power ``b^k`` of an n-term base is ``ExpPolyExpr.__pow__``, expanded
+in ``expr`` in one pass over the at most C(n+k-1, k) multisets of k base
+terms.  The parser keeps three caps, which refuse with a scope error
+before any expansion: an exponent above MAX_EXPONENT, a power whose
+expansion could exceed MAX_POWER_TERMS terms, and a product of an m-term
+and an n-term factor with m*n above that cap.
 
 Numerals and coefficients are capped too, with a scope error: a numeral
 of more than MAX_NUMERAL_DIGITS digits is refused by its text, before it
@@ -41,7 +38,7 @@ from math import comb
 
 from .engine import EvolutionEquation
 from .errors import ParseError, ScopeError
-from .expr import _ONE_KEY, ExpPolyExpr, T, _add_pairs, _cleared, _divided, _expr, coord_by_name
+from .expr import ExpPolyExpr, T, coord_by_name
 
 _OPS = "+-*^()="
 # ASCII only: str.isdigit() and int() also take superscript and Arabic-Indic digits
@@ -73,10 +70,10 @@ def _checked_coefficients(e: ExpPolyExpr) -> ExpPolyExpr:
     """``e``, refused if a coefficient or exponential weight of it has a
     numerator or denominator of more than MAX_COEFFICIENT_BITS bits."""
     cap = MAX_COEFFICIENT_BITS
-    for (_, _, expvec), coeff in e.terms:
-        if coeff.numerator.bit_length() > cap or coeff.denominator.bit_length() > cap:
-            _refuse_rational(coeff)
-        for _, w in expvec:
+    for m in e.terms:
+        if m.coeff.numerator.bit_length() > cap or m.coeff.denominator.bit_length() > cap:
+            _refuse_rational(m.coeff)
+        for _, w in m.expvec:
             if w.numerator.bit_length() > cap or w.denominator.bit_length() > cap:
                 _refuse_rational(w)
     return e
@@ -88,37 +85,6 @@ def _refuse_rational(x: Fraction):
         f"a coefficient or exponential weight with a {bits}-bit numerator "
         f"or denominator is above the cap of {MAX_COEFFICIENT_BITS} bits"
     )
-
-
-def _raised(term: tuple, k: int) -> tuple:
-    """The ``(key, coeff)`` pair of a term to the power k >= 1: its powers and
-    weights times k, its coefficient to the k."""
-    (jd, pw, ev), a = term
-    return (k * jd, tuple((c, k * p) for c, p in pw), tuple((c, k * w) for c, w in ev)), a**k
-
-
-def _expanded(terms: tuple, k: int) -> list:
-    """The sorted nonzero ``(key, coeff)`` pairs of ``(sum of terms)^k``, int coefficients:
-    per multiset of k terms, their product times the multinomial ``k!/(k_1!...k_n!)``."""
-    n, acc = len(terms), {} if k else {_ONE_KEY: 1}
-    powers = [  # powers[j][m]: the m-th power of term j
-        {m: _raised(term, m) for m in range(1, k + 1)} for term in terms
-    ]
-
-    def grow(start, r, jd, pw, ev, coeff):
-        # each term taken has a positive multiplicity, so the depth is at most k
-        for j in range(start, n):
-            for m in range(1 if j + 1 < n else r, r + 1):
-                (mjd, mpw, mev), a = powers[j][m]
-                key = (jd + mjd, _add_pairs(pw, mpw), _add_pairs(ev, mev))
-                if m < r:
-                    grow(j + 1, r - m, *key, coeff * comb(r, m) * a)
-                else:
-                    acc[key] = acc.get(key, 0) + coeff * a
-
-    if k:
-        grow(0, k, 0, (), (), 1)
-    return sorted(kc for kc in acc.items() if kc[1])
 
 
 def _tokens(text: str) -> list:
@@ -236,12 +202,7 @@ class _Parser:
                     f"a {n}-term base to the power {k} may expand to {bound} terms, "
                     f"above the cap of {MAX_POWER_TERMS}"
                 )
-            _checked_coefficients(base)
-            if n == 1 and k:  # one term is raised directly
-                return _checked_coefficients(_expr([_raised(base.terms[0], k)]))
-            # expanded on int numerators: (d*base)^k, divided by d^k once
-            d, scaled = _cleared(base)
-            return _checked_coefficients(_divided(_expanded(scaled.terms, k), d**k))
+            return _checked_coefficients(_checked_coefficients(base) ** k)
         return base
 
     # atom := rational | coordinate | "exp" "(" expr ")" | "(" expr ")"

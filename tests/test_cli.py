@@ -1,5 +1,6 @@
 """Command-line behavior: modes, determinism, and the error-code taxonomy."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -256,6 +257,16 @@ class TestDeterminism:
             p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
             assert main(args + ["--json", str(p1)]) == main(args + ["--json", str(p2)])
             assert p1.read_bytes() == p2.read_bytes()
+
+    def test_large_exponential_product_digest(self, tmp_path):
+        # a 66-term and a 41-term power multiplied to 2,706 terms, with a
+        # 1.9 MB report, pinned by its digest
+        out = tmp_path / "big.json"
+        char = "(exp(y) + u + exp(-u)*u_1)^10*(u_1 - 1/3*y)^40"
+        assert main(["--eq", "u_t = u_2", "--check", char, "--json", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "2ed0a4384dfa580ee15bd779452149fb7e2d02335219c1921ba9270fff2181ad"
+        )
 
     def test_emit_report_stable(self):
         cfg = RunConfig(equation="u_t = u_2", mode="solve", lambda_mode="none")

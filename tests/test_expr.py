@@ -1,6 +1,7 @@
 """Expression algebra: canonical form, calculus rules, exponential-polynomial reading."""
 
 import copy
+import functools
 import pickle
 import random
 from fractions import Fraction
@@ -72,6 +73,11 @@ class TestRing:
     def test_weight_on_jet_rejected(self):
         with pytest.raises(ValueError):
             ExpPolyExpr.monomial(1, {}, {jet(1): F(1)})
+
+    @pytest.mark.parametrize("base", [ExpPolyExpr.zero(), E("u"), E("u + 1")])
+    def test_negative_exponent_refused(self, base):
+        with pytest.raises(ValueError, match="negative exponent"):
+            base ** -1
 
 
 class TestPartialDerive:
@@ -293,6 +299,11 @@ def reference_product(a, b):
     return ExpPolyExpr(out)
 
 
+def reference_power(base, k):
+    """The reference for ``base^k``: k reference products."""
+    return functools.reduce(reference_product, [base] * k, ExpPolyExpr.one())
+
+
 def reference_partial(e, c):
     out = []
     for m in e.terms:
@@ -346,7 +357,9 @@ RATIONALS = st.sampled_from([F(-2), F(-1), F(-1, 2), F(1, 3), F(1), F(2)])
 @st.composite
 def monomials(draw):
     powers = {c: draw(st.integers(0, 2)) for c in (Y, U, jet(1), jet(2), jet(3))}
-    expvec = {c: draw(st.sampled_from([F(0), F(0), F(-1), F(1, 2), F(2)])) for c in (Y, U)}
+    # 1 and -1, 1/2 and -1/2 cancel, so products reach the empty exponential part
+    weights = st.sampled_from([F(0), F(0), F(-1), F(1), F(1, 2), F(-1, 2), F(2)])
+    expvec = {c: draw(weights) for c in (Y, U)}
     return Monomial(draw(RATIONALS), powers, expvec)
 
 
@@ -429,6 +442,47 @@ class TestAgainstReferenceCalculus:
         exp_wy = ExpPolyExpr.exponential(Y, w)
         lhs = exp_wy * op.apply_shifted(h, ExpPolyExpr.constant(w))
         assert lhs == op.apply(exp_wy * h)
+
+
+def monomial_sum(*powers):
+    """The sum of the monomials of the given powers, built without a product."""
+    return ExpPolyExpr([Monomial(1, p, {}) for p in powers])
+
+
+class TestFieldWidths:
+    """Products and powers whose result powers land at 2^w - 1 and 2^w for
+    small w: a packed field too narrow for a result carries into the next
+    coordinate's field, so the result would differ from the reference."""
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (({U: 3},), ({U: 4},)),
+            (({U: 4},), ({U: 4},)),
+            (({U: 31},), ({U: 1},)),
+            (({Y: 7, U: 15},), ({Y: 1, U: 17, jet(1): 1},)),
+            (({U: 7}, {jet(1): 3}), ({U: 8}, {jet(1): 5})),
+        ],
+    )
+    def test_product(self, a, b):
+        a, b = monomial_sum(*a), monomial_sum(*b)
+        assert a * b == reference_product(a, b)
+        assert E(f"({a.render()})*({b.render()})") == reference_product(a, b)
+
+    @pytest.mark.parametrize(
+        "base, k",
+        [
+            (monomial_sum({U: 7}, {jet(1): 1}), 5),
+            (ExpPolyExpr.monomial(1, {U: 7}, {Y: -1}), 9),
+            (monomial_sum({U: 8}, {Y: 1}), 8),
+            (monomial_sum({Y: 3}, {U: 4, jet(1): 1}), 16),
+            (monomial_sum({U: 2}, {jet(1): 2}), 2),
+        ],
+    )
+    def test_power(self, base, k):
+        expected = reference_power(base, k)
+        assert base**k == expected
+        assert E(f"({base.render()})^{k}") == expected
 
 
 def reference_render(e):

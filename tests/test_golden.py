@@ -81,6 +81,14 @@ CASES = {
          "--check", "u*exp(-u)*u_3"],
         0,
     ),
+    # exp(y)*exp(-y) and exp(u)*exp(-u) cancel to the constant exponential
+    # part, where products of exponential-free terms land too
+    "check_weight_cancellation": (
+        ["--eq", "u_t = u_2 + u_1^2",
+         "--check", "(exp(y) - 2*exp(-y) + u)^3*(exp(-u)*u_1 + exp(u))^2",
+         "--check", "(exp(y) - exp(-y))*(exp(y) + exp(-y))"],
+        0,
+    ),
     "criterion_unresolved_declared_weights": (
         ["--eq", "u_t = u_2 + u", "--mode", "criterion", "--lambda", "none"],
         0,
