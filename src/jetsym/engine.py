@@ -230,16 +230,17 @@ def build_ansatz(
     return AnsatzSpace(gens, q_max, y_degree, jet_degree, weight_list)
 
 
-def characteristic(vec: Sequence, monomials: Sequence, y_degree: int) -> ExpPolyExpr:
-    """``sum vec[m*(y_degree+1) + a] * y^a * m`` over :func:`kernel_at`'s columns,
-    merged once; the packed key of y^a is added to those of m's terms."""
+def characteristic(vec: Sequence, monomials: Sequence, y_degree: int, w=ZERO) -> ExpPolyExpr:
+    """``sum vec[m*(y_degree+1) + a] * exp(w*y) * y^a * m`` over the columns of
+    :func:`kernel_at`, merged once; y^a's packed key adds to those of m's terms."""
     step = y_degree + 1
-    used = [(col % step, c, monomials[col // step].terms) for col, c in enumerate(map(_frac, vec)) if c]
+    used = [(col % step, _frac(c), monomials[col // step].terms) for col, c in enumerate(vec) if c]
     codec = _codec(y_degree + max((_largest_power(terms) for _, _, terms in used), default=0))
     ((y, _),) = codec.groups(ExpPolyExpr.coordinate(Y).terms)[()]
+    expvec = ((Y, _frac(w)),) if w else ()
     out = {}
     for a, c, terms in used:
-        codec.product(out, {(): [(a * y, c)]}, codec.groups(terms))
+        codec.product(out, {expvec: [(a * y, c)]}, codec.groups(terms))
     return _expr(codec.unpacked(out))
 
 
@@ -418,7 +419,7 @@ def kernel_at(system: DeterminingSystem, w, y_degree: int) -> list:
 
 @dataclass(frozen=True)
 class SymmetryBasis:
-    """Solved symmetry space: elements exp(w*y) * :func:`characteristic`, and dimensions."""
+    """Solved symmetry space: elements :func:`characteristic` at each weight, and dimensions."""
 
     equation: EvolutionEquation
     ansatz: AnsatzSpace
@@ -463,8 +464,7 @@ def solve_symmetries(
         kernel = kernel_at(system, w, y_degree)
         if not kernel:
             continue  # full column rank: no order-<=q block has a kernel either
-        exp_w = ExpPolyExpr.exponential(Y, w)
-        elements.extend(exp_w * characteristic(vec, gens, y_degree) for vec in kernel)
+        elements.extend(characteristic(vec, gens, y_degree, w) for vec in kernel)
         kernel_t = [{c: v[j] for c, j in enumerate(by_order) if v[j]} for v in kernel]
         _, pivots = rref(RatMatrix._from_sparse(kernel_t, n))
         for q, count in enumerate(counts):
@@ -505,12 +505,12 @@ def lambda_candidates(
     each of its roots once, is root-searched once, and every rational root
     is verified on the whole system by the kernel ``kernel_at(system, w,
     0)``, kept on the system.  One :func:`rank_modulo` splits the radical's
-    rational-root-free residual into coprime parts of uniform core rank,
-    and the parts where that rank drops are reported, never silently
-    dropped.  The scan runs on the y-free system of the ansatz's jet
-    monomials: a weight with a chain has an eigenvector, so the y powers
-    add no weight.  ``system`` is that system when the caller has already
-    assembled it.  The weights the ansatz declares play no part.
+    rational-root-free residual into coprime parts of uniform core rank, the
+    parts of each rank are multiplied, and those where the rank drops are
+    reported, never silently dropped.  The scan runs on the y-free system of
+    the ansatz's jet monomials: a weight with a chain has an eigenvector, so
+    the y powers add no weight.  ``system`` is that system when the caller
+    has already assembled it.  The weights the ansatz declares play no part.
     """
     if system is None:
         system = determining_system(ansatz, eq)
@@ -520,11 +520,13 @@ def lambda_candidates(
     last = pivots[-1] if pivots else UniPoly.one()  # the empty core's determinant
     radical = _poly_exact_div(last, last.gcd(last.derivative())).monic()
     roots, residual = rational_roots(radical)
-    parts = rank_modulo(core, residual) if residual.degree >= 1 else []
+    by_rank = {}  # the rank at a root is intrinsic: one factor per rank
+    for f, rank in rank_modulo(core, residual) if residual.degree >= 1 else []:
+        by_rank[rank] = by_rank.get(rank, UniPoly.one()) * f
     return LambdaScan(
         candidates=tuple(w for w, _ in roots if kernel_at(system, w, 0)),
         residual_factors=tuple(
-            sorted((f for f, rank in parts if rank < ncols), key=UniPoly.sort_key)
+            sorted((f for rank, f in by_rank.items() if rank < ncols), key=UniPoly.sort_key)
         ),
         generic_nullity=ncols - len(pivots),
         pivots=tuple(pivots),

@@ -29,7 +29,6 @@ pivot, since the rows above never pivot again.
 
 from __future__ import annotations
 
-import heapq
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -794,20 +793,21 @@ def unit_core(rows: Sequence[Sequence[tuple]], ncols: int) -> tuple:
     ``rows`` hold ``(column, integer list)`` pairs, a determining system's
     cells as it keeps them, left unmodified.  A nonzero constant is a unit of
     Q[lambda], so a Schur complement step on it lowers the rank by one at every
-    value of lambda, and modulo every polynomial.  Each step pivots on the
-    constant entry of least Markowitz cost ``(r-1)*(c-1)``, ``r`` and ``c`` the
-    entry counts of its row and column, ties broken by (row, column), until no
-    constant entry is left.  Returns ``(units, core)``: the step count and the
-    dense rows of integer lists left, over the remaining columns in ascending
-    order, zero rows dropped; so ``units + rank(core(w)) == rank(M(w))``.
+    value of lambda, and modulo every polynomial.  Returns ``(units, core)``:
+    the step count and the dense rows of integer lists left, over the
+    remaining columns in ascending order, zero rows dropped; so ``units +
+    rank(core(w)) == rank(M(w))``.
 
     A step replaces each row ``x`` holding the pivot column by ``a*x -
     f*pivot_row``, ``a > 0`` the pivot (the pivot row is negated if need be)
     and ``f`` the row's entry at its column, and divides the row by the gcd
     of its coefficients; a constant row factor changes no rank.  A column
-    -> row-set index and a heap of the constant entries by cost are kept up
-    to date, so a step touches only the rows holding its column and the
-    columns of its row.
+    -> row-set index is kept, so a step touches only the rows holding its
+    column and the columns of its row.  Steps of Markowitz cost
+    ``(r-1)*(c-1) == 0``, ``r`` and ``c`` the entry counts of the pivot's row
+    and column, come first, off a worklist: they do no arithmetic and they
+    commute, up to which all-zero columns are left (full column rank leaves
+    none).  Then one scan takes the least ``(cost, row, column)``.
     """
     mat, col_rows = {}, {j: set() for j in range(ncols)}
     for i, row in enumerate(rows):
@@ -818,15 +818,18 @@ def unit_core(rows: Sequence[Sequence[tuple]], ncols: int) -> tuple:
     def cost(i, j):
         return (len(mat[i]) - 1) * (len(col_rows[j]) - 1)
 
-    # an entry whose row or column count changed is pushed again; a popped
-    # item whose cost is out of date, or whose entry is gone, is skipped
-    heap = [(cost(i, j), i, j) for i, row in mat.items() for j, p in row.items() if len(p) == 1]
-    heapq.heapify(heap)
-    while heap:
-        k, r, c = heapq.heappop(heap)
-        x = mat[r].get(c) if r in mat else None
-        if x is None or len(x) != 1 or k != cost(r, c):
-            continue
+    # a listed entry keeps cost 0 until its row or its column is deleted, as
+    # neither a row nor a column of one entry gains another
+    free = [(i, j) for i, row in mat.items() for j, p in row.items() if len(p) == 1 and not cost(i, j)]
+    while True:
+        if free:
+            r, c = free.pop()
+            if c not in mat.get(r, ()):
+                continue
+        elif units := [(cost(i, j), i, j) for i, row in mat.items() for j, p in row.items() if len(p) == 1]:
+            _, r, c = min(units)
+        else:
+            break
         prow = mat.pop(r)
         a = prow.pop(c)[0]
         if a < 0:
@@ -854,14 +857,8 @@ def unit_core(rows: Sequence[Sequence[tuple]], ncols: int) -> tuple:
             if scaled and (g := math.gcd(*(v for p in row.values() for v in p))) > 1:
                 for j, p in row.items():
                     row[j] = [v // g for v in p]
-        for i in hit_rows:
-            for j, p in mat[i].items():
-                if len(p) == 1:
-                    heapq.heappush(heap, (cost(i, j), i, j))
-        for j in prow:
-            for i in col_rows[j]:
-                if len(mat[i][j]) == 1 and i not in hit_rows:
-                    heapq.heappush(heap, (cost(i, j), i, j))
+        free += [(i, j) for i in hit_rows if len(mat[i]) == 1 for j, p in mat[i].items() if len(p) == 1]
+        free += [(i, j) for j in prow if len(col_rows[j]) == 1 for i in col_rows[j] if len(mat[i][j]) == 1]
     cols = sorted(col_rows)
     core = [[row.get(j, []) for j in cols] for row in mat.values() if row]
     return ncols - len(col_rows), core

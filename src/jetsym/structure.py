@@ -441,7 +441,7 @@ def dependence_criterion_direct(
     for w in _preferred_weights(weights):
         if w in scan.candidates:
             kernel = kernel_at(system, w, 0)  # in a run, the scan left it on the system
-            witness = ExpPolyExpr.exponential(Y, w) * combine(kernel[0], system.generators)
+            witness = characteristic(kernel[0], system.generators, 0, w)
             break
     if witness is None and y_degree >= 1:
         elements = (characteristic(v, system.generators, 1) for v in kernel_at(system, ZERO, 1))

@@ -426,6 +426,19 @@ class TestErrorCodes:
         assert data["error"]["kind"] == "spectrum"
         assert data["error"]["factors"] == ["lambda^2 + 1"]
 
+    @pytest.mark.parametrize(
+        "caps", [["--jetdeg", "2", "--ydeg", "0"], ["--jetdeg", "0", "--ydeg", "2"]]
+    )
+    def test_unresolved_factor_is_the_same_at_any_caps(self, tmp_path, caps):
+        # lambda^2 + 2 and lambda^2 + 3 leave the same core rank, so they are
+        # one factor, whichever coprime parts the elimination split them into
+        code, data = run_json(
+            tmp_path,
+            ["--eq", "u_t = u_5 + 6*u_1 + 5*u_3", "--mode", "criterion", "--order", "3", *caps],
+        )
+        assert code == 5
+        assert data["error"]["factors"] == ["lambda^4 + 5*lambda^2 + 6"]
+
     @pytest.mark.parametrize("weights", ["none", "1"])
     def test_declared_weights_report_unresolved_factors(self, tmp_path, weights):
         # the verdict is relative to the declared weights, so the factor the

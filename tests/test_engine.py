@@ -519,14 +519,15 @@ class TestChainKernel:
 
 class TestCharacteristic:
     """A kernel vector over the columns ``m*(y_degree+1) + a`` is read back as
-    an expression without building y^a * m; the reference combines the
-    multiplied-out products."""
+    an expression without building y^a * m, exp(w*y) included; the reference
+    combines the multiplied-out products and multiplies by exp(w*y)."""
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(
-        st.integers(0, 2), st.integers(0, 3), st.integers(0, 2), st.booleans(), st.data()
+        st.integers(0, 2), st.integers(0, 3), st.integers(0, 2), st.booleans(),
+        st.sampled_from((F(0), F(1), F(-1, 2), F(2, 3))), st.data(),
     )
-    def test_equals_combine_of_the_y_multiples(self, q, ydeg, jetdeg, sums, data):
+    def test_equals_combine_of_the_y_multiples(self, q, ydeg, jetdeg, sums, w, data):
         ansatz = build_ansatz(q, ydeg, jetdeg)
         if sums:  # rational, several terms, and sharing monomials
             gens = tuple(g.scale(F(2, 3)) + E("u_1^2 - 1/5") for g in ansatz.generators)
@@ -534,8 +535,8 @@ class TestCharacteristic:
         n = len(ansatz.generators) * (ydeg + 1)
         entries = st.one_of(st.just(F(0)), SMALL_RATIONALS)
         vec = data.draw(st.lists(entries, min_size=n, max_size=n))
-        element = characteristic(vec, ansatz.generators, ydeg)
-        assert element == combine(vec, y_multiples(ansatz))
+        element = characteristic(vec, ansatz.generators, ydeg, w)
+        assert element == ExpPolyExpr.exponential(Y, w) * combine(vec, y_multiples(ansatz))
         assert only_fractions(element)
 
 
@@ -784,7 +785,8 @@ def reference_lambda_scan(system):
     """The per-pivot loop on the whole system's integer cells, the system
     times its denominator: one root search per pivot, and the squarefree
     factors of each pivot's rational-root-free residual as residual
-    candidates; returns the verified candidates and residual factors."""
+    candidates; returns the verified candidates and residual factors, one
+    per rank below full: the lcm of the parts of that rank across pivots."""
     ncols = len(system.generators)
     rows = [[dict(cells).get(j, []) for j in range(ncols)] for cells in system._cells]
     root_cands, residual_cands = set(), []
@@ -799,12 +801,13 @@ def reference_lambda_scan(system):
         w for w in sorted(root_cands)
         if nullspace(RatMatrix(dense_taylor(system, w), cols=ncols))
     )
-    residuals = []
+    by_rank = {}
     for f in residual_cands:
         for factor, rank_mod in rank_modulo(rows, f):
-            if rank_mod < ncols and factor not in residuals:
-                residuals.append(factor)
-    return candidates, tuple(sorted(residuals, key=UniPoly.sort_key))
+            if rank_mod < ncols:
+                g = by_rank.get(rank_mod, UniPoly.one())
+                by_rank[rank_mod] = (g * factor).divmod(g.gcd(factor))[0].monic()
+    return candidates, tuple(sorted(by_rank.values(), key=UniPoly.sort_key))
 
 
 SCAN_COEFFICIENTS = st.sampled_from((0, 0, 1, -1, 2, -3, F(1, 2), F(-2, 3)))
@@ -835,6 +838,10 @@ class TestScanMatchesPerPivotSearch:
             ("u_t = u_3 + u", (3, 0, 2)),
             ("u_t = u_4 + 3*u_2 + 2*u", (3, 0, 2)),
             ("u_t = u_2 - 4*u_1 - 9*u", (3, 0, 3)),
+            # two non-rational parts of one rank, split apart on the whole
+            # system (the first) or on the core (the second): one factor
+            ("u_t = u_6 + 4*u_4 + 5*u_2 + 2*u", (3, 0, 2)),
+            ("u_t = u_5 + 6*u_1 + 5*u_3", (3, 0, 2)),
         ],
     )
     def test_same_candidates_and_residuals(self, text, caps):

@@ -1,11 +1,12 @@
 """Exact linear algebra: worked examples and randomized invariants."""
 
+import heapq
 import random
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from jetsym.engine import build_ansatz, determining_system
 from jetsym.errors import NonSquareError, NotEigenvalueError, ScopeError, ZeroPolynomialError
@@ -568,6 +569,131 @@ class TestUnitCore:
             units, core = self.check_core(rows, len(system.generators))
             assert (len(core), len(core[0])) == shape
             assert units + shape[1] == len(system.generators)
+
+
+def heap_unit_core(rows, ncols):
+    """:func:`unit_core` as it was with a heap of every constant entry by
+    ``(cost, row, column)``, stale items skipped when popped: the reference
+    order of the pivots."""
+    mat, col_rows = {}, {j: set() for j in range(ncols)}
+    for i, row in enumerate(rows):
+        mat[i] = {j: p for j, p in row if p}
+        for j in mat[i]:
+            col_rows[j].add(i)
+
+    def cost(i, j):
+        return (len(mat[i]) - 1) * (len(col_rows[j]) - 1)
+
+    heap = [(cost(i, j), i, j) for i, row in mat.items() for j, p in row.items() if len(p) == 1]
+    heapq.heapify(heap)
+    while heap:
+        k, r, c = heapq.heappop(heap)
+        x = mat[r].get(c) if r in mat else None
+        if x is None or len(x) != 1 or k != cost(r, c):
+            continue
+        prow = mat.pop(r)
+        a = prow.pop(c)[0]
+        if a < 0:
+            a = -a
+            prow = {j: [-v for v in p] for j, p in prow.items()}
+        pivot, scaled = [a], a != 1 and prow
+        hit_rows = col_rows.pop(c) - {r}
+        for j in prow:
+            col_rows[j].discard(r)
+        for i in hit_rows:
+            row = mat[i]
+            f = row.pop(c)
+            if scaled:
+                for j, x in row.items():
+                    if j not in prow:
+                        row[j] = [a * v for v in x]
+            for j, y in prow.items():
+                v = _int_cross(pivot, row.get(j, []), f, y)
+                if v:
+                    row[j] = v
+                    col_rows[j].add(i)
+                else:
+                    del row[j]
+                    col_rows[j].discard(i)
+            if scaled and (g := gcd(*(v for p in row.values() for v in p))) > 1:
+                for j, p in row.items():
+                    row[j] = [v // g for v in p]
+        for i in hit_rows:
+            for j, p in mat[i].items():
+                if len(p) == 1:
+                    heapq.heappush(heap, (cost(i, j), i, j))
+        for j in prow:
+            for i in col_rows[j]:
+                if len(mat[i][j]) == 1 and i not in hit_rows:
+                    heapq.heappush(heap, (cost(i, j), i, j))
+    cols = sorted(col_rows)
+    core = [[row.get(j, []) for j in cols] for row in mat.values() if row]
+    return ncols - len(col_rows), core
+
+
+# the units unit_core pivots on, polynomial entries, and zero cells
+INT_LIST_ENTRY = st.one_of(
+    st.sampled_from(([1], [-1], [2], [-2], [-3])),
+    st.lists(st.integers(-3, 3), min_size=2, max_size=4).filter(lambda p: p[-1]),
+    st.just([]),
+)
+
+
+@st.composite
+def int_list_rows(draw):
+    """Rows of ``(column, integer list)`` cells, the form determining systems
+    keep, over up to 8 columns; rows and columns may be empty."""
+    nrows, ncols = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    rows = []
+    for _ in range(nrows):
+        cols = sorted(draw(st.sets(st.integers(0, ncols - 1), max_size=ncols))) if ncols else []
+        rows.append([(j, draw(INT_LIST_ENTRY)) for j in cols])
+    return rows, ncols
+
+
+def nonzero_columns(core):
+    keep = [k for k in range(len(core[0])) if any(row[k] for row in core)] if core else []
+    return [[row[k] for k in keep] for row in core]
+
+
+class TestUnitCoreAgainstHeap:
+    """The cost-0 steps off a worklist and the least-cost scan give the
+    heap's ``(units, core)``.  The one freedom: when a row holds several
+    units alone in their columns, the order of the cost-0 steps picks which
+    of those columns is eliminated, and the others are left all zero.  So
+    the cores agree entry for entry once all-zero columns are dropped, and
+    have the same width; without an all-zero column they are equal."""
+
+    @staticmethod
+    def check(rows, ncols):
+        units, core = unit_core(rows, ncols)
+        ref_units, ref_core = heap_unit_core(rows, ncols)
+        assert units == ref_units
+        assert [len(row) for row in core] == [len(row) for row in ref_core]
+        assert nonzero_columns(core) == nonzero_columns(ref_core)
+
+    @PROPERTY
+    @given(int_list_rows())
+    # row 2's units at columns 0 and 3 are alone in their columns: the heap
+    # eliminates column 0 and leaves column 3 all zero
+    @example(([[], [(1, [2, 0, 1]), (4, [2, 0, 1])], [(0, [1]), (1, [5, -2, 1]), (3, [1])]], 5))
+    def test_random_sparse_matrices(self, matrix):
+        self.check(*matrix)
+
+    @pytest.mark.parametrize(
+        "text, caps",
+        [
+            ("u_t = u_3 + u*u_1", (9, 0, 4)),
+            ("u_t = u_3", (9, 0, 4)),
+            ("u_t = u_2 + u*u_1", (9, 0, 4)),
+            ("u_t = u_6 + 4*u_4 + 5*u_2 + 2*u", (9, 0, 3)),
+        ],
+    )
+    def test_determining_systems(self, text, caps):
+        # full column rank leaves no all-zero column: the cores are equal
+        system = determining_system(build_ansatz(*caps), parse_equation(text))
+        ncols = len(system.generators)
+        assert unit_core(system._cells, ncols) == heap_unit_core(system._cells, ncols)
 
 
 class TestScanGrading:
