@@ -23,11 +23,10 @@ of ``S(w)`` per weight that every chain level and every caller reuses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
 from math import comb, factorial, lcm
-from typing import Optional, Sequence
 
 from .errors import EmptyAnsatzError, ScopeError
 from .expr import (
@@ -59,6 +58,31 @@ from .linalg import (
     rref,
     unit_core,
 )
+
+
+class _Record:
+    """A plain record: its fields are the names annotated in its class body, taken
+    in order by position or keyword; a class attribute of a field's name is its
+    default, a list copied per record.  Assigning raises ``AttributeError``."""
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        names = tuple(cls.__annotations__)
+        fields = dict(zip(names, args))
+        for name in names[len(args) :]:
+            if name in kwargs:
+                fields[name] = kwargs.pop(name)
+            elif hasattr(cls, name):
+                default = getattr(cls, name)
+                fields[name] = default.copy() if type(default) is list else default
+            else:
+                raise TypeError(f"{cls.__name__}() missing field {name!r}")
+        if kwargs or len(args) > len(names):
+            raise TypeError(f"{cls.__name__}() takes the fields {', '.join(names)}")
+        self.__dict__.update(fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
 
 
 class EvolutionEquation:
@@ -180,8 +204,7 @@ def lie_bracket(eta1: ExpPolyExpr, eta2: ExpPolyExpr) -> ExpPolyExpr:
 MAX_ANSATZ_GENERATORS = 2000
 
 
-@dataclass(frozen=True)
-class AnsatzSpace:
+class AnsatzSpace(_Record):
     """Finite space of candidate characteristics exp(w*y) * y^a * m.
 
     ``generators`` are the jet monomials m alone, a <= ``y_degree`` and
@@ -194,6 +217,10 @@ class AnsatzSpace:
     y_degree: int
     jet_degree: int
     weights: tuple
+
+    def replace(self, **fields) -> AnsatzSpace:
+        """This ansatz with the given fields changed, e.g. other ``weights``."""
+        return AnsatzSpace(**{**vars(self), **fields})
 
     def describe(self) -> dict:
         return {
@@ -244,8 +271,7 @@ def characteristic(vec: Sequence, monomials: Sequence, y_degree: int, w=ZERO) ->
     return _expr(codec.unpacked(out))
 
 
-@dataclass(frozen=True)
-class DeterminingSystem:
+class DeterminingSystem(_Record):
     """Linear constraints on the coefficients of exp(w*y) * g over generators g.
 
     One row per jet/y monomial occurring in any generator defect; the
@@ -258,12 +284,14 @@ class DeterminingSystem:
 
     generators: tuple
     row_shapes: tuple
-    _cells: tuple = field(repr=False)  # per row, (column, int list) of its nonzeros, columns ascending
-    _denominator: int = field(repr=False)
-    # weight -> _WeightState, each published once complete
-    _weight_states: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _cells: tuple  # per row, (column, int list) of its nonzeros, columns ascending
+    _denominator: int
     # every system keeps the weight as an unknown; perfbench/tracer.py reads this
     symbolic = True
+
+    @cached_property
+    def _weight_states(self) -> dict:  # weight -> _WeightState, each published once complete
+        return {}
 
     @cached_property
     def rows(self) -> tuple:
@@ -417,8 +445,7 @@ def kernel_at(system: DeterminingSystem, w, y_degree: int) -> list:
     ]
 
 
-@dataclass(frozen=True)
-class SymmetryBasis:
+class SymmetryBasis(_Record):
     """Solved symmetry space: elements :func:`characteristic` at each weight, and dimensions."""
 
     equation: EvolutionEquation
@@ -434,7 +461,7 @@ class SymmetryBasis:
 def solve_symmetries(
     ansatz: AnsatzSpace,
     eq: EvolutionEquation,
-    system: Optional[DeterminingSystem] = None,
+    system: DeterminingSystem | None = None,
 ) -> SymmetryBasis:
     """Exact basis of symmetry characteristics inside the ansatz space.
 
@@ -472,8 +499,7 @@ def solve_symmetries(
     return SymmetryBasis(eq, ansatz, tuple(elements), tuple(dims), system)
 
 
-@dataclass(frozen=True)
-class LambdaScan:
+class LambdaScan(_Record):
     """Result of the symbolic exponential-weight search."""
 
     candidates: tuple  # rational weights with a nonzero solution space
@@ -492,7 +518,7 @@ class LambdaScan:
 def lambda_candidates(
     ansatz: AnsatzSpace,
     eq: EvolutionEquation,
-    system: Optional[DeterminingSystem] = None,
+    system: DeterminingSystem | None = None,
 ) -> LambdaScan:
     """Rational exponential weights at which the determining system gains solutions.
 
@@ -533,8 +559,7 @@ def lambda_candidates(
     )
 
 
-@dataclass(frozen=True)
-class BoundCheck:
+class BoundCheck(_Record):
     """One dimension-bound verdict for the report."""
 
     label: str

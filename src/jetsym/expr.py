@@ -47,10 +47,10 @@ downstream would give a float.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from math import comb, lcm
 from operator import itemgetter
-from typing import Iterable, Mapping, Sequence
 
 from .errors import MixedTypeError
 from .linalg import ONE, ZERO, _frac

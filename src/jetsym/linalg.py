@@ -30,8 +30,8 @@ pivot, since the rows above never pivot again.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .errors import (
     NonSquareError,

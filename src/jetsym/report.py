@@ -15,11 +15,9 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
-from typing import Optional
 
 from . import engine, structure
-from .engine import EvolutionEquation, build_ansatz, symmetry_defect
+from .engine import EvolutionEquation, _Record, build_ansatz, symmetry_defect
 from .errors import (
     EmptyAnsatzError,
     InternalInconsistencyError,
@@ -36,8 +34,7 @@ SCHEMA_VERSION = 1
 MODES = ("solve", "structure", "criterion", "check")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(_Record):
     """Everything one run needs; immutable so reruns are reproducible."""
 
     equation: str
@@ -79,22 +76,23 @@ class RunConfig:
             )
 
 
-@dataclass
-class Report:
+class Report(_Record):
     """Structured pipeline output; :func:`report_to_dict` renders it."""
+
+    __setattr__ = object.__setattr__  # the pipeline fills a report in
 
     config: RunConfig
     equation: EvolutionEquation
-    resolved_weights: Optional[tuple] = None
-    lambda_scan: Optional[engine.LambdaScan] = None
-    basis: Optional[engine.SymmetryBasis] = None
-    bounds: Optional[tuple] = None
-    action: Optional[structure.ShiftAction] = None
-    decomposition: Optional[structure.BlockDecomposition] = None
-    verdict: Optional[structure.CriterionVerdict] = None
-    checks: Optional[list] = None
-    notes: list = field(default_factory=list)
-    elapsed_ms: Optional[int] = None
+    resolved_weights: tuple | None = None
+    lambda_scan: engine.LambdaScan | None = None
+    basis: engine.SymmetryBasis | None = None
+    bounds: tuple | None = None
+    action: structure.ShiftAction | None = None
+    decomposition: structure.BlockDecomposition | None = None
+    verdict: structure.CriterionVerdict | None = None
+    checks: list | None = None
+    notes: list = []  # copied per report
+    elapsed_ms: int | None = None
 
 
 def run_pipeline(cfg: RunConfig) -> Report:
@@ -136,7 +134,7 @@ def run_pipeline(cfg: RunConfig) -> Report:
     report.lambda_scan = scan
     report.resolved_weights = weights
 
-    ansatz = replace(caps, weights=weights)  # sorted, distinct and never empty
+    ansatz = caps.replace(weights=weights)  # sorted, distinct and never empty
     basis = engine.solve_symmetries(ansatz, eq, system)
     report.basis = basis
     report.bounds = engine.check_dimension_bounds(basis)

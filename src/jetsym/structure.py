@@ -18,14 +18,14 @@ contains anything depending on that coordinate at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from itertools import product
-from typing import Optional, Sequence
 
 from .engine import (
     EvolutionEquation,
     LambdaScan,
     SymmetryBasis,
+    _Record,
     build_ansatz,
     characteristic,
     determining_system,
@@ -56,14 +56,13 @@ from .linalg import (
 )
 
 
-@dataclass(frozen=True)
-class SelectedVariables:
+class SelectedVariables(_Record):
     """Ordered distinct 0-jet coordinates whose shifts act on the space."""
 
     coords: tuple
 
-    def __post_init__(self):
-        coords = tuple(self.coords)
+    def __init__(self, coords):
+        coords = tuple(coords)
         if not coords:
             raise ValueError("at least one selected coordinate required")
         if len(set(coords)) != len(coords):
@@ -71,14 +70,13 @@ class SelectedVariables:
         for c in coords:
             if not c.is_zero_jet:
                 raise ValueError(f"{c.name} is not a 0-jet coordinate")
-        object.__setattr__(self, "coords", coords)
+        super().__init__(coords)
 
     def __len__(self):
         return len(self.coords)
 
 
-@dataclass(frozen=True)
-class ShiftAction:
+class ShiftAction(_Record):
     """Matrices of the selected partial derivatives on a basis of expressions."""
 
     elements: tuple
@@ -132,8 +130,7 @@ def shift_matrices(basis, selected) -> ShiftAction:
     return ShiftAction(elements=elements, selected=selected, matrices=tuple(matrices))
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(_Record):
     """One chain block: joint eigenvalue tuple plus its basis elements."""
 
     eigenvalues: tuple
@@ -143,8 +140,7 @@ class Block:
     elements: tuple  # ExpPolyElement, parallel to vectors
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
+class BlockDecomposition(_Record):
     """New basis grouped into blocks, with both change-of-basis matrices."""
 
     selected: SelectedVariables
@@ -327,24 +323,23 @@ def reduce_to_special(elem: ExpPolyElement, target: Coord) -> SpecialFormElement
     )
 
 
-@dataclass(frozen=True)
-class CriterionVerdict:
+class CriterionVerdict(_Record):
     """Answer to: does the space contain elements depending on the target?"""
 
     target: Coord
     exists: bool
     method: str
-    witness: Optional[SpecialFormElement] = None
-    witness_expression: Optional[ExpPolyExpr] = None
-    certificate: Optional[dict] = None
-    lambda_scan: Optional[LambdaScan] = None
+    witness: SpecialFormElement | None = None
+    witness_expression: ExpPolyExpr | None = None
+    certificate: dict | None = None
+    lambda_scan: LambdaScan | None = None
 
 
 def dependence_criterion(
     basis,
     selected,
     target: Coord,
-    decomposition: Optional[BlockDecomposition] = None,
+    decomposition: BlockDecomposition | None = None,
 ) -> CriterionVerdict:
     """Decide target-dependence from the block decomposition.
 
@@ -401,8 +396,8 @@ def dependence_criterion_direct(
     q_max: int,
     jet_degree: int,
     target: Coord = Y,
-    scan: Optional[LambdaScan] = None,
-    basis: Optional[SymmetryBasis] = None,
+    scan: LambdaScan | None = None,
+    basis: SymmetryBasis | None = None,
 ) -> CriterionVerdict:
     """Decide y-dependence by searching the two special shapes directly.
 

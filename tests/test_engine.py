@@ -4,7 +4,6 @@ import itertools
 import random
 import sys
 import threading
-from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
@@ -232,7 +231,7 @@ class TestIntegerNumerators:
         eq = parse_equation("u_t = u_2 - 1/3*u + 2/5*u_1")
         gens = tuple(E(t) for t in ("2/3*u_1", "5*u*u_1", "-1/7", "3/2*u", "u_2", "y^2*u_1",
                                     "exp(-u)*u_2", "u*exp(-1/2*u)*u_3"))
-        ansatz = replace(build_ansatz(2, 0, 2), generators=gens)
+        ansatz = build_ansatz(2, 0, 2).replace(generators=gens)
         system = determining_system(ansatz, eq)
         assert system._denominator == 630
         for w in (F(0), F(1, 2)):
@@ -246,7 +245,7 @@ class TestIntegerNumerators:
                     ExpPolyExpr.zero(),
                 )
                 assert column == exp_minus_w * reference_defect(exp_w * g, eq.rhs)
-            reference = reference_system(replace(ansatz, weights=(w,)), eq)
+            reference = reference_system(ansatz.replace(weights=(w,)), eq)
             assert kernel_at(system, w, 0) == nullspace(reference)
 
 
@@ -365,7 +364,7 @@ def y_multiples(ansatz):
 
 def y_multiples_system(ansatz, eq):
     """The determining system of the products y^a * m themselves."""
-    return determining_system(replace(ansatz, generators=y_multiples(ansatz)), eq)
+    return determining_system(ansatz.replace(generators=y_multiples(ansatz)), eq)
 
 
 def weighted_generators(ansatz):
@@ -531,7 +530,7 @@ class TestCharacteristic:
         ansatz = build_ansatz(q, ydeg, jetdeg)
         if sums:  # rational, several terms, and sharing monomials
             gens = tuple(g.scale(F(2, 3)) + E("u_1^2 - 1/5") for g in ansatz.generators)
-            ansatz = replace(ansatz, generators=gens)
+            ansatz = ansatz.replace(generators=gens)
         n = len(ansatz.generators) * (ydeg + 1)
         entries = st.one_of(st.just(F(0)), SMALL_RATIONALS)
         vec = data.draw(st.lists(entries, min_size=n, max_size=n))
