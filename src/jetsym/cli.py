@@ -17,14 +17,10 @@ import re
 import sys
 from fractions import Fraction
 
-from .errors import (
-    ClosureViolationError,
-    JetsymError,
-    ParseError,
-    UnresolvedSpectrumError,
-)
+from .errors import JetsymError, ParseError
 from .parser import parse_expression
 from .report import (
+    MODES,
     RunConfig,
     error_to_dict,
     human_text,
@@ -33,24 +29,12 @@ from .report import (
     run_pipeline,
 )
 
-EXIT_OK = 0
-EXIT_OTHER = 1
-EXIT_SYNTAX = 2
-EXIT_SCOPE = 3
-EXIT_CLOSURE = 4
-EXIT_SPECTRUM = 5
+EXIT_CODES = {"syntax": 2, "scope": 3, "closure": 4, "spectrum": 5}
 
 
-def exit_code_for(err: Exception) -> int:
-    if isinstance(err, ParseError):
-        return EXIT_SYNTAX
-    if isinstance(err, UnresolvedSpectrumError):
-        return EXIT_SPECTRUM
-    if isinstance(err, ClosureViolationError):
-        return EXIT_CLOSURE
-    if isinstance(err, JetsymError) and err.kind == "scope":
-        return EXIT_SCOPE
-    return EXIT_OTHER
+def exit_code_for(err: JetsymError) -> int:
+    """The exit code of the error's kind, 1 for any other kind."""
+    return EXIT_CODES.get(err.kind, 1)
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -74,7 +58,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--mode",
-        choices=("solve", "structure", "criterion", "check"),
+        choices=MODES,
         default="solve",
         help="how far to run the pipeline",
     )
@@ -148,7 +132,7 @@ def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
     # one document per run, the report or the error; every output renders it
     try:
-        doc, code = report_to_dict(run_pipeline(config_from_args(args))), EXIT_OK
+        doc, code = report_to_dict(run_pipeline(config_from_args(args))), 0
     except JetsymError as err:
         code = exit_code_for(err)
         print(f"jetsym: error: {err}", file=sys.stderr)
@@ -156,11 +140,11 @@ def main(argv=None) -> int:
     try:
         if args.json:
             _write_json(args.json, render(doc, "json"))
-        if code == EXIT_OK and args.json != "-":
+        if code == 0 and args.json != "-":
             sys.stdout.write(human_text(doc))
     except OSError as io_err:
         print(f"jetsym: error: {io_err}", file=sys.stderr)
-        return EXIT_OTHER
+        return 1
     return code
 
 

@@ -531,12 +531,12 @@ def lambda_candidates(
     each of its roots once, is root-searched once, and every rational root
     is verified on the whole system by the kernel ``kernel_at(system, w,
     0)``, kept on the system.  One :func:`rank_modulo` splits the radical's
-    rational-root-free residual into coprime parts of uniform core rank, the
-    parts of each rank are multiplied, and those where the rank drops are
-    reported, never silently dropped.  The scan runs on the y-free system of
-    the ansatz's jet monomials: a weight with a chain has an eigenvector, so
-    the y powers add no weight.  ``system`` is that system when the caller
-    has already assembled it.  The weights the ansatz declares play no part.
+    rational-root-free residual into one factor per core rank, and those
+    where the rank drops are reported, never silently dropped.  The scan
+    runs on the y-free system of the ansatz's jet monomials: a weight with a
+    chain has an eigenvector, so the y powers add no weight.  ``system`` is
+    that system when the caller has already assembled it.  The weights the
+    ansatz declares play no part.
     """
     if system is None:
         system = determining_system(ansatz, eq)
@@ -546,14 +546,10 @@ def lambda_candidates(
     last = pivots[-1] if pivots else UniPoly.one()  # the empty core's determinant
     radical = _poly_exact_div(last, last.gcd(last.derivative())).monic()
     roots, residual = rational_roots(radical)
-    by_rank = {}  # the rank at a root is intrinsic: one factor per rank
-    for f, rank in rank_modulo(core, residual) if residual.degree >= 1 else []:
-        by_rank[rank] = by_rank.get(rank, UniPoly.one()) * f
+    dropped = (f for f, rank in rank_modulo(core, residual) if rank < ncols)
     return LambdaScan(
         candidates=tuple(w for w, _ in roots if kernel_at(system, w, 0)),
-        residual_factors=tuple(
-            sorted((f for rank, f in by_rank.items() if rank < ncols), key=UniPoly.sort_key)
-        ),
+        residual_factors=tuple(sorted(dropped, key=UniPoly.sort_key)),
         generic_nullity=ncols - len(pivots),
         pivots=tuple(pivots),
     )

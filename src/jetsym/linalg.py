@@ -22,9 +22,9 @@ read every entry as a list of integer coefficients, ascending by degree,
 ``[]`` for zero: the determining system's own form, read as it is kept.
 Every division in the Bareiss elimination is an exact ``divmod`` long
 division over Z, and one that leaves a remainder raises as the bug it would be.
-:func:`rank_modulo` eliminates over ``{column: entry}`` row dicts of
-rational polynomial residues, and reduces only the rows below each
-pivot, since the rows above never pivot again.
+Those two are fraction-free eliminations over Z[lambda], whose integer
+minors a field elimination cannot give; :func:`rank_modulo` is a field
+elimination, the one :class:`Elimination` run on residues modulo a factor.
 """
 
 from __future__ import annotations
@@ -185,7 +185,8 @@ class RatMatrix:
 
 class Elimination:
     """Recorded sparse Gauss-Jordan elimination of ``{column: entry}`` rows
-    of nonzero ``int`` or ``Fraction`` entries, copied in; it computes ``Fraction``s.
+    of nonzero entries of any exact field, copied in: ``int`` or ``Fraction``,
+    computed as ``Fraction``s, or the residues of :func:`rank_modulo`.
 
     Columns are taken in ascending order, each pivoting on the shortest
     pending row holding it (less fill-in; the reduced form is unique, so the
@@ -883,49 +884,63 @@ def _inverse_mod(a: UniPoly, modulus: UniPoly) -> UniPoly:
     return (s0 * inv_lead).divmod(modulus)[1]
 
 
-def rank_modulo(rows: Sequence[Sequence[list]], modulus: UniPoly) -> list:
-    """Ranks of a polynomial matrix over the quotient rings by ``modulus``.
+class _Residue:
+    """A class of Q[lambda] modulo a monic ``modulus``, as an :class:`Elimination`
+    entry: ``*``, ``-``, ``ZERO - x``, ``ONE / x`` and truthiness.  An inverse,
+    or a zero product of nonzero residues, that meets a zero divisor raises
+    ``_NeedsSplit`` with a proper factor of the modulus.
+    """
 
-    If a zero divisor turns up during elimination the modulus is split by the
-    discovered factor and both halves are processed, so the result is a list of
-    ``(factor, rank)`` pairs whose factors multiply to a divisor-closed
-    refinement of ``modulus``.  Dense integer-list ``rows`` become dicts
-    ``{column: residue}`` of the nonzero residues; the pivot is the first row, in
-    current order, that is nonzero at the column, as in the dense Gauss-Jordan
-    form, and only the rows below it are reduced: the rows above never pivot
-    again, so the ranks and splits found are the same.
+    __slots__ = ("poly", "modulus")
+
+    def __init__(self, poly: UniPoly, modulus: UniPoly):
+        self.poly = poly.divmod(modulus)[1] if len(poly.coeffs) >= len(modulus.coeffs) else poly
+        self.modulus = modulus
+
+    def __bool__(self):
+        return bool(self.poly.coeffs)
+
+    def __mul__(self, other: "_Residue") -> "_Residue":
+        out = _Residue(self.poly * other.poly, self.modulus)
+        if not out:  # so a zero left by a product is never deleted from a row
+            raise _NeedsSplit(self.poly.gcd(self.modulus))
+        return out
+
+    def __sub__(self, other: "_Residue") -> "_Residue":
+        return _Residue(self.poly - other.poly, self.modulus)
+
+    def __rsub__(self, zero) -> "_Residue":
+        return _Residue(-self.poly, self.modulus)
+
+    def __rtruediv__(self, one) -> "_Residue":
+        return _Residue(_inverse_mod(self.poly, self.modulus), self.modulus)
+
+
+def rank_modulo(rows: Sequence[Sequence[list]], modulus: UniPoly) -> list:
+    """Ranks of a polynomial matrix over the quotient rings by factors of ``modulus``.
+
+    The rank modulo a factor is the pivot count of one :class:`Elimination`
+    of the dense integer-list ``rows`` as residues.  A zero divisor met on
+    the way splits the modulus (dynamic evaluation, Della Dora, Dicrescenzo
+    & Duval 1985), and each part is ranked again.  The rank at an
+    irreducible factor is intrinsic, so the parts of one rank multiply to
+    one factor: returns ``(factor, rank)`` pairs in ascending rank, of
+    pairwise coprime monic factors whose product is ``modulus.monic()``, and
+    ``[]`` for a constant modulus.  Neither row order nor the splits met
+    change the answer.
     """
     modulus = modulus.monic()
-    zero = UniPoly.zero()
-    residues = ({j: UniPoly(e).divmod(modulus)[1] for j, e in enumerate(row) if e} for row in rows)
-    mat = [{j: x for j, x in row.items() if x.coeffs} for row in residues]
-    ncols = len(rows[0]) if rows else 0
+    if modulus.degree < 1:
+        return []
+    residues = (
+        {j: _Residue(UniPoly._from_fractions(map(Fraction, e)), modulus) for j, e in enumerate(row) if e}
+        for row in rows
+    )
     try:
-        r = 0
-        for c in range(ncols):
-            if r == len(mat):
-                break
-            pr = next((i for i in range(r, len(mat)) if c in mat[i]), None)
-            if pr is None:
-                continue
-            mat[r], mat[pr] = mat[pr], mat[r]
-            inv = _inverse_mod(mat[r][c], modulus)
-            # a unit times a nonzero residue is nonzero: no entry drops out
-            prow = mat[r] = {j: (inv * e).divmod(modulus)[1] for j, e in mat[r].items()}
-            for row in mat[r + 1 :]:
-                f = row.get(c)
-                if f is None:
-                    continue
-                for j, b in prow.items():
-                    v = (row.get(j, zero) - f * b).divmod(modulus)[1]
-                    if v.is_zero():
-                        row.pop(j, None)
-                    else:
-                        row[j] = v
-            r += 1
-        return [(modulus, r)]
+        rank = len(Elimination([{j: x for j, x in row.items() if x} for row in residues]).pivots)
     except _NeedsSplit as split:
-        # a factor of a nonzero residue: both parts are proper, monic factors
-        g = split.factor
-        return rank_modulo(rows, g) + rank_modulo(rows, _poly_exact_div(modulus, g))
-
+        g, parts = split.factor, {}
+        for f, r in rank_modulo(rows, g) + rank_modulo(rows, _poly_exact_div(modulus, g)):
+            parts[r] = parts[r] * f if r in parts else f
+        return [(parts[r], r) for r in sorted(parts)]
+    return [(modulus, rank)]

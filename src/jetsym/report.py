@@ -121,13 +121,15 @@ def run_pipeline(cfg: RunConfig) -> Report:
     # monomials; every kernel is read off it as Jordan chains
     caps = build_ansatz(cfg.order_cap, cfg.y_degree, cfg.jet_degree)
     system = engine.determining_system(caps, eq)
+    # the run's one weight scan, for --lambda auto and the direct y-criterion
     scan = None
+    if cfg.lambda_mode == "auto" or (cfg.mode == "criterion" and target == Y):
+        scan = engine.lambda_candidates(caps, eq, system)
     if cfg.lambda_mode == "none":
         weights = (ZERO,)
     elif cfg.lambda_mode == "explicit":
         weights = tuple(sorted({_frac(w) for w in cfg.lambda_weights} | {ZERO}))
     elif cfg.lambda_mode == "auto":
-        scan = engine.lambda_candidates(caps, eq, system)
         weights = tuple(sorted(set(scan.candidates) | {ZERO}))
     else:
         raise JetsymError(f"unknown lambda mode {cfg.lambda_mode!r}")
@@ -138,7 +140,7 @@ def run_pipeline(cfg: RunConfig) -> Report:
     basis = engine.solve_symmetries(ansatz, eq, system)
     report.basis = basis
     report.bounds = engine.check_dimension_bounds(basis)
-    if scan is not None and scan.residual_factors:
+    if cfg.lambda_mode == "auto" and scan.residual_factors:
         report.notes.append(
             "exponential-weight scan left rational-root-free factors: "
             + ", ".join(str(f) for f in scan.residual_factors)
@@ -172,23 +174,18 @@ def run_pipeline(cfg: RunConfig) -> Report:
                     f"direct={direct.exists}, decomposition={full.exists}"
                 )
             verdict = direct
-            if direct.lambda_scan is not None:
-                report.lambda_scan = direct.lambda_scan
         report.verdict = verdict
-        residuals = (
-            report.lambda_scan.residual_factors if report.lambda_scan else ()
-        )
         # the weight scan speaks about y-exponentials, so only a y-verdict
         # can be contradicted by its unresolved factors, and only when the
         # run claims every weight; with declared weights the verdict is
         # relative to them and the factors are reported
-        if target == Y and not verdict.exists and residuals:
-            factors = ", ".join(str(f) for f in residuals)
+        if target == Y and not verdict.exists and scan.residual_factors:
+            factors = ", ".join(str(f) for f in scan.residual_factors)
             if cfg.lambda_mode == "auto":
                 raise UnresolvedSpectrumError(
                     "the criterion is undecided over the rationals: the weight "
                     "scan has non-rational candidate factors " + factors,
-                    factors=residuals,
+                    factors=scan.residual_factors,
                 )
             report.notes.append(
                 "the verdict is relative to the declared weights; the "

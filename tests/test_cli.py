@@ -11,8 +11,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import jetsym
-from jetsym import engine, report, structure
-from jetsym.cli import main
+from jetsym import engine, errors, report, structure
+from jetsym.cli import exit_code_for, main
 from jetsym.expr import Y
 from jetsym.report import RunConfig, emit_report, run_pipeline
 
@@ -99,10 +99,10 @@ class TestModes:
 
 
 class TestWeightScanOnce:
-    @pytest.mark.parametrize("lam", ["auto", "none"])
+    @pytest.mark.parametrize("lam", ["auto", "none", "1,-1"])
     def test_one_scan_per_y_criterion_run(self, tmp_path, monkeypatch, lam):
-        # --lambda auto hands its scan to the direct criterion; with --lambda
-        # none the direct criterion is the only one to scan
+        # the run scans once, for --lambda auto and for the direct criterion
+        # alike, and hands the scan to the direct criterion
         calls = []
         original = engine.lambda_candidates
 
@@ -118,6 +118,17 @@ class TestWeightScanOnce:
         assert code == 0
         assert data["criterion"]["witness"] == "y"
         assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "args", [["--mode", "solve", "--lambda", "none"], ["--mode", "structure", "--lambda", "1,-1"]]
+    )
+    def test_no_scan_without_a_reader(self, tmp_path, monkeypatch, args):
+        calls = []
+        monkeypatch.setattr(engine, "lambda_candidates", lambda *a: calls.append(a))
+        code, data = run_json(tmp_path, ["--eq", "u_t = u_2", *args])
+        assert code == 0
+        assert data["lambda_scan"] is None
+        assert calls == []
 
 
 class TestRootSearchOnce:
@@ -300,6 +311,22 @@ class TestDeterminism:
 
 
 class TestErrorCodes:
+    @pytest.mark.parametrize(
+        "error, code",
+        [
+            (errors.ParseError, 2),
+            (errors.ScopeError, 3),
+            (errors.EmptyAnsatzError, 3),
+            (errors.ClosureViolationError, 4),
+            (errors.UnresolvedSpectrumError, 5),
+            (errors.InternalInconsistencyError, 1),
+            (errors.ZeroPolynomialError, 1),
+            (errors.JetsymError, 1),
+        ],
+    )
+    def test_exit_code_follows_the_error_kind(self, error, code):
+        assert exit_code_for(error("message")) == code
+
     @pytest.mark.parametrize("eq", ["u_t = u_2", "u_t = u_2 +"])
     def test_unwritable_json_path(self, tmp_path, capsys, eq):
         # a successful run and a syntax error alike: exit 1, no text report

@@ -114,6 +114,13 @@ CASES = {
          "--jetdeg", "3", "--ydeg", "5"],
         5,
     ),
+    # rank_modulo meets a zero divisor in the core and splits the residual;
+    # the parts of one rank come back as one factor
+    "error_spectrum_split": (
+        ["--eq", "u_t = u_5 + 6*u_1 + 5*u_3", "--mode", "criterion", "--order", "3",
+         "--jetdeg", "2", "--ydeg", "0"],
+        5,
+    ),
 }
 
 

@@ -457,8 +457,24 @@ class TestPolySparseAgainstDense:
     @PROPERTY
     @given(poly_matrices(st.one_of(POLY_ENTRY, RATIONAL_POLY_ENTRY)), st.sampled_from(MODULI))
     def test_rank_modulo_matches_dense(self, rows, modulus):
+        # the splits depend on the pivot order; the parts of one rank do not
         scaled, ints = integer_matrix(rows)
-        assert rank_modulo(ints, modulus) == dense_rank_modulo(scaled, modulus)
+        by_rank = {}
+        for f, r in dense_rank_modulo(scaled, modulus):
+            by_rank[r] = by_rank.get(r, UniPoly.one()) * f
+        assert rank_modulo(ints, modulus) == [(by_rank[r], r) for r in sorted(by_rank)]
+
+    @PROPERTY
+    @given(
+        poly_matrices(st.one_of(POLY_ENTRY, RATIONAL_POLY_ENTRY)),
+        st.sampled_from(MODULI),
+        st.randoms(use_true_random=False),
+    )
+    def test_rank_modulo_ignores_row_order(self, rows, modulus, rnd):
+        ints = integer_matrix(rows)[1]
+        shuffled = list(ints)
+        rnd.shuffle(shuffled)
+        assert rank_modulo(shuffled, modulus) == rank_modulo(ints, modulus)
 
     def test_rows_are_left_unmodified(self):
         lam, one = [0, 1], [1]
@@ -1059,6 +1075,28 @@ class TestRankModulo:
         out = dict((str(f), r) for f, r in rank_modulo([[entry]], mod))
         assert out["lambda - 1"] == 0
         assert out["lambda + 1"] == 1
+
+    def test_constant_modulus_has_no_factors(self):
+        assert rank_modulo([[[1, 1]]], UniPoly([3])) == []
+
+    def test_zero_product_splits(self):
+        # row 0 pivots column 0; row 1 holds no column 1, where the update
+        # (lambda - 1)*(lambda + 1) is zero modulo lambda^2 - 1
+        mod = UniPoly([-1, 0, 1])
+        rows = [[[1], [1, 1], [], []], [[-1, 1], [], [1], [1]]]
+        assert rank_modulo(rows, mod) == [(mod, 2)]
+
+    def test_split_core_is_one_factor_in_any_row_order(self):
+        # the scan's core of u_5 + 6*u_1 + 5*u_3 at (3,2,0): the elimination
+        # splits lambda^4 + 5*lambda^2 + 6, and both parts have rank 4
+        eq = parse_equation("u_t = u_5 + 6*u_1 + 5*u_3")
+        system = determining_system(build_ansatz(3, 0, 2), eq)
+        core = unit_core(system._cells, len(system.generators))[1]
+        residual = UniPoly([6, 0, 5, 0, 1])
+        rnd = random.Random(0)
+        for _ in range(10):
+            assert rank_modulo(core, residual) == [(residual, 4)]
+            rnd.shuffle(core)
 
 
 class TestUniPolyBasics:
